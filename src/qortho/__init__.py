@@ -5,7 +5,6 @@ from .qcore import (
     NonConvergenceError,
     ParameterError,
     QOrthoError,
-    QParam,
     SupportInterval,
     q_binomial,
     q_bracket,
@@ -53,7 +52,6 @@ from .densities import (
 from .connect import (
     ConnectionMatrix,
     RatioConnection,
-    band_structure,
     connection,
     oracle_connection,
     ratio_connection,

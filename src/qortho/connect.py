@@ -21,6 +21,7 @@ from fractions import Fraction
 from .qcore import (
     IrrationalParameterError,
     ParameterError,
+    div,
     is_exact,
     q_binomial,
     q_factorial,
@@ -79,11 +80,6 @@ class ConnectionMatrix:
         return "\n".join(lines)
 
 
-def band_structure(matrix):
-    """J = max over nonzero entries of n - k (bandwidth below the diagonal)."""
-    return matrix.band()
-
-
 def _require(params, *names):
     out = []
     for name in names:
@@ -91,13 +87,6 @@ def _require(params, *names):
             raise ParameterError("pair needs parameter %r" % (name,))
         out.append(params[name])
     return out
-
-
-def _half_inv(q):
-    # 1/(1-q) in the arithmetic of q
-    if is_exact(q):
-        return Fraction(1, 1) / (1 - Fraction(q))
-    return 1.0 / (1.0 - q)
 
 
 def connection(pair, n_max, **params):
@@ -124,7 +113,7 @@ def connection(pair, n_max, **params):
             rows[n] = row
     elif pair == "uhat-from-h":
         (q,) = _require(params, "q")
-        c = _half_inv(q)
+        c = div(1, 1 - q)
         for n in range(n_max + 1):
             row = {}
             for j in range(n // 2 + 1):
@@ -134,7 +123,7 @@ def connection(pair, n_max, **params):
             rows[n] = row
     elif pair == "h-from-uhat":
         (q,) = _require(params, "q")
-        c = _half_inv(q)
+        c = div(1, 1 - q)
         for n in range(n_max + 1):
             row = {}
             for k in range(n // 2 + 1):
@@ -174,7 +163,7 @@ def connection(pair, n_max, **params):
                     * q_pochhammer(beta * q, q, n - k)
                     * (1 - beta)
                 )
-                v = _div(v, den)
+                v = div(v, den)
                 if v != 0:
                     row[n - 2 * k] = v
             rows[n] = row
@@ -210,17 +199,11 @@ def connection(pair, n_max, **params):
     return ConnectionMatrix(pair, n_max, dict(params), rows)
 
 
-def _div(a, b):
-    if is_exact(a, b):
-        return Fraction(a) / Fraction(b)
-    return a / b
-
-
 def d_hat_entry(k, n, y, rho, q):
     """Coefficient of P_k in (1-q)^{-n/2} U_n(x sqrt(1-q)/2) over the ASC family."""
     if not 0 <= k <= n:
         return 0 * q
-    c = _half_inv(q)
+    c = div(1, 1 - q)
     H = eval_all(QHermite(q), n - k, y)
     total = 0 * q
     j = 0
@@ -246,7 +229,7 @@ def c_hat_entry(k, n, y, rho, q):
         return 0 * q
     if n == 0:
         return 1 + 0 * q
-    c = _half_inv(q)
+    c = div(1, 1 - q)
     H = eval_all(QHermite(q), n - k, y)
     total = 0 * q
     j = 0

@@ -1,26 +1,46 @@
 """Density-expansion kernels: target = base * sum_n c_n a_n, plus the identity suite.
 
-Each registry id fixes a base density, a target density, a coefficient rule
-c_n and a term family a_n.  All c_0 = 1.  Coefficient rules are exact on
-rational parameters whenever the closed form is rational (the conditional
-kernels cn_over_u / cn_over_k pick up a sqrt(1-q) factor on odd indices and
-are returned as floats there).
+Each registry id is one entry of the table ``_KERNELS``, a ``_Kernel`` whose
+fields say everything about that expansion:
+
+- ``coeff_params`` / ``params``: the parameters the coefficient rule needs,
+  and those the evaluated expansion needs; a missing one is a ParameterError.
+- ``coeff(n, p, Y)``: the coefficient rule c_n, exact on rational
+  parameters.  With ``even`` set, c_n = 0 for odd n and the rule is called
+  with k = n/2 to give c_{2k}.
+- ``base`` / ``target``: the density constructors, ``(p, trunc_eps)``.
+- ``family(p, x)``: the term family a_n and the point it is evaluated at,
+  such as ChebU at x sqrt(1-q)/2 or QHermite(q) at x.
+- ``y_row(p)``: a family and a point in y whose values Y_n the coefficient
+  rule may read (cn_over_k, cn_over_u, pm_q0); with ``weighted`` set the
+  term carries Y_n as a separate weight, c_n Y_n a_n(x) (H_n(y), B_n(y) or
+  the classical Hermite He_n(y)).
+- ``bound(p, Y)``: the sup-norm bound rule, giving ``rule(n, |c_n Y_n|)``
+  that bounds |term_n| on S(q), or None for the pointwise rule of the q = 1
+  kernels (Gaussian case), whose terms are unbounded: there the max of the
+  evaluated term stands in for the bound.
+- ``domain(p)``: an extra parameter check, or None.
+
+All c_0 = 1.  Coefficient rules are exact on rational parameters whenever
+the closed form is rational (the conditional kernels cn_over_u / cn_over_k
+pick up a sqrt(1-q) factor on odd indices and are returned as floats there).
 
 :func:`expansion_eval` reconstructs the target density pointwise with either
-a fixed truncation K or an adaptive one driven by sup-norm term bounds on
-S(q); the q = 1 kernels (Gaussian case) have unbounded terms and fall back to
-a pointwise stopping rule on the evaluated terms.
+a fixed truncation K or an adaptive one driven by the bound rule.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .qcore import (
     NonConvergenceError,
     ParameterError,
-    is_exact,
+    VerificationReport,
+    div,
+    q_binomial,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
@@ -39,8 +59,6 @@ from .polyfam import (
     v_growth,
     w_growth,
 )
-from . import polyfam
-from .qcore import q_binomial
 from .densities import (
     density_eval,
     fCN,
@@ -54,19 +72,6 @@ from .densities import (
 )
 from .connect import beta_coeff, gamma_coeff
 
-
-EXPANSION_IDS = (
-    "n_over_u",
-    "u_over_n",
-    "cn_over_n",
-    "n_over_cn",
-    "r_over_n",
-    "n_over_r",
-    "cn_over_k",
-    "cn_over_u",
-    "mehler_classical",
-    "pm_q0",
-)
 
 #: Hard truncation cap for adaptive evaluation.
 K_CAP = 500
@@ -90,114 +95,21 @@ class ExpansionResult:
     n_terms: int  # number of terms summed
 
 
-def _div(a, b):
-    if is_exact(a, b):
-        from fractions import Fraction
+@dataclass(frozen=True)
+class _Kernel:
+    """One registry expansion; the fields are described in the module docstring."""
 
-        return Fraction(a) / Fraction(b)
-    return a / b
-
-
-def _half(y):
-    if is_exact(y):
-        from fractions import Fraction
-
-        return Fraction(y) / 2
-    return y / 2
-
-
-def expansion_coeff(id, n, **p):
-    """Coefficient c_n of the registry expansion; exact on rational parameters."""
-    if id not in EXPANSION_IDS:
-        raise ParameterError("unknown expansion id %r" % (id,))
-    if n < 0:
-        raise ParameterError("coefficient index must be >= 0, got %r" % (n,))
-    if id == "n_over_u":
-        q = p["q"]
-        if n % 2:
-            return 0 * q
-        k = n // 2
-        return (-1) ** k * q ** (k * (k + 1) // 2)
-    if id == "u_over_n":
-        q = p["q"]
-        if n % 2:
-            return 0 * q
-        k = n // 2
-        num = q ** k * (1 - q) ** (k + 1)
-        den = q_pochhammer(q, q, k) * q_pochhammer(q, q, k + 1)
-        return _div(num, den)
-    if id == "cn_over_n":
-        rho, q = p["rho"], p["q"]
-        return _div(rho ** n, q_factorial(n, q))
-    if id == "n_over_cn":
-        rho, q = p["rho"], p["q"]
-        return _div(rho ** n, q_pochhammer(rho * rho, q, n) * q_factorial(n, q))
-    if id == "r_over_n":
-        beta, q = p["beta"], p["q"]
-        if n % 2:
-            return 0 * q
-        k = n // 2
-        return _div(beta ** k, q_factorial(k, q) * q_pochhammer(beta * q, q, k))
-    if id == "n_over_r":
-        g, q = p["gamma"], p["q"]
-        if n % 2:
-            return 0 * q
-        k = n // 2
-        num = (
-            (-g) ** k
-            * q ** (k * (k - 1) // 2)
-            * q_pochhammer(g, q, k)
-            * (1 - g * q ** (2 * k))
-        )
-        den = (1 - g) * q_factorial(k, q) * q_pochhammer(g * g, q, 2 * k)
-        return _div(num, den)
-    if id == "cn_over_k":
-        return beta_coeff(n, p["y"], p["rho"], p["q"])
-    if id == "cn_over_u":
-        return gamma_coeff(n, p["y"], p["rho"], p["q"])
-    if id == "mehler_classical":
-        rho = p["rho"]
-        return _div(rho ** n, math.factorial(n))
-    if id == "pm_q0":
-        rho, y = p["rho"], p["y"]
-        return rho ** n * polyfam.eval(ChebU(), n, _half(y))
-    raise AssertionError
-
-
-def base_density(id, params, trunc_eps=1e-14):
-    p = params
-    if id in ("n_over_u", "cn_over_u"):
-        return fU(p["q"], trunc_eps)
-    if id in ("u_over_n", "cn_over_n", "r_over_n"):
-        return fN(p["q"], trunc_eps)
-    if id == "n_over_cn":
-        return fCN(p["y"], p["rho"], p["q"], trunc_eps)
-    if id == "n_over_r":
-        return fR(p["gamma"], p["q"], trunc_eps)
-    if id == "cn_over_k":
-        return fK(p["y"], p["rho"], p["q"], trunc_eps)
-    if id == "mehler_classical":
-        return fN(1.0, trunc_eps)
-    if id == "pm_q0":
-        return fU(0.0, trunc_eps)
-    raise ParameterError("unknown expansion id %r" % (id,))
-
-
-def target_density(id, params, trunc_eps=1e-14):
-    p = params
-    if id == "u_over_n":
-        return fU(p["q"], trunc_eps)
-    if id in ("n_over_u", "n_over_cn", "n_over_r"):
-        return fN(p["q"], trunc_eps)
-    if id in ("cn_over_n", "cn_over_k", "cn_over_u"):
-        return fCN(p["y"], p["rho"], p["q"], trunc_eps)
-    if id == "r_over_n":
-        return fR(p["beta"], p["q"], trunc_eps)
-    if id == "mehler_classical":
-        return fCN(p["y"], p["rho"], 1.0, trunc_eps)
-    if id == "pm_q0":
-        return fCN(p["y"], p["rho"], 0.0, trunc_eps)
-    raise ParameterError("unknown expansion id %r" % (id,))
+    coeff_params: tuple
+    params: tuple
+    coeff: Callable
+    base: Callable
+    target: Callable
+    family: Callable
+    bound: Callable
+    even: bool = False
+    y_row: Optional[Callable] = None
+    weighted: bool = False
+    domain: Optional[Callable] = None
 
 
 class _Lazy:
@@ -216,6 +128,302 @@ class _Lazy:
         return self._vals[n]
 
 
+def _values(row):
+    """Lazy p_0(x), p_1(x), ... for row() = (family, x); row runs on first use."""
+
+    def build(m):
+        fam, x = row()
+        return eval_all(fam, m, x)
+
+    return _Lazy(build)
+
+
+# -- coefficient rules ------------------------------------------------------
+
+
+def _c_n_over_u(k, p, Y):
+    # c_{2k} = (-1)^k q^{k(k+1)/2}
+    return (-1) ** k * p["q"] ** (k * (k + 1) // 2)
+
+
+def _c_u_over_n(k, p, Y):
+    # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1})
+    q = p["q"]
+    num = q ** k * (1 - q) ** (k + 1)
+    return div(num, q_pochhammer(q, q, k) * q_pochhammer(q, q, k + 1))
+
+
+def _c_r_over_n(k, p, Y):
+    # c_{2k} = beta^k / ([k]_q! (beta q;q)_k)
+    beta, q = p["beta"], p["q"]
+    return div(beta ** k, q_factorial(k, q) * q_pochhammer(beta * q, q, k))
+
+
+def _c_n_over_r(k, p, Y):
+    # c_{2k} = (-g)^k q^{k(k-1)/2} (g;q)_k (1 - g q^{2k}) / ((1-g) [k]_q! (g^2;q)_{2k})
+    g, q = p["gamma"], p["q"]
+    num = (
+        (-g) ** k
+        * q ** (k * (k - 1) // 2)
+        * q_pochhammer(g, q, k)
+        * (1 - g * q ** (2 * k))
+    )
+    den = (1 - g) * q_factorial(k, q) * q_pochhammer(g * g, q, 2 * k)
+    return div(num, den)
+
+
+def _c_n_over_cn(n, p, Y):
+    # c_n = rho^n / ((rho^2;q)_n [n]_q!)
+    rho, q = p["rho"], p["q"]
+    return div(rho ** n, q_pochhammer(rho * rho, q, n) * q_factorial(n, q))
+
+
+# -- sup-norm bound rules ---------------------------------------------------
+# |U_n| <= n+1 on [-1,1]; max |H_n| = W_n / (1-q)^{n/2} on S(q); the V-sum
+# bound for Rogers (a heuristic outside 0 <= q < 1, where it is unproven);
+# |k_n(u|v,r)| <= (n+1) + |r v| n + r^2 (n-1) on [-2,2].
+
+
+def _pointwise(p, Y):
+    return None
+
+
+def _pointwise_at_unit_q(rule):
+    return lambda p, Y: None if p["q"] == 1.0 else rule(p, Y)
+
+
+def _chebu_bound(p, Y):
+    return lambda n, a: a * (n + 1)
+
+
+def _hermite_bound(p, Y):
+    q = p["q"]
+    W = _Lazy(lambda m: w_growth(m, q))
+    return lambda n, a: a * W[n] / (1.0 - q) ** (n / 2.0)
+
+
+def _asc_bound(p, Y):
+    q, rho = p["q"], p["rho"]
+    W = _Lazy(lambda m: w_growth(m, q))
+
+    def rule(n, a):
+        # |P_n| <= sum_j [n j]_q |rho|^{n-j} |B_{n-j}(y)| W_j (1-q)^{-j/2}
+        pb = 0.0
+        for j in range(n + 1):
+            pb += (
+                float(q_binomial(n, j, q))
+                * abs(rho) ** (n - j)
+                * abs(Y[n - j])
+                * W[j]
+                / (1.0 - q) ** (j / 2.0)
+            )
+        return a * pb
+
+    return rule
+
+
+def _rogers_bound(p, Y):
+    q, g = p["q"], p["gamma"]
+    V = _Lazy(lambda m: v_growth(m, q, g))
+    QP = _Lazy(lambda m: [q_pochhammer(q, q, i) for i in range(m + 1)])
+    return lambda n, a: a * abs(V[n] / (QP[n] * (1.0 - q) ** (n / 2.0)))
+
+
+def _kesten_bound(p, Y):
+    rho = p["rho"]
+    v = p["y"] * math.sqrt(1.0 - p["q"])
+    return lambda n, a: a * ((n + 1) + abs(rho * v) * n + rho * rho * max(n - 1, 0))
+
+
+def _reciprocal_gaussian_domain(p):
+    if p["q"] == 1.0 and not p["rho"] ** 2 < 0.5:
+        raise ParameterError(
+            "reciprocal Gaussian kernel converges only for rho^2 < 1/2"
+        )
+
+
+# -- the registry -----------------------------------------------------------
+
+
+def _fN(p, eps):
+    return fN(p["q"], eps)
+
+
+def _fU(p, eps):
+    return fU(p["q"], eps)
+
+
+def _fCN(p, eps):
+    return fCN(p["y"], p["rho"], p["q"], eps)
+
+
+def _chebu_half(p, x):
+    return ChebU(), x * math.sqrt(1.0 - p["q"]) / 2.0
+
+
+def _qhermite(p, x):
+    return QHermite(p["q"]), x
+
+
+def _qhermite_y(p):
+    return QHermite(p["q"]), p["y"]
+
+
+_KERNELS = {
+    "n_over_u": _Kernel(
+        coeff_params=("q",),
+        params=("q",),
+        coeff=_c_n_over_u,
+        even=True,
+        base=_fU,
+        target=_fN,
+        family=_chebu_half,
+        bound=_chebu_bound,
+    ),
+    "u_over_n": _Kernel(
+        coeff_params=("q",),
+        params=("q",),
+        coeff=_c_u_over_n,
+        even=True,
+        base=_fN,
+        target=_fU,
+        family=_qhermite,
+        bound=_hermite_bound,
+    ),
+    "cn_over_n": _Kernel(
+        coeff_params=("rho", "q"),
+        params=("y", "rho", "q"),
+        coeff=lambda n, p, Y: div(p["rho"] ** n, q_factorial(n, p["q"])),
+        base=_fN,
+        target=_fCN,
+        family=_qhermite,
+        y_row=_qhermite_y,
+        weighted=True,
+        bound=_pointwise_at_unit_q(_hermite_bound),
+    ),
+    "n_over_cn": _Kernel(
+        coeff_params=("rho", "q"),
+        params=("y", "rho", "q"),
+        coeff=_c_n_over_cn,
+        base=_fCN,
+        target=_fN,
+        family=lambda p, x: (ASC(p["y"], p["rho"], p["q"]), x),
+        y_row=lambda p: (BigB(p["q"]), p["y"]),
+        weighted=True,
+        bound=_pointwise_at_unit_q(_asc_bound),
+        domain=_reciprocal_gaussian_domain,
+    ),
+    "r_over_n": _Kernel(
+        coeff_params=("beta", "q"),
+        params=("beta", "q"),
+        coeff=_c_r_over_n,
+        even=True,
+        base=_fN,
+        target=lambda p, eps: fR(p["beta"], p["q"], eps),
+        family=_qhermite,
+        bound=_hermite_bound,
+    ),
+    "n_over_r": _Kernel(
+        coeff_params=("gamma", "q"),
+        params=("gamma", "q"),
+        coeff=_c_n_over_r,
+        even=True,
+        base=lambda p, eps: fR(p["gamma"], p["q"], eps),
+        target=_fN,
+        family=lambda p, x: (Rogers(p["gamma"], p["q"]), x),
+        bound=_rogers_bound,
+    ),
+    "cn_over_k": _Kernel(
+        coeff_params=("y", "rho", "q"),
+        params=("y", "rho", "q"),
+        coeff=lambda n, p, Y: beta_coeff(n, p["y"], p["rho"], p["q"], H=Y),
+        base=lambda p, eps: fK(p["y"], p["rho"], p["q"], eps),
+        target=_fCN,
+        family=lambda p, x: (
+            Kesten(p["y"] * math.sqrt(1.0 - p["q"]), p["rho"]),
+            x * math.sqrt(1.0 - p["q"]),
+        ),
+        y_row=_qhermite_y,
+        bound=_kesten_bound,
+    ),
+    "cn_over_u": _Kernel(
+        coeff_params=("y", "rho", "q"),
+        params=("y", "rho", "q"),
+        coeff=lambda n, p, Y: gamma_coeff(n, p["y"], p["rho"], p["q"], H=Y),
+        base=_fU,
+        target=_fCN,
+        family=_chebu_half,
+        y_row=_qhermite_y,
+        bound=_chebu_bound,
+    ),
+    "mehler_classical": _Kernel(
+        coeff_params=("rho",),
+        params=("y", "rho"),
+        coeff=lambda n, p, Y: div(p["rho"] ** n, math.factorial(n)),
+        base=lambda p, eps: fN(1.0, eps),
+        target=lambda p, eps: fCN(p["y"], p["rho"], 1.0, eps),
+        family=lambda p, x: (ClassicalHermite(), x),
+        y_row=lambda p: (ClassicalHermite(), p["y"]),
+        weighted=True,
+        bound=_pointwise,
+    ),
+    "pm_q0": _Kernel(
+        # c_n = rho^n U_n(y/2)
+        coeff_params=("y", "rho"),
+        params=("y", "rho"),
+        coeff=lambda n, p, Y: p["rho"] ** n * Y[n],
+        base=lambda p, eps: fU(0.0, eps),
+        target=lambda p, eps: fCN(p["y"], p["rho"], 0.0, eps),
+        family=lambda p, x: (ChebU(), x / 2.0),
+        y_row=lambda p: (ChebU(), div(p["y"], 2)),
+        bound=_chebu_bound,
+    ),
+}
+
+EXPANSION_IDS = tuple(_KERNELS)
+
+
+def _kernel(id):
+    if id not in _KERNELS:
+        raise ParameterError("unknown expansion id %r" % (id,))
+    return _KERNELS[id]
+
+
+def _require(id, params, names):
+    for name in names:
+        if params.get(name) is None:
+            raise ParameterError("expansion %r needs parameter %r" % (id, name))
+
+
+def _coeff(kernel, n, p, Y):
+    if not kernel.even:
+        return kernel.coeff(n, p, Y)
+    if n % 2:
+        return 0 * p["q"]
+    return kernel.coeff(n // 2, p, Y)
+
+
+def _y_values(kernel, p):
+    return None if kernel.y_row is None else _values(lambda: kernel.y_row(p))
+
+
+def expansion_coeff(id, n, **p):
+    """Coefficient c_n of the registry expansion; exact on rational parameters."""
+    kernel = _kernel(id)
+    if n < 0:
+        raise ParameterError("coefficient index must be >= 0, got %r" % (n,))
+    _require(id, p, kernel.coeff_params)
+    return _coeff(kernel, n, p, _y_values(kernel, p))
+
+
+def base_density(id, params, trunc_eps=1e-14):
+    return _kernel(id).base(params, trunc_eps)
+
+
+def target_density(id, params, trunc_eps=1e-14):
+    return _kernel(id).target(params, trunc_eps)
+
+
 def _maxabs(a):
     return float(np.max(np.abs(a)))
 
@@ -227,147 +435,23 @@ def _mixed(lhs, rhs):
     return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
 
 
-def _terms(id, p, x):
-    """Generator of (c_n a_n(x), sup-norm bound of c_n a_n on S(q)) for n = 0, 1, ...
-
-    Bounds use |U_n| <= n+1 on [-1,1], max |H_n| = W_n / (1-q)^{n/2} on S(q),
-    the V-sum bound for Rogers (a heuristic outside 0 <= q < 1, where it is
-    unproven) and |k_n(u|v,r)| <= (n+1) + |r v| n + r^2 (n-1) on [-2,2].
-    For q = 1 kernels the "bound" is the max of the evaluated term, giving a
-    pointwise stopping rule.
-    """
-    q = p.get("q", 1.0)
+def _terms(kernel, p, x):
+    """Generator of (c_n a_n(x), bound of that term on S(q)) for n = 0, 1, ..."""
+    A = _values(lambda: kernel.family(p, x))
+    Y = _y_values(kernel, p)
+    rule = kernel.bound(p, Y)
     zero = x * 0.0
-    if id == "n_over_u":
-        xh = x * math.sqrt(1.0 - q) / 2.0
-        U = _Lazy(lambda m: eval_all(ChebU(), m, xh))
-        n = 0
-        while True:
-            if n % 2:
-                yield zero, 0.0
-            else:
-                k = n // 2
-                c = (-1) ** k * q ** (k * (k + 1) // 2)
-                yield c * U[n], abs(c) * (n + 1)
-            n += 1
-    elif id == "u_over_n":
-        H = _Lazy(lambda m: eval_all(QHermite(q), m, x))
-        W = _Lazy(lambda m: w_growth(m, q))
-        n = 0
-        while True:
-            if n % 2:
-                yield zero, 0.0
-            else:
-                c = float(expansion_coeff(id, n, **p))
-                k = n // 2
-                yield c * H[n], abs(c) * W[n] / (1.0 - q) ** k
-            n += 1
-    elif id == "cn_over_n":
-        H = _Lazy(lambda m: eval_all(QHermite(q), m, x))
-        Hy = _Lazy(lambda m: eval_all(QHermite(q), m, p["y"]))
-        W = _Lazy(lambda m: w_growth(m, q))
-        pointwise = q == 1.0
-        n = 0
-        while True:
-            c = float(expansion_coeff(id, n, **p))
-            term = c * Hy[n] * H[n]
-            if pointwise:
-                yield term, _maxabs(term)
-            else:
-                yield term, abs(c * Hy[n]) * W[n] / (1.0 - q) ** (n / 2.0)
-            n += 1
-    elif id == "n_over_cn":
-        rho = p["rho"]
-        P = _Lazy(lambda m: eval_all(ASC(p["y"], rho, q), m, x))
-        By = _Lazy(lambda m: eval_all(BigB(q), m, p["y"]))
-        W = _Lazy(lambda m: w_growth(m, q))
-        pointwise = q == 1.0
-        n = 0
-        while True:
-            c = float(expansion_coeff(id, n, **p))
-            term = c * By[n] * P[n]
-            if pointwise:
-                yield term, _maxabs(term)
-            else:
-                # |P_n| <= sum_j [n j]_q |rho|^{n-j} |B_{n-j}(y)| W_j (1-q)^{-j/2}
-                pb = 0.0
-                for j in range(n + 1):
-                    pb += (
-                        float(q_binomial(n, j, q))
-                        * abs(rho) ** (n - j)
-                        * abs(By[n - j])
-                        * W[j]
-                        / (1.0 - q) ** (j / 2.0)
-                    )
-                yield term, abs(c * By[n]) * pb
-            n += 1
-    elif id == "r_over_n":
-        H = _Lazy(lambda m: eval_all(QHermite(q), m, x))
-        W = _Lazy(lambda m: w_growth(m, q))
-        n = 0
-        while True:
-            if n % 2:
-                yield zero, 0.0
-            else:
-                c = float(expansion_coeff(id, n, **p))
-                yield c * H[n], abs(c) * W[n] / (1.0 - q) ** (n / 2.0)
-            n += 1
-    elif id == "n_over_r":
-        g = p["gamma"]
-        R = _Lazy(lambda m: eval_all(Rogers(g, q), m, x))
-        V = _Lazy(lambda m: v_growth(m, q, g))
-        QP = _Lazy(lambda m: [q_pochhammer(q, q, i) for i in range(m + 1)])
-        n = 0
-        while True:
-            if n % 2:
-                yield zero, 0.0
-            else:
-                c = float(expansion_coeff(id, n, **p))
-                rbound = V[n] / (QP[n] * (1.0 - q) ** (n / 2.0))
-                yield c * R[n], abs(c) * abs(rbound)
-            n += 1
-    elif id == "cn_over_k":
-        rho = p["rho"]
-        s = math.sqrt(1.0 - q)
-        v = p["y"] * s
-        Kf = _Lazy(lambda m: eval_all(Kesten(v, rho), m, x * s))
-        Hy = _Lazy(lambda m: eval_all(QHermite(q), m, p["y"]))
-        n = 0
-        while True:
-            c = float(beta_coeff(n, p["y"], rho, q, H=Hy))
-            kb = (n + 1) + abs(rho * v) * n + rho * rho * max(n - 1, 0)
-            yield c * Kf[n], abs(c) * kb
-            n += 1
-    elif id == "cn_over_u":
-        rho = p["rho"]
-        xh = x * math.sqrt(1.0 - q) / 2.0
-        U = _Lazy(lambda m: eval_all(ChebU(), m, xh))
-        Hy = _Lazy(lambda m: eval_all(QHermite(q), m, p["y"]))
-        n = 0
-        while True:
-            c = float(gamma_coeff(n, p["y"], rho, q, H=Hy))
-            yield c * U[n], abs(c) * (n + 1)
-            n += 1
-    elif id == "mehler_classical":
-        H = _Lazy(lambda m: eval_all(ClassicalHermite(), m, x))
-        Hy = _Lazy(lambda m: eval_all(ClassicalHermite(), m, p["y"]))
-        n = 0
-        while True:
-            c = float(expansion_coeff(id, n, **p))
-            term = c * Hy[n] * H[n]
-            yield term, _maxabs(term)
-            n += 1
-    elif id == "pm_q0":
-        U = _Lazy(lambda m: eval_all(ChebU(), m, x / 2.0))
-        Uy = _Lazy(lambda m: eval_all(ChebU(), m, p["y"] / 2.0))
-        rho = p["rho"]
-        n = 0
-        while True:
-            c = rho ** n * Uy[n]
-            yield c * U[n], abs(c) * (n + 1)
-            n += 1
-    else:
-        raise ParameterError("unknown expansion id %r" % (id,))
+    n = 0
+    while True:
+        if kernel.even and n % 2:
+            yield zero, 0.0
+        else:
+            c = float(_coeff(kernel, n, p, Y))
+            if kernel.weighted:
+                c = c * Y[n]
+            term = c * A[n]
+            yield term, _maxabs(term) if rule is None else rule(n, abs(c))
+        n += 1
 
 
 def expansion_eval(spec, x, tol=1e-9):
@@ -377,8 +461,8 @@ def expansion_eval(spec, x, tol=1e-9):
     until two consecutive sup-norm bounds fall below tol, capped at K_CAP
     (TruncationError past the cap).
     """
-    if spec.id not in EXPANSION_IDS:
-        raise ParameterError("unknown expansion id %r" % (spec.id,))
+    kernel = _kernel(spec.id)
+    _require(spec.id, spec.params, kernel.params)
     p = {k: float(v) for k, v in spec.params.items()}
     q = p.get("q", 1.0)
     xa = np.asarray(x, dtype=float)
@@ -388,12 +472,10 @@ def expansion_eval(spec, x, tol=1e-9):
         L = support(q).radius
         if np.any(np.abs(xa) > L):
             raise ParameterError("expansion evaluated outside S(q)")
-    if spec.id == "n_over_cn" and q == 1.0 and not p["rho"] ** 2 < 0.5:
-        raise ParameterError(
-            "reciprocal Gaussian kernel converges only for rho^2 < 1/2"
-        )
+    if kernel.domain is not None:
+        kernel.domain(p)
     base = density_eval(base_density(spec.id, p), xa)
-    gen = _terms(spec.id, p, xa)
+    gen = _terms(kernel, p, xa)
     acc = np.zeros_like(xa)
     fixed = spec.K is not None
     if fixed and spec.K < 0:
@@ -432,15 +514,6 @@ def expansion_eval(spec, x, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    check_id: str
-    params: dict
-    residual: float
-    tolerance: float
-    passed: bool
-
-
 _SERIES_STOP = 1e-16
 _SERIES_CAP = 1500
 
@@ -463,18 +536,16 @@ def _sum_series(gen, stop=_SERIES_STOP, consecutive=2, cap=_SERIES_CAP):
 
 def _theta_series(q, signed, weighted):
     """sum_k s^k (2k+1 if weighted else 1) q^{k(k+1)/2} with s = -1 if signed."""
-    acc = 0.0
-    k = 0
-    while True:
-        t = q ** (k * (k + 1) // 2)
-        w = (2 * k + 1) if weighted else 1
-        term = ((-1) ** k if signed else 1) * w * t
-        acc += term
-        if abs(t) * w < 1e-18 and k > 2:
-            return acc
-        k += 1
-        if k > 4000:
-            raise NonConvergenceError("theta series did not settle")
+
+    def gen():
+        k = 0
+        while True:
+            t = q ** (k * (k + 1) // 2)
+            w = (2 * k + 1) if weighted else 1
+            yield ((-1) ** k if signed else 1) * w * t, abs(t) * w
+            k += 1
+
+    return _sum_series(gen(), stop=1e-18, consecutive=1)
 
 
 def _grid(q, fractions=(-0.93, -0.51, 0.0, 0.37, 0.85)):
@@ -533,43 +604,47 @@ def _i4(q, eps):
     res_grid = _mixed(lhs, _sum_series(gen()))
 
     # x = 0: 1/((q)_inf (-q)_inf^2) = 1 + sum (-1)^k q^k (1-q)^k [2k-1]_q!! / ((q)_k (q^2;q)_k)
+    def gen_x0():
+        k = 0
+        qp_k = 1.0
+        qp2_k = 1.0
+        ddf = 1.0
+        while True:
+            term = (-1) ** k * q ** k * (1.0 - q) ** k * ddf / (qp_k * qp2_k)
+            yield term, abs(term)
+            k += 1
+            qp_k *= 1.0 - q ** k
+            qp2_k *= 1.0 - q ** (k + 1)
+            ddf *= float(sum(q ** i for i in range(2 * k - 1)))  # [2k-1]_q
+
     lhs0 = 1.0 / (qinf * q_pochhammer_inf(-q, q, eps) ** 2)
-    acc = 0.0
-    k = 0
-    qp_k = 1.0
-    qp2_k = 1.0
-    ddf = 1.0
-    while True:
-        term = (-1) ** k * q ** k * (1.0 - q) ** k * ddf / (qp_k * qp2_k)
-        acc += term
-        if abs(term) < 1e-18 and k > 2:
-            break
-        k += 1
-        qp_k *= 1.0 - q ** k
-        qp2_k *= 1.0 - q ** (k + 1)
-        ddf *= float(sum(q ** i for i in range(2 * k - 1)))  # [2k-1]_q
-        if k > _SERIES_CAP:
-            raise NonConvergenceError("i4 x=0 series did not settle")
-    res_x0 = _mixed(lhs0, acc)
+    res_x0 = _mixed(lhs0, _sum_series(gen_x0(), stop=1e-18, consecutive=1))
 
     # boundary: (q)_inf^{-3} = sum q^k W_{2k} / ((q)_k (q^2;q)_k)
-    lhs_e = qinf ** -3.0
-    acc = 0.0
-    k = 0
-    qp_k = 1.0
-    qp2_k = 1.0
-    while True:
-        term = q ** k * W[2 * k] / (qp_k * qp2_k)
-        acc += term
-        if abs(term) < 1e-18 and k > 2:
-            break
-        k += 1
-        qp_k *= 1.0 - q ** k
-        qp2_k *= 1.0 - q ** (k + 1)
-        if k > _SERIES_CAP:
-            raise NonConvergenceError("i4 boundary series did not settle")
-    res_edge = _mixed(lhs_e, acc)
+    def gen_edge():
+        k = 0
+        qp_k = 1.0
+        qp2_k = 1.0
+        while True:
+            term = q ** k * W[2 * k] / (qp_k * qp2_k)
+            yield term, abs(term)
+            k += 1
+            qp_k *= 1.0 - q ** k
+            qp2_k *= 1.0 - q ** (k + 1)
+
+    res_edge = _mixed(qinf ** -3.0, _sum_series(gen_edge(), stop=1e-18, consecutive=1))
     return res_grid, res_x0, res_edge
+
+
+def _diagonal_terms(q, rho, H, W):
+    """Terms of sum_n rho^n H_n(x)^2 / [n]_q! with their sup-norm bounds on S(q)."""
+    n = 0
+    fact = 1.0  # [n]_q!
+    while True:
+        c = rho ** n / fact
+        yield c * H[n] * H[n], abs(c) * (W[n] / (1.0 - q) ** (n / 2.0)) ** 2
+        n += 1
+        fact *= float(sum(q ** i for i in range(n)))
 
 
 def _i5(q, rho, eps):
@@ -577,51 +652,35 @@ def _i5(q, rho, eps):
     lhs = pm_ratio(xs, xs, rho, q, eps)
     H = _Lazy(lambda m: eval_all(QHermite(q), m, xs))
     W = _Lazy(lambda m: w_growth(m, q))
-
-    def gen():
-        n = 0
-        fact = 1.0  # [n]_q!
-        while True:
-            c = rho ** n / fact
-            yield c * H[n] * H[n], abs(c) * (W[n] / (1.0 - q) ** (n / 2.0)) ** 2
-            n += 1
-            fact *= float(sum(q ** i for i in range(n)))
-
-    res_grid = _mixed(lhs, _sum_series(gen()))
+    res_grid = _mixed(lhs, _sum_series(_diagonal_terms(q, rho, H, W)))
 
     # x = 0: (rho^2 q; q^2)_inf / (rho^2; q^2)_inf
     lhs0 = q_pochhammer_inf(rho * rho * q, q * q, eps) / q_pochhammer_inf(
         rho * rho, q * q, eps
     )
     # rhs = 1 + sum_k rho^{2k} prod_{j=1}^k (1-q^{2j-1})/(1-q^{2j})
-    acc = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= rho * rho * (1.0 - q ** (2 * k - 1)) / (1.0 - q ** (2 * k))
-        acc += term
-        if abs(term) < 1e-18 and k > 2:
-            break
-        if k > _SERIES_CAP:
-            raise NonConvergenceError("i5 x=0 series did not settle")
-    res_x0 = _mixed(lhs0, acc)
+    def gen_x0():
+        term = 1.0
+        k = 0
+        while True:
+            yield term, abs(term)
+            k += 1
+            term *= rho * rho * (1.0 - q ** (2 * k - 1)) / (1.0 - q ** (2 * k))
+
+    res_x0 = _mixed(lhs0, _sum_series(gen_x0(), stop=1e-18, consecutive=1))
 
     # boundary: (rho^2;q)_inf / (rho;q)_inf^4 = sum rho^n W_n^2 / (q;q)_n
+    def gen_edge():
+        n = 0
+        qp = 1.0
+        while True:
+            term = rho ** n * float(W[n]) ** 2 / qp
+            yield term, abs(term)
+            n += 1
+            qp *= 1.0 - q ** n
+
     lhs_e = q_pochhammer_inf(rho * rho, q, eps) / q_pochhammer_inf(rho, q, eps) ** 4
-    acc = 0.0
-    n = 0
-    qp = 1.0
-    while True:
-        term = rho ** n * float(W[n]) ** 2 / qp
-        acc += term
-        if abs(term) < 1e-18 and n > 2:
-            break
-        n += 1
-        qp *= 1.0 - q ** n
-        if n > _SERIES_CAP:
-            raise NonConvergenceError("i5 boundary series did not settle")
-    res_edge = _mixed(lhs_e, acc)
+    res_edge = _mixed(lhs_e, _sum_series(gen_edge(), stop=1e-18, consecutive=1))
     return res_grid, res_x0, res_edge
 
 
@@ -630,15 +689,6 @@ def _i6(q, rho, eps):
     xs = math.sqrt(2.0 / (1.0 - q)) * np.asarray([-0.95, -0.4, 0.0, 0.55, 0.9])
     H = _Lazy(lambda m: eval_all(QHermite(q), m, xs))
     W = _Lazy(lambda m: w_growth(m, q))
-
-    def gen_lhs():
-        n = 0
-        fact = 1.0
-        while True:
-            c = rho ** n / fact
-            yield c * H[n] * H[n], abs(c) * (W[n] / (1.0 - q) ** (n / 2.0)) ** 2
-            n += 1
-            fact *= float(sum(q ** i for i in range(n)))
 
     def gen_rhs():
         n = 0
@@ -651,7 +701,7 @@ def _i6(q, rho, eps):
             fact *= float(sum(q ** i for i in range(n)))
             rq *= 1.0 - rho * q ** n
 
-    lhs = (1.0 - rho) * _sum_series(gen_lhs())
+    lhs = (1.0 - rho) * _sum_series(_diagonal_terms(q, rho, H, W))
     rhs = _sum_series(gen_rhs())
     return _mixed(lhs, rhs)
 
@@ -668,26 +718,18 @@ def _i7(q, rho, eps):
 
         # E1: (q^3;q^3)_inf sum_k (1-q)^{k/2} rho^k H_k(y) eta_k / (q;q)_k with
         # eta_{-1} = 0, eta_0 = 1, eta_{k+1} = eta_k - (1-q^k) eta_{k-1}
-        acc = 0.0
-        eta_prev, eta = 0.0, 1.0
-        qp = 1.0
-        small = 0
-        k = 0
-        while True:
-            term = (s * rho) ** k * Hy[k] * eta / qp
-            acc += term
-            if abs(term) < 1e-17 * max(1.0, abs(acc)):
-                small += 1
-                if small >= 4:
-                    break
-            else:
-                small = 0
-            eta_prev, eta = eta, eta - (1.0 - q ** k) * eta_prev
-            k += 1
-            qp *= 1.0 - q ** k
-            if k > _SERIES_CAP:
-                raise NonConvergenceError("i7 eta series did not settle")
-        e1 = q3inf * acc
+        def gen_e1():
+            eta_prev, eta = 0.0, 1.0
+            qp = 1.0
+            k = 0
+            while True:
+                term = (s * rho) ** k * Hy[k] * eta / qp
+                yield term, abs(term)
+                eta_prev, eta = eta, eta - (1.0 - q ** k) * eta_prev
+                k += 1
+                qp *= 1.0 - q ** k
+
+        e1 = q3inf * _sum_series(gen_e1(), stop=1e-17, consecutive=4)
 
         # E2: (rho^2;q)_inf (q^3;q^3)_inf / prod_k (1 - rho^2 q^{2k} + rho^4 q^{4k}
         #      - sqrt(1-q) rho y q^k (1 + rho^2 q^{2k}) + (1-q) rho^2 y^2 q^{2k})
@@ -707,23 +749,15 @@ def _i7(q, rho, eps):
         e2 = q_pochhammer_inf(rho * rho, q, eps) * q3inf / prod
 
         # E3: sum_m (-1)^m (gamma_{3m} + gamma_{3m+1})
-        acc = 0.0
-        m = 0
-        small = 0
-        while True:
-            g0 = float(gamma_coeff(3 * m, y, rho, q, H=Hy))
-            g1 = float(gamma_coeff(3 * m + 1, y, rho, q, H=Hy))
-            acc += (-1) ** m * (g0 + g1)
-            if abs(g0) + abs(g1) < 1e-17:
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-            m += 1
-            if m > _SERIES_CAP:
-                raise NonConvergenceError("i7 gamma series did not settle")
-        e3 = acc
+        def gen_e3():
+            m = 0
+            while True:
+                g0 = float(gamma_coeff(3 * m, y, rho, q, H=Hy))
+                g1 = float(gamma_coeff(3 * m + 1, y, rho, q, H=Hy))
+                yield (-1) ** m * (g0 + g1), abs(g0) + abs(g1)
+                m += 1
+
+        e3 = _sum_series(gen_e3(), stop=1e-17)
 
         res_prod = max(res_prod, _mixed(e1, e2))
         res_useries = max(res_useries, _mixed(e1, e3))
@@ -759,7 +793,7 @@ def _i8(q, rho, eps):
 
 
 def identity_suite(q_grid=(0.2, 0.5, 0.8), rho_grid=(0.3, 0.6), tol=1e-10, eps=1e-15):
-    """Run the cross-check identity battery; returns a list of IdentityReport.
+    """Run the cross-check identity battery; returns a list of VerificationReport.
 
     Residuals are mixed absolute/relative: |lhs - rhs| / max(1, |lhs|).
     """
@@ -767,7 +801,7 @@ def identity_suite(q_grid=(0.2, 0.5, 0.8), rho_grid=(0.3, 0.6), tol=1e-10, eps=1
 
     def add(check_id, params, residual):
         reports.append(
-            IdentityReport(check_id, params, float(residual), tol, residual <= tol)
+            VerificationReport(check_id, params, float(residual), tol, residual <= tol)
         )
 
     for q in q_grid:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .qcore import (
     IrrationalParameterError,
     ParameterError,
+    div,
     is_exact,
     q_bracket,
     q_binomial,
@@ -274,11 +275,11 @@ def _abc(fam):
         return lambda n: (2, 0, 0) if n == 0 else (2, 0, 1)
     if tag == "chebt_hat":
         q = fam.q
-        c = _inv_one_minus(q)
+        c = div(1, 1 - q)
         return lambda n: (Fraction(1, 2), 0, 0) if n == 0 else (1, 0, c)
     if tag == "chebu_hat":
         q = fam.q
-        c = _inv_one_minus(q)
+        c = div(1, 1 - q)
         return lambda n: (1, 0, 0) if n == 0 else (1, 0, c)
     if tag == "hermite":
         return lambda n: (1, 0, n)
@@ -293,7 +294,7 @@ def _abc(fam):
         return kest
     if tag == "kesten_hat":
         q, y, r = fam.q, fam.y, fam.rho
-        c = _inv_one_minus(q)
+        c = div(1, 1 - q)
         def kest_hat(n):
             if n == 0:
                 return (1, -r * y, 0)
@@ -302,12 +303,6 @@ def _abc(fam):
             return (1, 0, c)
         return kest_hat
     raise ParameterError("unknown family tag %r" % (tag,))
-
-
-def _inv_one_minus(q):
-    if is_exact(q):
-        return Fraction(1, 1) / (1 - Fraction(q))
-    return 1.0 / (1.0 - q)
 
 
 def eval_all(fam, n_max, x):

@@ -48,6 +48,13 @@ def is_exact(*values):
     )
 
 
+def div(a, b):
+    """a / b: an exact Fraction when both are rational, float division otherwise."""
+    if is_exact(a, b):
+        return Fraction(a) / Fraction(b)
+    return a / b
+
+
 def ensure_exact(**named):
     for name, v in named.items():
         if not is_exact(v):
@@ -108,9 +115,7 @@ def q_binomial(n, k, q):
         qi = qi * q
         num = num * (1 - qn)
         den = den * (1 - qi)
-    if is_exact(num, den):
-        return Fraction(num) / Fraction(den)
-    return num / den
+    return div(num, den)
 
 
 def q_double_factorial_odd(k, q):
@@ -202,11 +207,6 @@ class SupportInterval:
     def radius(self):
         return self.hi
 
-    def contains(self, x, strict=False):
-        if strict:
-            return self.lo < x < self.hi
-        return self.lo <= x <= self.hi
-
 
 def support(q):
     """Support interval S(q); rejects q = 1 (support degenerates to the line)."""
@@ -218,22 +218,11 @@ def support(q):
 
 
 @dataclass(frozen=True)
-class QParam:
-    """Validated q parameter; q = 1 admitted only when allow_unit is set."""
+class VerificationReport:
+    """Outcome of one numeric check: residual against tolerance."""
 
-    q: float
-    allow_unit: bool = False
-
-    def __post_init__(self):
-        qf = float(self.q)
-        if abs(qf) < 1.0:
-            return
-        if qf == 1.0 and self.allow_unit:
-            return
-        raise ParameterError(
-            "q must satisfy |q| < 1 (q = 1 only for classical-limit branches), "
-            "got q=%r" % (self.q,)
-        )
-
-    def support(self):
-        return support(self.q)
+    check_id: str
+    params: dict
+    residual: float
+    tolerance: float
+    passed: bool

@@ -17,6 +17,7 @@ import numpy as np
 from .qcore import (
     NonConvergenceError,
     ParameterError,
+    VerificationReport,
     q_factorial,
     q_pochhammer,
     support,
@@ -40,15 +41,6 @@ class IntegralResult:
     value: float
     error_estimate: float
     nodes: int
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    check_id: str
-    params: dict
-    residual: float
-    tolerance: float
-    passed: bool
 
 
 @functools.lru_cache(maxsize=16)
@@ -303,14 +295,9 @@ def run_all(config=None):
                 reports.append(check_D_integral(k, n, 0.3 * L, 0.5, q, tol))
 
     if "identities" in suites:
-        for rep in expand.identity_suite(
+        reports.extend(expand.identity_suite(
             cfg["identity_q_grid"], cfg["rho_grid"], cfg["tol_identity"]
-        ):
-            reports.append(
-                VerificationReport(
-                    rep.check_id, rep.params, rep.residual, rep.tolerance, rep.passed
-                )
-            )
+        ))
 
     if "envelope" in suites:
         from . import sampler

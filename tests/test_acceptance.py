@@ -42,7 +42,6 @@ from qortho.densities import (
 )
 from qortho.connect import (
     PAIRS,
-    band_structure,
     connection,
     oracle_connection,
     ratio_connection,
@@ -337,7 +336,7 @@ class TestAcceptance:
                 back = back + monic_u[i] * c
             ok = ok and back == monic_t[n]
 
-        ok = ok and band_structure(rc) == 2
+        ok = ok and rc.band() == 2
         kes = oracle_connection(KestenHat(F(2, 5), F(1, 4), F(1, 3)),
                                 ChebU_hat(F(1, 3)), 10)
         ok = ok and kes.band() == 2

@@ -139,6 +139,17 @@ class TestExitCodes:
         assert code == 3
         assert "requires --beta" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--id", "cn_over_n", "--q", "1/2"],
+        ["--id", "pm_q0", "--rho", "1/2"],
+        ["--id", "n_over_u", "--x", "0.1"],
+    ])
+    def test_missing_expansion_parameter(self, capsys, argv):
+        code = main(["expand"] + argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "needs parameter" in err
+
     def test_nonconvergent_product(self, capsys):
         code = main(["density", "--density", "fn",
                      "--q", "0.95", "--x", "0.0"])

@@ -35,7 +35,6 @@ from qortho.connect import (
     gamma_coeff,
     gamma_parts,
     oracle_connection,
-    band_structure,
     ratio_connection,
 )
 
@@ -114,8 +113,8 @@ class TestClosedForms:
 
 class TestMatrixContainer:
     def test_band(self):
-        assert band_structure(connection("t-from-u", 9)) == 2
-        assert band_structure(connection("asc-from-h", 6, y=Y, rho=RHO, q=Q)) == 6
+        assert connection("t-from-u", 9).band() == 2
+        assert connection("asc-from-h", 6, y=Y, rho=RHO, q=Q).band() == 6
 
     def test_to_csv_exact_only(self):
         m = connection("uhat-from-h", 4, q=Q)
@@ -192,7 +191,7 @@ class TestRatioConnection:
         # w expresses monic T in monic U on [-1,1]; its formal reciprocal f
         # rebuilds monic U from monic T, with phi_4 = x^4 - 3/4 x^2 + 1/16.
         rc = ratio_connection({0: F(1), 2: F(-1, 4)}, 10)
-        assert band_structure(rc) == 2
+        assert rc.band() == 2
         for k in range(0, 11, 2):
             assert rc.f[k] == F(1, 4 ** (k // 2))
         for k in range(1, 11, 2):

@@ -94,6 +94,15 @@ class TestCoefficients:
         with pytest.raises(ParameterError):
             expansion_coeff("n_over_t", 2, q=F(1, 2))
 
+    @pytest.mark.parametrize("eid,params", [
+        ("cn_over_n", dict(q=F(1, 2))),
+        ("pm_q0", dict(rho=F(1, 2))),
+        ("n_over_r", dict(q=F(1, 2), gamma=None)),
+    ])
+    def test_missing_parameter(self, eid, params):
+        with pytest.raises(ParameterError, match="needs parameter"):
+            expansion_coeff(eid, 3, **params)
+
 
 class TestEvaluation:
     @pytest.mark.parametrize("eid,params", [
@@ -126,6 +135,15 @@ class TestEvaluation:
     def test_fixed_k_term_count(self):
         res = expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}, K=7), 0.3)
         assert res.n_terms == 8
+
+    @pytest.mark.parametrize("eid,params", [
+        ("n_over_u", {}),
+        ("cn_over_n", dict(q=0.5, rho=0.3)),
+        ("mehler_classical", dict(rho=0.3)),
+    ])
+    def test_missing_parameter(self, eid, params):
+        with pytest.raises(ParameterError, match="needs parameter"):
+            expansion_eval(ExpansionSpec(eid, params), 0.1)
 
     def test_outside_support_rejected(self):
         L = support(0.5).radius

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from qortho.qcore import (
     NonConvergenceError,
     ParameterError,
-    QParam,
-    SupportInterval,
+    div,
     ensure_exact,
     is_exact,
     q_binomial,
@@ -165,12 +164,6 @@ class TestSupport:
         assert s.hi == pytest.approx(2.0 / math.sqrt(0.5))
         assert s.lo == -s.hi
 
-    def test_contains(self):
-        s = SupportInterval(-2.0, 2.0)
-        assert s.contains(1.99)
-        assert s.contains(2.0)  # closed by default
-        assert not s.contains(2.0, strict=True)
-
     def test_q_outside_open_interval_raises(self):
         for q in (1.0, -1.0, 1.2):
             with pytest.raises(ParameterError):
@@ -189,17 +182,7 @@ class TestExactness:
             ensure_exact(q=0.5)
         ensure_exact(q=Fraction(1, 2), y=3)  # no raise
 
-
-class TestQParam:
-    def test_accepts_interior(self):
-        QParam(0.3)
-        QParam(Fraction(-1, 2))
-
-    def test_unit_q_needs_flag(self):
-        with pytest.raises(ParameterError):
-            QParam(1)
-        QParam(1, allow_unit=True)
-
-    def test_rejects_outside(self):
-        with pytest.raises(ParameterError):
-            QParam(1.5, allow_unit=True)
+    def test_div_is_exact_only_on_rationals(self):
+        assert type(div(1, 3)) is Fraction and div(1, 3) == Fraction(1, 3)
+        assert div(Fraction(1, 2), 4) == Fraction(1, 8)
+        assert type(div(1.0, 4)) is float and div(1.0, 4) == 0.25
