@@ -15,10 +15,11 @@ fields say everything about that expansion:
   rule may read (cn_over_k, cn_over_u, pm_q0); with ``weighted`` set the
   term carries Y_n as a separate weight, c_n Y_n a_n(x) (H_n(y), B_n(y) or
   the classical Hermite He_n(y)).
-- ``bound(p, Y)``: the sup-norm bound rule, giving ``rule(n, |c_n Y_n|)``
-  that bounds |term_n| on S(q), or None for the pointwise rule of the q = 1
-  kernels (Gaussian case), whose terms are unbounded: there the max of the
-  evaluated term stands in for the bound.
+- ``bound(p, Y)``: the sup-norm bound rule, giving ``rule(n, a)`` that
+  bounds |term_n| on S(q) from a = |c_n| (|c_n Y_n| when weighted), or
+  None for the pointwise rule of the q = 1 kernels (Gaussian case), whose
+  terms are unbounded: there the max of the evaluated term stands in for
+  the bound.
 - ``domain(p)``: an extra parameter check, or None.
 
 All c_0 = 1.  Coefficient rules are exact on rational parameters whenever
