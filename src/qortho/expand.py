@@ -147,8 +147,14 @@ def _c_n_over_u(k, p, Y):
     return (-1) ** k * p["q"] ** (k * (k + 1) // 2)
 
 
+def _below_unit_q(p):
+    if p["q"] == 1.0:
+        raise ParameterError("the target density does not exist at q = 1")
+
+
 def _c_u_over_n(k, p, Y):
-    # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1})
+    # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1}), 0/0 at q = 1
+    _below_unit_q(p)
     q = p["q"]
     num = q ** k * (1 - q) ** (k + 1)
     return div(num, q_pochhammer(q, q, k) * q_pochhammer(q, q, k + 1))
@@ -290,6 +296,7 @@ _KERNELS = {
         target=_fU,
         family=_qhermite,
         bound=_hermite_bound,
+        domain=_below_unit_q,
     ),
     "cn_over_n": _Kernel(
         coeff_params=("rho", "q"),
@@ -323,6 +330,7 @@ _KERNELS = {
         target=lambda p, eps: fR(p["beta"], p["q"], eps),
         family=_qhermite,
         bound=_hermite_bound,
+        domain=_below_unit_q,
     ),
     "n_over_r": _Kernel(
         coeff_params=("gamma", "q"),
@@ -648,12 +656,20 @@ def _diagonal_terms(q, rho, H, W):
         fact *= float(sum(q ** i for i in range(n)))
 
 
+def _diagonal_sum(q, rho, H, W):
+    """sum_n rho^n H_n(x)^2 / [n]_q!; NaN (a failed check) once its term bound overflows."""
+    try:
+        return _sum_series(_diagonal_terms(q, rho, H, W))
+    except OverflowError:
+        return math.nan
+
+
 def _i5(q, rho, eps):
     xs = _grid(q)
     lhs = pm_ratio(xs, xs, rho, q, eps)
     H = _Lazy(lambda m: eval_all(QHermite(q), m, xs))
     W = _Lazy(lambda m: w_growth(m, q))
-    res_grid = _mixed(lhs, _sum_series(_diagonal_terms(q, rho, H, W)))
+    res_grid = _mixed(lhs, _diagonal_sum(q, rho, H, W))
 
     # x = 0: (rho^2 q; q^2)_inf / (rho^2; q^2)_inf
     lhs0 = q_pochhammer_inf(rho * rho * q, q * q, eps) / q_pochhammer_inf(
@@ -702,7 +718,7 @@ def _i6(q, rho, eps):
             fact *= float(sum(q ** i for i in range(n)))
             rq *= 1.0 - rho * q ** n
 
-    lhs = (1.0 - rho) * _sum_series(_diagonal_terms(q, rho, H, W))
+    lhs = (1.0 - rho) * _diagonal_sum(q, rho, H, W)
     rhs = _sum_series(gen_rhs())
     return _mixed(lhs, rhs)
 

@@ -1,11 +1,15 @@
 """Rejection sampler for fN and fCN with the semicircle law fU as proposal.
 
-The acceptance ratio r(x) = target(x)/fU(x) is bounded: for fN by the
-alternating-series envelope M = sum (2k+1)|q|^{k(k+1)/2}, for fCN by
-1 + sum (k+1)|gamma_k| over the Chebyshev expansion coefficients.  Both
-constants are cross-checked against a dense grid supremum before any
-sampling happens, and every proposal batch re-checks the bound, so a bad
-envelope aborts loudly instead of skewing the output.
+Proposals are exact: x = L (2B - 1) with B ~ Beta(3/2, 3/2) has density fU
+on [-L, L].  Each batch draws its proposals, then its acceptance uniforms,
+from one generator spawned per batch from the seed's ``SeedSequence``.
+
+The ratio r(x) = target(x)/fU(x) is bounded: for fN by the alternating-series
+envelope M = sum (2k+1)|q|^{k(k+1)/2}, for fCN by 1 + sum (k+1)|gamma_k| over
+the Chebyshev expansion coefficients.  r is evaluated once per call on a
+dense grid, whose supremum both floors M and checks it before any sampling;
+every proposal batch re-checks the bound, so a bad envelope aborts loudly
+instead of skewing the output.
 """
 
 import math
@@ -16,6 +20,8 @@ import numpy as np
 from .qcore import ParameterError, QOrthoError, support
 from . import connect, densities
 from .densities import density_ratio, fU
+from .expand import _Lazy
+from .polyfam import QHermite, eval_all
 
 
 class EnvelopeViolationError(QOrthoError):
@@ -35,7 +41,19 @@ _GRID_N = 10001
 _SLACK = 1e-9
 
 
-def _series_constant(dens):
+def _grid_sup(dens, grid_n):
+    """Largest target/fU ratio on grid_n points of S(q), after the target checks."""
+    if dens.tag not in ("fn", "fcn"):
+        raise ParameterError("sampler supports fn and fcn targets, got %r" % dens.tag)
+    if not -1 < dens.q < 1:
+        raise ParameterError("sampler requires -1 < q < 1")
+    L = support(dens.q).radius
+    xg = np.linspace(-L, L, grid_n)
+    return float(np.max(density_ratio(dens, fU(dens.q), xg)))
+
+
+def _envelope(dens, sup):
+    """The series constant, at least the grid sup; 1.05 sup if the series stalls."""
     q = dens.q
     if dens.tag == "fn":
         total, k, term = 0.0, 0, 1.0
@@ -44,74 +62,40 @@ def _series_constant(dens):
             total += term
             k += 1
             if k > 2000:
-                return None
-        return total
-    if dens.tag == "fcn":
-        total, small = 1.0, 0
-        for k in range(1, 400):
-            t = (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q))
-            total += t
-            small = small + 1 if t < 1e-12 else 0
-            if small >= 3:
-                return total
-        return None
-    raise ParameterError("envelope defined for fn and fcn targets only")
+                return sup * 1.05
+        return max(total, sup)
+    # one H_m(y|q) row for all k, grown on demand
+    H = _Lazy(lambda m: eval_all(QHermite(q), m, dens.y))
+    total, small = 1.0, 0
+    for k in range(1, 400):
+        t = (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q, H=H))
+        total += t
+        small = small + 1 if t < 1e-12 else 0
+        if small >= 3:
+            return max(total, sup)
+    return sup * 1.05
 
 
 def envelope_constant(dens, grid_n=_GRID_N):
     """Rejection constant M with sup_x target/fU <= M, grid cross-checked."""
-    if dens.tag not in ("fn", "fcn"):
-        raise ParameterError("sampler supports fn and fcn targets, got %r" % dens.tag)
-    if not -1 < dens.q < 1:
-        raise ParameterError("sampler requires -1 < q < 1")
-    L = support(dens.q).radius
-    xg = np.linspace(-L, L, grid_n)
-    sup = float(np.max(density_ratio(dens, fU(dens.q), xg)))
-    series = _series_constant(dens)
-    if series is None:
-        return sup * 1.05
-    return max(series, sup)
-
-
-def _semicircle_ppf(u, L):
-    """Inverse CDF of the semicircle law on [-L, L], vectorized.
-
-    Solves (theta - sin(theta)cos(theta))/pi = u by bisection then Newton
-    polish; x = -L cos(theta).
-    """
-    u = np.asarray(u, dtype=float)
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, math.pi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        g = (mid - np.sin(mid) * np.cos(mid)) / math.pi
-        take = g < u
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    theta = 0.5 * (lo + hi)
-    for _ in range(3):
-        g = (theta - np.sin(theta) * np.cos(theta)) / math.pi - u
-        dg = 2.0 * np.sin(theta) ** 2 / math.pi
-        step = np.where(dg > 1e-12, g / np.maximum(dg, 1e-12), 0.0)
-        theta = np.clip(theta - step, 0.0, math.pi)
-    return -L * np.cos(theta)
+    return _envelope(dens, _grid_sup(dens, grid_n))
 
 
 def sample(dens, n, seed=0, batch=65536, envelope=None):
     """Draw n samples from dens by rejection against the semicircle law."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    M = envelope if envelope is not None else envelope_constant(dens)
+    if batch < 1:
+        raise ParameterError("batch must be >= 1, got %r" % (batch,))
+    sup = _grid_sup(dens, _GRID_N)
+    M = envelope if envelope is not None else _envelope(dens, sup)
     L = support(dens.q).radius
     proposal = fU(dens.q)
 
     # pre-flight: the envelope must dominate the ratio on a dense grid
-    xg = np.linspace(-L, L, _GRID_N)
-    rg = density_ratio(dens, proposal, xg)
-    if np.any(rg > M * (1 + _SLACK)):
+    if sup > M * (1 + _SLACK):
         raise EnvelopeViolationError(
-            "ratio exceeds envelope %g by %g on pre-flight grid"
-            % (M, float(np.max(rg)) - M)
+            "ratio exceeds envelope %g by %g on pre-flight grid" % (M, sup - M)
         )
 
     ss = np.random.SeedSequence(seed)
@@ -120,17 +104,15 @@ def sample(dens, n, seed=0, batch=65536, envelope=None):
     n_acc = 0
     while n_acc < n:
         rng = np.random.default_rng(ss.spawn(1)[0])
-        u = rng.random((2, batch))
-        x = _semicircle_ppf(u[0], L)
+        x = L * (2.0 * rng.beta(1.5, 1.5, batch) - 1.0)
+        u = rng.random(batch)
         r = density_ratio(dens, proposal, x)
         if np.any(r > M * (1 + _SLACK)):
             raise EnvelopeViolationError("ratio exceeded envelope during sampling")
-        keep = u[1] * M <= r
+        keep = u * M <= r
         chunks.append(x[keep])
         n_prop += batch
         n_acc += int(np.count_nonzero(keep))
-        if n == 0:
-            break
     samples = np.concatenate(chunks)[:n] if chunks else np.empty(0)
     rate = n_acc / n_prop if n_prop else 0.0
     return SampleResult(samples, rate, n_prop, M, seed)

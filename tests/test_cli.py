@@ -150,6 +150,25 @@ class TestExitCodes:
         assert code == 3
         assert "needs parameter" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--id", "u_over_n", "--q", "1", "--x", "0"],
+        ["--id", "r_over_n", "--q", "1", "--beta", "0.3", "--x", "0"],
+        ["--id", "u_over_n", "--q", "1"],
+    ])
+    def test_expansion_target_missing_at_unit_q(self, capsys, argv):
+        code = main(["expand"] + argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "does not exist at q = 1" in err
+
+    @pytest.mark.parametrize("batch", ["0", "-5"])
+    def test_nonpositive_sample_batch(self, capsys, batch):
+        code = main(["sample", "--target", "fn", "--q", "0.5", "--n", "10",
+                     "--batch=" + batch])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "batch must be >= 1" in err
+
     def test_nonconvergent_product(self, capsys):
         code = main(["density", "--density", "fn",
                      "--q", "0.95", "--x", "0.0"])

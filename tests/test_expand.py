@@ -166,6 +166,19 @@ class TestEvaluation:
         tgt = density_eval(target_density("n_over_cn", {"q": 1.0, "rho": 0.5, "y": 0.1}), 0.2)
         assert res.value == pytest.approx(tgt, abs=1e-9)
 
+    @pytest.mark.parametrize("eid, params", [
+        ("u_over_n", {"q": 1.0}),
+        ("r_over_n", {"q": 1.0, "beta": 0.3}),
+    ])
+    def test_unit_q_target_missing(self, eid, params):
+        # fU and fR do not exist at q = 1
+        with pytest.raises(ParameterError):
+            expansion_eval(ExpansionSpec(eid, params), 0.0)
+
+    def test_u_over_n_coeff_at_unit_q(self):
+        with pytest.raises(ParameterError):
+            expansion_coeff("u_over_n", 0, q=1)
+
     def test_ids_registry(self):
         assert set(EXPANSION_IDS) == {
             "n_over_u", "u_over_n", "cn_over_n", "n_over_cn", "r_over_n",
@@ -179,6 +192,13 @@ class TestIdentitySuite:
         assert reports
         bad = [r for r in reports if not r.passed]
         assert not bad, [(r.check_id, r.residual) for r in bad]
+
+    def test_overflowing_diagonal_series_fails_its_checks(self):
+        # the term bound of sum rho^n H_n(x)^2 / [n]_q! overflows a float here
+        reports = identity_suite(q_grid=(0.8,), rho_grid=(0.9,))
+        bad = sorted(r.check_id for r in reports if not r.passed)
+        assert bad == ["i5:grid", "i6:grid"]
+        assert all(math.isnan(r.residual) for r in reports if not r.passed)
 
     def test_report_fields(self):
         reports = identity_suite(q_grid=(0.3,), rho_grid=(0.3,))

@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 
 from qortho.qcore import ParameterError, support
-from qortho.densities import density_eval, fCN, fN, fU
+from qortho.densities import fCN, fN, fU
 from qortho.sampler import (
     EnvelopeViolationError,
     envelope_constant,
     ks_statistic,
     sample,
-    _semicircle_ppf,
 )
+
+
+def dkw_bound(n, alpha=1e-9):
+    """Dvoretzky-Kiefer-Wolfowitz bound on the KS distance at level alpha."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
 class TestEnvelopeConstant:
     def test_reference_value(self):
-        # sup fN/fU at q=0.5, computed from the series bound and confirmed
-        # on a dense grid
+        # the series bound sum (2k+1) q^{k(k+1)/2} at q=0.5; it dominates the
+        # grid sup of fN/fU, which is about 1.64
         assert envelope_constant(fN(0.5)) == pytest.approx(3.2435060, abs=1e-6)
 
     def test_q_zero_is_unity(self):
@@ -31,17 +35,15 @@ class TestEnvelopeConstant:
         assert all(b > a for a, b in zip(ms, ms[1:]))
 
 
-class TestSemicirclePpf:
-    def test_round_trip(self):
-        u = np.linspace(0.001, 0.999, 41)
-        x = _semicircle_ppf(u, 2.0)
-        theta = np.arccos(np.clip(-x / 2.0, -1.0, 1.0))
-        back = (theta - np.sin(theta) * np.cos(theta)) / math.pi
-        np.testing.assert_allclose(back, u, atol=1e-12)
-
-    def test_endpoints_and_median(self):
-        x = _semicircle_ppf(np.array([0.0, 0.5, 1.0]), 2.0)
-        np.testing.assert_allclose(x, [-2.0, 0.0, 2.0], atol=1e-9)
+class TestProposalStream:
+    def test_semicircle_law(self):
+        # at q=0 the target is fU itself and M=1, so every proposal is kept
+        # and the samples are the raw proposal stream
+        n = 120_000
+        res = sample(fN(0.0), n, seed=5)
+        assert res.acceptance_rate == 1.0
+        assert np.all(np.abs(res.samples) <= support(0.0).radius)
+        assert ks_statistic(res.samples, fU(0.0)) < dkw_bound(n)
 
 
 class TestSample:
@@ -71,22 +73,43 @@ class TestSample:
 
     @pytest.mark.parametrize("q", [0.3, 0.7])
     def test_ks_against_target(self, q):
-        n = 20_000
+        n = 120_000
         res = sample(fN(q), n, seed=42)
         d = ks_statistic(res.samples, fN(q))
-        assert d < 1.36 / math.sqrt(n)
+        assert d < dkw_bound(n)
 
     def test_conditional_target(self):
         q = 0.4
         L = support(q).radius
         dens = fCN(0.3 * L, 0.5, q)
-        res = sample(dens, 20_000, seed=3)
+        n = 120_000
+        res = sample(dens, n, seed=3)
         d = ks_statistic(res.samples, dens)
-        assert d < 1.36 / math.sqrt(20_000)
+        assert d < dkw_bound(n)
 
     def test_bad_envelope_detected_before_sampling(self):
         with pytest.raises(EnvelopeViolationError):
             sample(fN(0.5), 100, seed=0, envelope=1.0)
+
+    @pytest.mark.parametrize("batch", [0, -5])
+    def test_nonpositive_batch_rejected(self, batch):
+        with pytest.raises(ParameterError):
+            sample(fN(0.5), 10, seed=0, batch=batch)
+
+    def test_golden_stream(self):
+        # pins the proposal stream; a change here changes every seeded draw
+        res = sample(fN(0.5), 8, seed=7)
+        assert [float(v).hex() for v in res.samples] == [
+            "-0x1.314fdf2d70fc6p-2",
+            "-0x1.3aebf42501a5ap-4",
+            "-0x1.99c5b6d64ef3fp-1",
+            "0x1.682e30e95fe00p-1",
+            "-0x1.8a08309072923p+0",
+            "-0x1.46451e3711192p-3",
+            "-0x1.efef1fd7ce4ccp-1",
+            "0x1.ed94b9d28a345p-1",
+        ]
+        assert res.n_proposed == 65536
 
 
 class TestKsStatistic:
