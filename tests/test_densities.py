@@ -209,3 +209,197 @@ class TestNormalization:
     def test_q1_rejected(self):
         with pytest.raises(ParameterError):
             normalize_check(fN(1.0))
+
+
+# ---------------------------------------------------------------------------
+# golden regression values
+# ---------------------------------------------------------------------------
+# float.hex literals captured from the reference implementation, so every
+# comparison is bit for bit.  Points are fractions of the support radius L:
+# the edges, the inside and one point outside S(q); rho = 0 and beta = 0 are
+# covered, and the ratio pairs are the four merged product forms plus one
+# plain quotient (fK/fU, inside S(q) where fU > 0).
+
+GOLDEN_QS = (-0.8, -0.1, 0.0, 0.3, 0.7, 0.9)
+EDGE_FRACS = (-1.0, -0.93, -0.51, 0.0, 0.37, 0.85, 1.0, 1.2)
+INNER_FRACS = (-0.93, -0.51, 0.0, 0.37, 0.85)
+DENSITIES = {
+    "fn": lambda q, L: fN(q),
+    "fcn": lambda q, L: fCN(0.3 * L, 0.6, q),
+    "fcn-rho0": lambda q, L: fCN(-0.5 * L, 0.0, q),
+    "fr": lambda q, L: fR(-0.45, q),
+    "fr-beta0": lambda q, L: fR(0.0, q),
+    "fu": lambda q, L: fU(q),
+    "ft": lambda q, L: fT(q),
+    "fk": lambda q, L: fK(0.3 * L, -0.4, q),
+}
+RATIOS = (
+    ("fcn", "fn"), ("fcn-rho0", "fn"), ("fr", "fn"), ("fr-beta0", "fn"),
+    ("fn", "fu"), ("fcn", "fu"), ("fcn-rho0", "fu"), ("fk", "fu"),
+)
+
+
+def golden_density(label, q):
+    L = support(q).radius
+    fracs = INNER_FRACS if label == "ft" else EDGE_FRACS
+    return density_eval(DENSITIES[label](q, L), L * np.asarray(fracs))
+
+
+def golden_ratio(num, den, q):
+    L = support(q).radius
+    fracs = INNER_FRACS if (num, den) == ("fk", "fu") else EDGE_FRACS[:-1]
+    return density_ratio(DENSITIES[num](q, L), DENSITIES[den](q, L), L * np.asarray(fracs))
+
+
+def golden_pm(rho, q):
+    L = support(q).radius
+    return pm_ratio(L * np.asarray(EDGE_FRACS[:-1]), -0.2 * L, rho, q)
+
+
+GOLDEN_DENSITY = {
+    ('fn', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc047p-3', '0x1.e1580d807fe95p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82bp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', -0.1): ['0x0.0p+0', '0x1.3877864781708p-3', '0x1.278d16eb8c63cp-2', '0x1.3354c730af061p-2', '0x1.2f56832e222cep-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.0): ['0x0.0p+0', '0x1.df391d7c729d5p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c884p-2', '0x1.2ed138b7b6ba7p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.3): ['0x0.0p+0', '0x1.097e8706dc1ccp-5', '0x1.c1fba97149066p-3', '0x1.6a15bfb07876dp-2', '0x1.1d37ad2eaa3c9p-2', '0x1.03ee2107e2360p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631055p-4', '0x1.87bd3fdef250dp-2', '0x1.5e1d543eb86d3p-3', '0x1.3344ed4e5519dp-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.9): ['0x0.0p+0', '0x1.805a7da979f42p-41', '0x1.c155b1c194bfdp-10', '0x1.9343e54f3906fp-2', '0x1.a62a3e33ed015p-6', '0x1.4ecd88d6e9f9ap-30', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', -0.8): ['0x0.0p+0', '0x1.c5b13e848117ap-6', '0x1.dd03c7459b511p-2', '0x1.875921220863ep-6', '0x1.2e7790d96f850p-1', '0x1.ba457021f634bp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', -0.1): ['0x0.0p+0', '0x1.443f0131a82a5p-5', '0x1.1eb3feec353f2p-3', '0x1.7aef3d6377a92p-2', '0x1.06a6468cdf4fbp-1', '0x1.6510c710e8b35p-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.0): ['0x0.0p+0', '0x1.c72a30707c722p-6', '0x1.fbeab54c6f35dp-4', '0x1.82e22b1690c61p-2', '0x1.0312a4ab7fa6ap-1', '0x1.261be1d200e49p-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.3): ['0x0.0p+0', '0x1.35977bec8382ep-8', '0x1.2ed3565c2f1ddp-4', '0x1.83f041376c137p-2', '0x1.e8ad6d126c779p-2', '0x1.e0148d9ac1997p-5', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.7): ['0x0.0p+0', '0x1.e0fb6afaf2cdfp-20', '0x1.bfcab3190365ep-8', '0x1.4d8e0ac413f0cp-2', '0x1.7e4a0f24aa053p-2', '0x1.536bc00fdf459p-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.9): ['0x0.0p+0', '0x1.5899ebd4cbbadp-59', '0x1.6d245650a539dp-20', '0x1.66bb412ebc8ebp-3', '0x1.5249751f9fc88p-3', '0x1.2ddc5921294ebp-29', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc046p-3', '0x1.e1580d807fe96p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82cp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', -0.1): ['0x0.0p+0', '0x1.3877864781708p-3', '0x1.278d16eb8c63cp-2', '0x1.3354c730af063p-2', '0x1.2f56832e222cep-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.0): ['0x0.0p+0', '0x1.df391d7c729d3p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.3): ['0x0.0p+0', '0x1.097e8706dc1cfp-5', '0x1.c1fba97149067p-3', '0x1.6a15bfb07876cp-2', '0x1.1d37ad2eaa3c8p-2', '0x1.03ee2107e235ep-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631056p-4', '0x1.87bd3fdef250bp-2', '0x1.5e1d543eb86d7p-3', '0x1.3344ed4e5519cp-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.9): ['0x0.0p+0', '0x1.805a7da979f48p-41', '0x1.c155b1c194bf5p-10', '0x1.9343e54f39069p-2', '0x1.a62a3e33ed00ep-6', '0x1.4ecd88d6e9f99p-30', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', -0.8): ['0x0.0p+0', '0x1.5c03ef132f787p-3', '0x1.15a7f6a246262p-1', '0x1.b3e1a855d1a14p-6', '0x1.58339c1a9b89ep-2', '0x1.8c56d04cfa8e3p-2', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', -0.1): ['0x0.0p+0', '0x1.b2b5d88fa5793p-5', '0x1.c0bfdf2731acep-3', '0x1.1db13bda4b93dp-1', '0x1.3d3ef1447c9f9p-2', '0x1.50e728e3a9a96p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.0): ['0x0.0p+0', '0x1.1b83e1dc4da77p-5', '0x1.902e094211b80p-3', '0x1.28514c0e5fc1ap-1', '0x1.2f69be9a56e74p-2', '0x1.d74db6ee980d3p-5', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.3): ['0x0.0p+0', '0x1.2d25dab337f25p-8', '0x1.e3ac118f3c9b0p-4', '0x1.39959e197a16ap-1', '0x1.df3ad56a72288p-3', '0x1.78dd65cfef5c9p-7', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.7): ['0x0.0p+0', '0x1.903a0d7988b35p-21', '0x1.7ab4614fbc76ep-7', '0x1.452ca8548d5a3p-1', '0x1.1821a641bb078p-4', '0x1.acccb94c91de7p-17', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.9): ['0x0.0p+0', '0x1.100b5412f154ep-64', '0x1.8840d5d2c129ap-19', '0x1.4994e7da63e00p-1', '0x1.94689150ad324p-11', '0x1.a03bb3b910221p-51', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc046p-3', '0x1.e1580d807fe96p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82cp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', -0.1): ['0x0.0p+0', '0x1.3877864781708p-3', '0x1.278d16eb8c63cp-2', '0x1.3354c730af063p-2', '0x1.2f56832e222cep-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.0): ['0x0.0p+0', '0x1.df391d7c729d3p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.3): ['0x0.0p+0', '0x1.097e8706dc1cfp-5', '0x1.c1fba97149067p-3', '0x1.6a15bfb07876cp-2', '0x1.1d37ad2eaa3c8p-2', '0x1.03ee2107e235ep-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631056p-4', '0x1.87bd3fdef250bp-2', '0x1.5e1d543eb86d7p-3', '0x1.3344ed4e5519cp-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.9): ['0x0.0p+0', '0x1.805a7da979f48p-41', '0x1.c155b1c194bf5p-10', '0x1.9343e54f39069p-2', '0x1.a62a3e33ed00ep-6', '0x1.4ecd88d6e9f99p-30', '0x0.0p+0', '0x0.0p+0'],
+    ('fu', -0.8): ['0x0.0p+0', '0x1.4178fe7229f77p-3', '0x1.7829034a85da8p-2', '0x1.b54e916f96415p-2', '0x1.9645a1f5afd23p-2', '0x1.ccbb3e0793360p-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fu', -0.1): ['0x0.0p+0', '0x1.f69d0a02be0c5p-4', '0x1.260ed67938a0fp-2', '0x1.55dbc8ea9c871p-2', '0x1.3d98f16e15a5cp-2', '0x1.682b99c6ab086p-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fu', 0.0): ['0x0.0p+0', '0x1.df391d7c729d2p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fu', 0.3): ['0x0.0p+0', '0x1.90f26294b9bf9p-4', '0x1.d52779fb63ccap-3', '0x1.10b571eccff97p-2', '0x1.fab5d08739f8dp-3', '0x1.1f5107455d2acp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fu', 0.7): ['0x0.0p+0', '0x1.067b36d374d9ap-4', '0x1.33222e87315a8p-3', '0x1.650f418f5dfd8p-3', '0x1.4bb83e5367606p-3', '0x1.782f852354286p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fu', 0.9): ['0x0.0p+0', '0x1.2f165997bfcf5p-5', '0x1.62a5b1c40eff7p-4', '0x1.9c4c0200b604ep-4', '0x1.7f09736a6dbb5p-4', '0x1.b261b9fa22c5ep-5', '0x0.0p+0', '0x0.0p+0'],
+    ('ft', -0.8): ['0x1.297084577029ap-1', '0x1.fc64afa52dba7p-3', '0x1.b54e916f96415p-3', '0x1.d6b669b9f9c59p-3', '0x1.9f12c6df9dfe2p-2'],
+    ('ft', -0.1): ['0x1.d109d06a60a1ep-2', '0x1.8d6de877d305ep-3', '0x1.55dbc8ea9c871p-3', '0x1.6ff911cacb574p-3', '0x1.447a4e92b1256p-2'],
+    ('ft', 0.0): ['0x1.bb658b4519229p-2', '0x1.7aef1a657ec35p-3', '0x1.45f306dc9c883p-3', '0x1.5ed932152fe56p-3', '0x1.35609db77500cp-2'],
+    ('ft', 0.3): ['0x1.72f8e5ead09f1p-2', '0x1.3d09f728955f5p-3', '0x1.10b571eccff97p-3', '0x1.258a75108e05bp-3', '0x1.02d7fd533f2d4p-2'],
+    ('ft', 0.7): ['0x1.e5b779bad6567p-3', '0x1.9f19f50ca9884p-4', '0x1.650f418f5dfd8p-4', '0x1.8055cee666de0p-4', '0x1.52e7ed90d6321p-3'],
+    ('ft', 0.9): ['0x1.186dbd32c6b1fp-3', '0x1.df515ba71937dp-5', '0x1.9c4c0200b604ep-5', '0x1.bbcac3b67b84ap-5', '0x1.8755bc4dbe766p-4'],
+    ('fk', -0.8): ['0x0.0p+0', '0x1.5201861655f61p-3', '0x1.e95ae206be458p-2', '0x1.e15008b99bb6fp-2', '0x1.42ea9f39752cep-2', '0x1.c79c78753d55ap-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', -0.1): ['0x0.0p+0', '0x1.083b3d86b3b53p-3', '0x1.7e8be17fc87d5p-2', '0x1.7842679990e87p-2', '0x1.f8def131df58bp-3', '0x1.642aec5b0d23ep-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.0): ['0x0.0p+0', '0x1.f7de992088814p-4', '0x1.6cbe627b173bbp-2', '0x1.66bfcf3336bfcp-2', '0x1.e1601fc70a2a8p-3', '0x1.5397b137f7828p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.3): ['0x0.0p+0', '0x1.a59146fb5df8ep-4', '0x1.312a9d7bf93f2p-2', '0x1.2c26b28572969p-2', '0x1.92bf646a2df83p-3', '0x1.1c1f9e5c1fdb6p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.7): ['0x0.0p+0', '0x1.13fb0f70c20aep-4', '0x1.8f8e8379c08c6p-3', '0x1.88fd78758adebp-3', '0x1.07a903a25518cp-3', '0x1.740147872f7ddp-5', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.9): ['0x0.0p+0', '0x1.3eacd13ff2283p-5', '0x1.cd5e4ad3e53aap-4', '0x1.c5c930e569578p-4', '0x1.3072d6b08268cp-4', '0x1.ad8deb43bc8bbp-6', '0x0.0p+0', '0x0.0p+0'],
+}
+GOLDEN_RATIO = {
+    ('fcn', 'fn', -0.8): ['0x1.b21cecc064d04p-4', '0x1.345526aca3481p-3', '0x1.fb6524331093ep-1', '0x1.d3450714930a1p+1', '0x1.9348e4e39bef3p+1', '0x1.b049871c085a9p-2', '0x1.80db7692f83cdp-3'],
+    ('fcn', 'fn', -0.1): ['0x1.e56e9a121f283p-3', '0x1.09a68b06482d6p-2', '0x1.f0ac0caefe039p-2', '0x1.3ba4dd8e3f69dp+0', '0x1.bb52932c114f5p+0', '0x1.ab25825f7253dp-1', '0x1.3b1d8adbc3d52p-1'],
+    ('fcn', 'fn', 0.0): ['0x1.bb0ce04b518c8p-3', '0x1.e64bd42a9e270p-3', '0x1.cfc34b1ef28dcp-2', '0x1.2fdb897edc4bfp+0', '0x1.b6099234b7c1bp+0', '0x1.b67f380b9ec3ap-1', '0x1.47ae147ae147ap-1'],
+    ('fcn', 'fn', 0.3): ['0x1.06fceda5ccfb6p-3', '0x1.2a854193c575dp-3', '0x1.588fa6f319127p-2', '0x1.124764688e740p+0', '0x1.b69e1ee1713f8p+0', '0x1.d8d24648e48adp-1', '0x1.641c7f9fbd0bdp-1'],
+    ('fcn', 'fn', 0.7): ['0x1.5432949f17396p-7', '0x1.c94ef12f228b7p-7', '0x1.6c8ef13801ab2p-4', '0x1.b3f415f8edea2p-1', '0x1.17869bba0dcd2p+1', '0x1.1ac97940b8a63p+0', '0x1.6d05ae451bc8bp-1'],
+    ('fcn', 'fn', 0.9): ['0x1.7aff6cc44762bp-20', '0x1.cb0bb8242846fp-19', '0x1.a010c31669544p-11', '0x1.c7755630eabf7p-2', '0x1.9a45e4c1dd2e0p+2', '0x1.cd9f7b3f22005p+0', '0x1.37a7a8540d5acp-1'],
+    ('fcn-rho0', 'fn', -0.8): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fcn-rho0', 'fn', -0.1): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fcn-rho0', 'fn', 0.0): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fcn-rho0', 'fn', 0.3): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fcn-rho0', 'fn', 0.7): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fcn-rho0', 'fn', 0.9): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fr', 'fn', -0.8): ['0x1.5cb47fc9d17bfp+0', '0x1.d9070ccc0e068p-1', '0x1.2756ef65f893bp+0', '0x1.0438a0cf64f34p+2', '0x1.caee1f109e5e3p+0', '0x1.836459067b457p-1', '0x1.5cb47fc9d17bfp+0'],
+    ('fr', 'fn', -0.1): ['0x1.42a62a78507f4p-2', '0x1.6427063e39bf1p-2', '0x1.84b27612618f5p-1', '0x1.dbf35dd3e5dd1p+0', '0x1.0bbccd0253de8p+0', '0x1.9306d315e3150p-2', '0x1.42a62a78507f4p-2'],
+    ('fr', 'fn', 0.0): ['0x1.0bdf1ff6425bfp-2', '0x1.2ee80c616fce3p-2', '0x1.6d64400b0e049p-1', '0x1.d1745d1745d17p+0', '0x1.0080f12b5f584p+0', '0x1.5f575b3063a74p-2', '0x1.0bdf1ff6425bfp-2'],
+    ('fr', 'fn', 0.3): ['0x1.d6583456c2cd4p-4', '0x1.2260ed7c1307ap-3', '0x1.132a838fe9fcep-1', '0x1.bb6b2ef17b0c7p+0', '0x1.ae2349854bddcp-1', '0x1.732aa45a27c08p-3', '0x1.d6583456c2cd4p-4'],
+    ('fr', 'fn', 0.7): ['0x1.b73771976d4f6p-9', '0x1.7c871c6f3b958p-8', '0x1.3450128b526d5p-3', '0x1.a90015f9474d9p+0', '0x1.99a87efca6a54p-2', '0x1.6540a793807e4p-7', '0x1.b73771976d4f6p-9'],
+    ('fr', 'fn', 0.9): ['0x1.063d1180020acp-26', '0x1.6a645f50f880ap-24', '0x1.bef532ad6cfb3p-10', '0x1.a272dedaa6c18p+0', '0x1.ea7706061992ap-6', '0x1.3e4395d44e4adp-21', '0x1.063d1180020acp-26'],
+    ('fr-beta0', 'fn', -0.8): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fr-beta0', 'fn', -0.1): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fr-beta0', 'fn', 0.0): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fr-beta0', 'fn', 0.3): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fr-beta0', 'fn', 0.7): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fr-beta0', 'fn', 0.9): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fn', 'fu', -0.8): ['0x1.b9c4c4abe45f3p-3', '0x1.2bf8561369dedp+0', '0x1.47957ee00b9b3p+0', '0x1.f60d7eb9aff07p-7', '0x1.e3f002916d2c8p-2', '0x1.230ea74ee987ap+1', '0x1.b9c4c4abe45f3p-3'],
+    ('fn', 'fu', -0.1): ['0x1.4b84a94b6a18dp+0', '0x1.3e4d685b93c0dp+0', '0x1.014cc78a1d749p+0', '0x1.cc49dbed0066cp-1', '0x1.e903209051024p-1', '0x1.3035af9b1d5e2p+0', '0x1.4b84a94b6a18dp+0'],
+    ('fn', 'fu', 0.0): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fn', 'fu', 0.3): ['0x1.d6f004ba5c0b5p-3', '0x1.5307b72bef6fap-2', '0x1.eb13f9e985e86p-1', '0x1.53e66f87f9e83p+0', '0x1.2031ebec22054p+0', '0x1.cf3287823c0b8p-2', '0x1.d6f004ba5c0b5p-3'],
+    ('fn', 'fu', 0.7): ['0x1.3dcfec9ee4179p-14', '0x1.069a9f189fb77p-9', '0x1.0618c9ee139bfp-1', '0x1.18dd3ac987725p+1', '0x1.0e322b9f77c73p+0', '0x1.a233e5d90c80cp-7', '0x1.3dcfec9ee4179p-14'],
+    ('fn', 'fu', 0.9): ['0x1.39e82df6475c5p-59', '0x1.44a408682a513p-36', '0x1.44597fe2fa948p-6', '0x1.f4c8c3ca2a867p+1', '0x1.1a26a6dc2bb03p-2', '0x1.8aa0b10555387p-26', '0x1.39e82df6475c5p-59'],
+    ('fcn', 'fu', -0.8): ['0x1.7690bfbf29682p-6', '0x1.694a8e5516c69p-3', '0x1.44a33f49919bbp+0', '0x1.ca30fed94df14p-5', '0x1.7d2e501dd7531p+0', '0x1.eb7c531f78e9dp-1', '0x1.4c10ef7a336d0p-5'],
+    ('fcn', 'fu', -0.1): ['0x1.3a50c7a0f1f68p-2', '0x1.4a4d34144e8cdp-2', '0x1.f331aef124b57p-2', '0x1.1bc3a7a484957p+0', '0x1.a76b12bd91db1p+0', '0x1.fb961e96ca5bcp-1', '0x1.98127e2914712p-1'],
+    ('fcn', 'fu', 0.0): ['0x1.bb0ce04b518c8p-3', '0x1.e64bd42a9e270p-3', '0x1.cfc34b1ef28dcp-2', '0x1.2fdb897edc4bfp+0', '0x1.b6099234b7c1bp+0', '0x1.b67f380b9ec3ap-1', '0x1.47ae147ae147ap-1'],
+    ('fcn', 'fu', 0.3): ['0x1.e3caee4897cf8p-6', '0x1.8b577513f6fcap-5', '0x1.4a7b341dd6bf1p-2', '0x1.6c2b6d994e832p+0', '0x1.edc76b3942f59p+0', '0x1.abc0d03b7e293p-2', '0x1.478d19cd4cc90p-3'],
+    ('fcn', 'fu', 0.7): ['0x1.a656f160f3bc9p-21', '0x1.d51b00875837fp-16', '0x1.753d97d5332b3p-5', '0x1.de4bb5dbba659p+0', '0x1.2706c02a60712p+1', '0x1.cdf64c04d1727p-7', '0x1.c52881c748acep-15'],
+    ('fcn', 'fu', 0.9): ['0x1.d0ba07820e5d1p-79', '0x1.23107bd170449p-54', '0x1.0793564ab3778p-16', '0x1.bd7b2e2c77cd2p+0', '0x1.c42eefc7aed51p+0', '0x1.63cc9b4889e4cp-25', '0x1.7e26a4b39b135p-60'],
+    ('fcn-rho0', 'fu', -0.8): ['0x1.b9c4c4abe45f3p-3', '0x1.2bf8561369dedp+0', '0x1.47957ee00b9b3p+0', '0x1.f60d7eb9aff07p-7', '0x1.e3f002916d2c8p-2', '0x1.230ea74ee987ap+1', '0x1.b9c4c4abe45f3p-3'],
+    ('fcn-rho0', 'fu', -0.1): ['0x1.4b84a94b6a18dp+0', '0x1.3e4d685b93c0dp+0', '0x1.014cc78a1d749p+0', '0x1.cc49dbed0066cp-1', '0x1.e903209051024p-1', '0x1.3035af9b1d5e2p+0', '0x1.4b84a94b6a18dp+0'],
+    ('fcn-rho0', 'fu', 0.0): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    ('fcn-rho0', 'fu', 0.3): ['0x1.d6f004ba5c0b5p-3', '0x1.5307b72bef6fap-2', '0x1.eb13f9e985e86p-1', '0x1.53e66f87f9e83p+0', '0x1.2031ebec22054p+0', '0x1.cf3287823c0b8p-2', '0x1.d6f004ba5c0b5p-3'],
+    ('fcn-rho0', 'fu', 0.7): ['0x1.3dcfec9ee4179p-14', '0x1.069a9f189fb77p-9', '0x1.0618c9ee139bfp-1', '0x1.18dd3ac987725p+1', '0x1.0e322b9f77c73p+0', '0x1.a233e5d90c80cp-7', '0x1.3dcfec9ee4179p-14'],
+    ('fcn-rho0', 'fu', 0.9): ['0x1.39e82df6475c5p-59', '0x1.44a408682a513p-36', '0x1.44597fe2fa948p-6', '0x1.f4c8c3ca2a867p+1', '0x1.1a26a6dc2bb03p-2', '0x1.8aa0b10555387p-26', '0x1.39e82df6475c5p-59'],
+    ('fk', 'fu', -0.8): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737cp-2'],
+    ('fk', 'fu', -0.1): ['0x1.0d2a834aa0d2cp+0', '0x1.4d0935f88a3d1p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737cp-2'],
+    ('fk', 'fu', 0.0): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d3p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5bp-1', '0x1.fa4f5ec09737dp-2'],
+    ('fk', 'fu', 0.3): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5dp-1', '0x1.fa4f5ec09737fp-2'],
+    ('fk', 'fu', 0.7): ['0x1.0d2a834aa0d2ap+0', '0x1.4d0935f88a3d3p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737dp-2'],
+    ('fk', 'fu', 0.9): ['0x1.0d2a834aa0d2ap+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5dp-1', '0x1.fa4f5ec09737cp-2'],
+}
+GOLDEN_PM = {
+    (-0.7, -0.8): ['0x1.692b58431eb9fp-5', '0x1.1d765a734d33fp-4', '0x1.0293f61525ef1p+0', '0x1.11625a4debe1bp+3', '0x1.21502a865a09dp+2', '0x1.7ce62f2662d17p-3', '0x1.0c32d14205042p-4'],
+    (-0.7, -0.1): ['0x1.6af1725179ef8p-3', '0x1.944cdafb6ecdbp-3', '0x1.b971138a9bb4dp-2', '0x1.967d58b851656p+0', '0x1.c3bae3b51254ep+0', '0x1.f1973b3740766p-2', '0x1.5ee7b83559630p-2'],
+    (-0.7, 0.0): ['0x1.4d640ab028663p-3', '0x1.73bdc4d19c0f1p-3', '0x1.99f91633ee0edp-2', '0x1.81b39daf140a9p+0', '0x1.b5face5afd671p+0', '0x1.f3943f65c6e96p-2', '0x1.64b26b1d2ec5fp-2'],
+    (-0.7, 0.3): ['0x1.830546bda2b5dp-4', '0x1.bf4d4681790e3p-4', '0x1.2c74ff5a30b05p-2', '0x1.51d243a4bc73cp+0', '0x1.9b5fa0dfa5dd7p+0', '0x1.d6e28b83991d9p-2', '0x1.49f9ce2c0f1c1p-2'],
+    (-0.7, 0.7): ['0x1.8c35b5f3da86dp-8', '0x1.1583c1eec4969p-7', '0x1.28537db430a75p-4', '0x1.0c472efd989dfp+0', '0x1.aae6822e49816p+0', '0x1.13ea205a318f5p-2', '0x1.1e892eb24308cp-3'],
+    (-0.7, 0.9): ['0x1.6726f4ceede6ep-22', '0x1.eaf2099ba1da9p-21', '0x1.f3378a9355125p-12', '0x1.3ff8141fd292dp-1', '0x1.4433216dcac95p+1', '0x1.0a5d5ff65e5b0p-5', '0x1.66e77793f96f8p-8'],
+    (0.0, -0.8): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    (0.0, -0.1): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    (0.0, 0.0): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    (0.0, 0.3): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    (0.0, 0.7): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+    (0.0, 0.9): ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+}
+
+
+def _hex(values):
+    assert isinstance(values, np.ndarray)
+    return [float(v).hex() for v in values]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("label", sorted(DENSITIES))
+    @pytest.mark.parametrize("q", GOLDEN_QS)
+    def test_density_eval(self, label, q):
+        assert _hex(golden_density(label, q)) == GOLDEN_DENSITY[label, q]
+
+    @pytest.mark.parametrize("num,den", RATIOS, ids=["%s/%s" % r for r in RATIOS])
+    @pytest.mark.parametrize("q", GOLDEN_QS)
+    def test_density_ratio(self, num, den, q):
+        assert _hex(golden_ratio(num, den, q)) == GOLDEN_RATIO[num, den, q]
+
+    @pytest.mark.parametrize("rho", (-0.7, 0.0))
+    @pytest.mark.parametrize("q", GOLDEN_QS)
+    def test_pm_ratio(self, rho, q):
+        assert _hex(golden_pm(rho, q)) == GOLDEN_PM[rho, q]
+
+    def test_array_in_array_out_at_q0(self):
+        xs = np.array([-1.5, 0.0, 0.5])
+        for label, make in DENSITIES.items():
+            d = make(0.0, 2.0)
+            assert density_eval(d, xs).shape == xs.shape, label
+        for num, den in RATIOS:
+            out = density_ratio(DENSITIES[num](0.0, 2.0), DENSITIES[den](0.0, 2.0), xs)
+            assert out.shape == xs.shape, (num, den)
+        for rho in (-0.7, 0.0):
+            assert pm_ratio(xs, 0.3, rho, 0.0).shape == xs.shape
