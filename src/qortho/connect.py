@@ -167,22 +167,16 @@ def connection(pair, n_max, **params):
                 if v != 0:
                     row[n - 2 * k] = v
             rows[n] = row
-    elif pair == "uhat-from-asc":
+    elif pair in ("uhat-from-asc", "kesten-from-asc"):
         y, rho, q = _require(params, "y", "rho", "q")
+        entry = d_hat_entry if pair == "uhat-from-asc" else c_hat_entry
         for n in range(n_max + 1):
+            row = {}
             for k in range(n + 1):
-                v = d_hat_entry(k, n, y, rho, q)
+                v = entry(k, n, y, rho, q)
                 if v != 0:
-                    rows.setdefault(n, {})[k] = v
-            rows.setdefault(n, {})
-    elif pair == "kesten-from-asc":
-        y, rho, q = _require(params, "y", "rho", "q")
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                v = c_hat_entry(k, n, y, rho, q)
-                if v != 0:
-                    rows.setdefault(n, {})[k] = v
-            rows.setdefault(n, {})
+                    row[k] = v
+            rows[n] = row
     elif pair == "t-from-u":
         half = Fraction(1, 2)
         rows[0] = {0: 1}

@@ -18,8 +18,18 @@ Six families share one vocabulary::
 
 The k = 0 numerator factor fac_0 = s2 is merged with the 1/sqrt(s2)
 prefactor, so every product starts at a factor bounded away from zero and the
-boundary value 0 needs no special casing.  Products are accumulated in log
-space with a deterministic truncation depth from the shared tail bound.
+boundary value 0 needs no special casing.
+
+All three products run through one loop, ``_log_qproduct``: it steps
+p = q^k by repeated multiplication, adds log factor(p) in log space and
+stops before the index K = truncation_order(a, q, eps), where a bounds
+|factor - 1| / |q|^k on S(q) (7 for fac_k, 19 |rho| for w_k, 7 |beta| for
+den_k), so the dropped tail changes the product by a relative eps at most.
+At least one factor is taken, which keeps the shape of x when a = 0.  A
+factor <= 0 means a point outside S(q) and raises ParameterError.
+
+A NaN point is a ParameterError; +-inf lies outside S(q), where every
+density is 0.
 
 fN and fCN admit q = 1 closed forms (standard normal, N(rho y, 1 - rho^2));
 the remaining families reject q = 1.
@@ -114,65 +124,61 @@ def fK(y, rho, q, trunc_eps=1e-14):
 
 
 def _as_array(x):
+    """(x is a scalar, x as a 1-d float array); a NaN point is a ParameterError."""
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    return scalar, np.atleast_1d(xa)
+    if np.isnan(xa).any():
+        raise ParameterError("x must not be NaN")
+    return xa.ndim == 0, np.atleast_1d(xa)
 
 
 def _ret(scalar, out):
     return float(out[0]) if scalar else out
 
 
+def _log_qproduct(factor, amplitude, q, eps, first=0):
+    """sum_{first <= k < K} log factor(q^k), the one truncated product loop.
+
+    K comes from ``truncation_order(amplitude, q, eps)`` for factors with
+    |factor(q^k) - 1| <= amplitude |q|^k, and at least one factor is taken,
+    so the sum has the shape of the factor even when amplitude is 0.
+    """
+    K = max(truncation_order(amplitude, q, eps), first + 1)
+    p = q ** first
+    out = 0.0
+    for _ in range(first, K):
+        f = factor(p)
+        if np.any(f <= 0.0):
+            raise ParameterError("nonpositive product factor; point outside S(q)?")
+        out += np.log(f)
+        p *= q
+    return out
+
+
 def _log_fac_sum(x2s, q, eps):
     """sum_{k>=1} log fac_k with x2s = (1-q) x^2; |fac_k - 1| <= 7 |q|^k on S(q)."""
-    K = truncation_order(7.0, q, eps)
-    out = np.zeros_like(x2s)
-    p = 1.0
-    for _ in range(1, K):
-        p *= q
-        fac = (1.0 + p) ** 2 - x2s * p
-        if np.any(fac <= 0.0):
-            raise ParameterError("nonpositive numerator factor; x outside S(q)?")
-        out += np.log(fac)
-    return out
+    return _log_qproduct(lambda p: (1.0 + p) ** 2 - x2s * p, 7.0, q, eps, first=1)
 
 
 def _log_w_sum(x, y, rho, q, eps):
     """sum_{k>=0} log w_k; |w_k - 1| <= 19 |rho| |q|^k for x, y in S(q)."""
-    if rho == 0.0:
-        return np.zeros(np.broadcast(x, y).shape)
-    K = max(truncation_order(19.0 * abs(rho), q, eps), 1)
-    out = np.zeros(np.broadcast(x, y).shape)
     omq = 1.0 - q
-    p = 1.0
-    for _ in range(K):
+
+    def w(p):
         r2p2 = rho * rho * p * p
-        w = (
+        return (
             (1.0 - r2p2) ** 2
             - omq * rho * p * (1.0 + r2p2) * (x * y)
             + omq * rho * rho * p * p * (x * x + y * y)
         )
-        if np.any(w <= 0.0):
-            raise ParameterError("nonpositive conditional factor; point outside S(q)?")
-        out += np.log(w)
-        p *= q
-    return out
+
+    return _log_qproduct(w, 19.0 * abs(rho), q, eps)
 
 
 def _log_den_sum(x2s, beta, q, eps):
     """sum_{k>=0} log den_k; |den_k - 1| <= 7 |beta| |q|^k on S(q)."""
-    if beta == 0.0:
-        return np.zeros_like(x2s)
-    K = max(truncation_order(7.0 * abs(beta), q, eps), 1)
-    out = np.zeros_like(x2s)
-    p = 1.0
-    for _ in range(K):
-        den = (1.0 + beta * p) ** 2 - beta * x2s * p
-        if np.any(den <= 0.0):
-            raise ParameterError("nonpositive beta-factor; x outside S(q)?")
-        out += np.log(den)
-        p *= q
-    return out
+    return _log_qproduct(
+        lambda p: (1.0 + beta * p) ** 2 - beta * x2s * p, 7.0 * abs(beta), q, eps
+    )
 
 
 def _kesten_denom(x, y, rho, q):
@@ -260,12 +266,11 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
     Symmetric in (x, y); broadcasts, so either argument may be an array.
     """
     _check_q(q)
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    scalar = xa.ndim == 0 and ya.ndim == 0
+    x_scalar, xa = _as_array(x)
+    y_scalar, ya = _as_array(y)
     const = q_pochhammer_inf(rho * rho, q, eps)
     out = const * np.exp(-_log_w_sum(xa, ya, rho, q, eps))
-    return float(out) if scalar else out
+    return _ret(x_scalar and y_scalar, out)
 
 
 def _fr_over_fn(x, beta, q, eps):

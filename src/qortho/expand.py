@@ -46,7 +46,6 @@ from .qcore import (
     q_pochhammer,
     q_pochhammer_inf,
     support,
-    truncation_order,
 )
 from .polyfam import (
     ASC,
@@ -398,10 +397,18 @@ def _kernel(id):
     return _KERNELS[id]
 
 
+#: parameters of the Rogers (beta, gamma) and conditional (rho) densities,
+#: which exist only for |value| < 1
+_UNIT_DISC = ("rho", "beta", "gamma")
+
+
 def _require(id, params, names):
     for name in names:
-        if params.get(name) is None:
+        v = params.get(name)
+        if v is None:
             raise ParameterError("expansion %r needs parameter %r" % (id, name))
+        if name in _UNIT_DISC and not abs(v) < 1:
+            raise ParameterError("expansion %r needs |%s| < 1, got %r" % (id, name, v))
 
 
 def _coeff(kernel, n, p, Y):
@@ -724,6 +731,8 @@ def _i6(q, rho, eps):
 
 
 def _i7(q, rho, eps):
+    """Three forms E1 = E2 = E3 of (q^3;q^3)_inf fCN(x|y,rho,q)/fN(x|q) at the
+    theta = pi/3 point x = 2 cos(theta)/sqrt(1-q) = 1/sqrt(1-q), for three y."""
     L = support(q).radius
     res_prod = 0.0
     res_useries = 0.0
@@ -749,21 +758,9 @@ def _i7(q, rho, eps):
         e1 = q3inf * _sum_series(gen_e1(), stop=1e-17, consecutive=4)
 
         # E2: (rho^2;q)_inf (q^3;q^3)_inf / prod_k (1 - rho^2 q^{2k} + rho^4 q^{4k}
-        #      - sqrt(1-q) rho y q^k (1 + rho^2 q^{2k}) + (1-q) rho^2 y^2 q^{2k})
-        Kn = max(truncation_order(10.0 * abs(rho), q, eps), 1)
-        prod = 1.0
-        pk = 1.0
-        for _ in range(Kn):
-            r2 = rho * rho * pk * pk
-            prod *= (
-                1.0
-                - r2
-                + r2 * r2
-                - s * rho * y * pk * (1.0 + r2)
-                + (1.0 - q) * rho * rho * y * y * pk * pk
-            )
-            pk *= q
-        e2 = q_pochhammer_inf(rho * rho, q, eps) * q3inf / prod
+        #      - sqrt(1-q) rho y q^k (1 + rho^2 q^{2k}) + (1-q) rho^2 y^2 q^{2k}),
+        # whose factors are w_k(x, y) at x = 1/sqrt(1-q)
+        e2 = q3inf * pm_ratio(1.0 / s, y, rho, q, eps)
 
         # E3: sum_m (-1)^m (gamma_{3m} + gamma_{3m+1})
         def gen_e3():
@@ -782,14 +779,12 @@ def _i7(q, rho, eps):
 
 
 def _i7_cube(q, eps):
-    """(q;q)_inf prod_{k>=1} (1 + q^k + q^{2k}) = (q^3;q^3)_inf."""
-    K = truncation_order(2.0, q, eps)
-    prod = 1.0
-    pk = 1.0
-    for _ in range(1, K + 1):
-        pk *= q
-        prod *= 1.0 + pk + pk * pk
-    lhs = q_pochhammer_inf(q, q, eps) * prod
+    """(q;q)_inf prod_{k>=1} (1 + q^k + q^{2k}) = (q^3;q^3)_inf.
+
+    The left side is fN/fU at the theta = pi/3 point x = 1/sqrt(1-q), where
+    (1-q) x^2 = 1 turns fac_k into 1 + q^k + q^{2k}.
+    """
+    lhs = _fn_over_fu(1.0 / math.sqrt(1.0 - q), q, eps)
     return _mixed(lhs, q_pochhammer_inf(q ** 3, q ** 3, eps))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .qcore import ParameterError, QOrthoError, support
 from . import connect, densities
 from .densities import density_ratio, fU
-from .expand import _Lazy
+from .expand import _Lazy, _theta_series
 from .polyfam import QHermite, eval_all
 
 
@@ -53,17 +53,10 @@ def _grid_sup(dens, grid_n):
 
 
 def _envelope(dens, sup):
-    """The series constant, at least the grid sup; 1.05 sup if the series stalls."""
+    """The series constant, at least the grid sup; 1.05 sup if the fCN series stalls."""
     q = dens.q
     if dens.tag == "fn":
-        total, k, term = 0.0, 0, 1.0
-        while term > 1e-16 * max(total, 1.0) or k < 3:
-            term = (2 * k + 1) * abs(q) ** (k * (k + 1) // 2)
-            total += term
-            k += 1
-            if k > 2000:
-                return sup * 1.05
-        return max(total, sup)
+        return max(_theta_series(abs(q), signed=False, weighted=True), sup)
     # one H_m(y|q) row for all k, grown on demand
     H = _Lazy(lambda m: eval_all(QHermite(q), m, dens.y))
     total, small = 1.0, 0

@@ -161,6 +161,30 @@ class TestExitCodes:
         assert code == 3
         assert "does not exist at q = 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--id", "r_over_n", "--q", "1/2", "--beta", "2", "--k-max", "3"],
+        ["--id", "n_over_r", "--q", "1/2", "--gamma", "1", "--k-max", "3"],
+        ["--id", "r_over_n", "--q", "1", "--beta", "1", "--k-max", "3"],
+        ["--id", "n_over_cn", "--q", "1/2", "--rho", "1", "--y", "0", "--k-max", "3"],
+        ["--id", "r_over_n", "--q", "0.5", "--beta", "2", "--x", "0"],
+        ["--id", "cn_over_n", "--q", "0.5", "--rho", "2", "--y", "0", "--x", "0"],
+    ])
+    def test_expansion_parameter_outside_unit_disc(self, capsys, argv):
+        code = main(["expand"] + argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "< 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--density", "fn", "--q", "0.5", "--x", "nan"],
+        ["expand", "--id", "n_over_u", "--q", "0.5", "--x", "nan"],
+    ])
+    def test_nan_point(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "NaN" in err
+
     @pytest.mark.parametrize("batch", ["0", "-5"])
     def test_nonpositive_sample_batch(self, capsys, batch):
         code = main(["sample", "--target", "fn", "--q", "0.5", "--n", "10",

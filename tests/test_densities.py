@@ -67,6 +67,16 @@ class TestEval:
         for d in (fN(q), fCN(0.3, 0.4, q), fR(0.3, q), fU(q), fK(0.3, 0.4, q)):
             assert density_eval(d, L) == 0.0
             assert density_eval(d, -1.5 * L) == 0.0
+            assert density_eval(d, np.inf) == 0.0
+            assert density_eval(d, -np.inf) == 0.0
+
+    @pytest.mark.parametrize("d", [fN(0.5), fCN(0.3, 0.4, 0.5), fT(0.5), fN(1.0)],
+                             ids=["fn", "fcn", "ft", "fn-q1"])
+    def test_nan_point_rejected(self, d):
+        with pytest.raises(ParameterError, match="NaN"):
+            density_eval(d, math.nan)
+        with pytest.raises(ParameterError, match="NaN"):
+            density_eval(d, np.array([0.1, math.nan]))
 
     def test_ft_boundary_raises(self):
         q = 0.5
@@ -166,6 +176,12 @@ class TestPmRatio:
             pm_ratio(np.array([0.1, 1.0]), 0.5, 0.0, 0.5), 1.0, atol=0.0
         )
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(ParameterError, match="NaN"):
+            pm_ratio(math.nan, 0.3, 0.4, 0.5)
+        with pytest.raises(ParameterError, match="NaN"):
+            pm_ratio(np.array([0.2, 0.3]), math.nan, 0.4, 0.5)
+
 
 class TestDensityRatio:
     def test_merged_pairs_match_direct_quotients(self):
@@ -194,6 +210,17 @@ class TestDensityRatio:
     def test_mixed_q_rejected(self):
         with pytest.raises(ParameterError):
             density_ratio(fN(0.5), fU(0.4), 0.0)
+
+    @pytest.mark.parametrize("num,den", [
+        (fCN(0.3, 0.4, 0.5), fN(0.5)),
+        (fR(0.35, 0.5), fN(0.5)),
+        (fN(0.5), fU(0.5)),
+        (fCN(0.3, 0.4, 0.5), fU(0.5)),
+        (fK(0.3, 0.4, 0.5), fU(0.5)),
+    ], ids=["fcn/fn", "fr/fn", "fn/fu", "fcn/fu", "fk/fu"])
+    def test_nan_point_rejected(self, num, den):
+        with pytest.raises(ParameterError, match="NaN"):
+            density_ratio(num, den, np.array([0.0, math.nan]))
 
 
 class TestNormalization:

@@ -175,6 +175,28 @@ class TestEvaluation:
         with pytest.raises(ParameterError):
             expansion_eval(ExpansionSpec(eid, params), 0.0)
 
+    @pytest.mark.parametrize("eid,params", [
+        ("r_over_n", dict(q=F(1, 2), beta=2)),
+        ("r_over_n", dict(q=1, beta=1)),
+        ("n_over_r", dict(q=F(1, 2), gamma=1)),
+        ("n_over_cn", dict(q=F(1, 2), rho=1, y=0)),
+        ("cn_over_n", dict(q=0.5, rho=-2.0, y=0.0)),
+        ("mehler_classical", dict(rho=1.5, y=0.0)),
+    ])
+    def test_parameter_outside_unit_disc(self, eid, params):
+        # beta, gamma (Rogers) and rho (conditional densities) need |v| < 1
+        with pytest.raises(ParameterError, match=r"< 1"):
+            expansion_coeff(eid, 3, **params)
+        with pytest.raises(ParameterError, match=r"< 1"):
+            expansion_eval(ExpansionSpec(eid, params), 0.0)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ParameterError, match="NaN"):
+            expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}), math.nan)
+        with pytest.raises(ParameterError, match="NaN"):
+            expansion_eval(ExpansionSpec("mehler_classical", {"rho": 0.3, "y": 0.1}),
+                           np.array([0.0, math.nan]))
+
     def test_u_over_n_coeff_at_unit_q(self):
         with pytest.raises(ParameterError):
             expansion_coeff("u_over_n", 0, q=1)
