@@ -86,7 +86,7 @@ def fCN(y, rho, q, trunc_eps=1e-14):
     if not abs(rf) < 1.0:
         raise ParameterError("fCN requires |rho| < 1, got rho=%r" % (rho,))
     yf = float(y)
-    if qf < 1.0 and abs(yf) > _edge(qf):
+    if math.isnan(yf) or (qf < 1.0 and abs(yf) > _edge(qf)):
         raise ParameterError(
             "fCN conditioning point must lie in S(q), got y=%r" % (y,)
         )
@@ -118,7 +118,7 @@ def fK(y, rho, q, trunc_eps=1e-14):
     if not abs(rf) < 1.0:
         raise ParameterError("fK requires |rho| < 1, got rho=%r" % (rho,))
     yf = float(y)
-    if abs(yf) > _edge(qf):
+    if not abs(yf) <= _edge(qf):
         raise ParameterError("fK conditioning point must lie in S(q), got y=%r" % (y,))
     return DensityId("fk", qf, y=yf, rho=rf, trunc_eps=_check_eps(trunc_eps))
 

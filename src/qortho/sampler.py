@@ -85,8 +85,9 @@ def sample(dens, n, seed=0, batch=65536, envelope=None):
     L = support(dens.q).radius
     proposal = fU(dens.q)
 
-    # pre-flight: the envelope must dominate the ratio on a dense grid
-    if sup > M * (1 + _SLACK):
+    # pre-flight: the envelope must dominate the ratio on a dense grid; a NaN
+    # envelope fails here too, since no proposal would ever be accepted
+    if not sup <= M * (1 + _SLACK):
         raise EnvelopeViolationError(
             "ratio exceeds envelope %g by %g on pre-flight grid" % (M, sup - M)
         )

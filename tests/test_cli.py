@@ -178,12 +178,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["density", "--density", "fn", "--q", "0.5", "--x", "nan"],
         ["expand", "--id", "n_over_u", "--q", "0.5", "--x", "nan"],
+        ["sample", "--target", "fcn", "--q", "0.5", "--y", "nan", "--rho", "0.3",
+         "--n", "10"],
     ])
     def test_nan_point(self, capsys, argv):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
-        assert "NaN" in err
+        assert "nan" in err.lower()
 
     @pytest.mark.parametrize("batch", ["0", "-5"])
     def test_nonpositive_sample_batch(self, capsys, batch):

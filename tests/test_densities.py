@@ -38,6 +38,11 @@ class TestConstruction:
             fCN(1.01 * L, 0.3, 0.5)
         with pytest.raises(ParameterError):
             fCN(0.0, 1.0, 0.5)
+        for q in (0.5, 1.0):
+            with pytest.raises(ParameterError):
+                fCN(math.nan, 0.3, q)
+        with pytest.raises(ParameterError):
+            fK(math.nan, 0.3, 0.5)
 
     def test_fr_beta_one_degenerates_to_ft(self):
         d = fR(1.0, 0.5)

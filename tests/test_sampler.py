@@ -91,6 +91,11 @@ class TestSample:
         with pytest.raises(EnvelopeViolationError):
             sample(fN(0.5), 100, seed=0, envelope=1.0)
 
+    def test_nan_envelope_detected_before_sampling(self):
+        # no proposal is ever accepted under a NaN envelope, so it must fail here
+        with pytest.raises(EnvelopeViolationError):
+            sample(fN(0.5), 100, seed=0, envelope=math.nan)
+
     @pytest.mark.parametrize("batch", [0, -5])
     def test_nonpositive_batch_rejected(self, batch):
         with pytest.raises(ParameterError):
