@@ -4,7 +4,8 @@ Each registry id is one entry of the table ``_KERNELS``, a ``_Kernel`` whose
 fields say everything about that expansion:
 
 - ``coeff_params`` / ``params``: the parameters the coefficient rule needs,
-  and those the evaluated expansion needs; a missing one is a ParameterError.
+  and those the evaluated expansion needs; a missing one is a ParameterError,
+  and so is a rho, beta or gamma outside (-1, 1).
 - ``coeff(n, p, Y)``: the coefficient rule c_n, exact on rational
   parameters.  With ``even`` set, c_n = 0 for odd n and the rule is called
   with k = n/2 to give c_{2k}.
