@@ -1,6 +1,8 @@
 """Tests for connection coefficients: closed forms vs the elimination oracle."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +246,33 @@ class TestKestenBand:
         assert m.band() == 2
         m0 = oracle_connection(Kesten(Y, RHO), ChebU_hat(0), 8)
         assert m0.band() == 2
+
+
+# ---------------------------------------------------------------------------
+# golden values: the repr of every connection row at n = 12 (and of two oracle
+# triangles at n = 10), recorded from the per-pair implementation; repr pins
+# each entry's type and, for floats, every bit
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "connect_golden.json").read_text())
+GOLDEN_PARAMS = {
+    "exact": dict(q=F(1, 3), y=F(2, 5), rho=F(1, 4), beta=F(1, 5), gamma=F(2, 7)),
+    "float": dict(q=0.3, y=0.7, rho=0.45, beta=0.35, gamma=-0.25),
+}
+GOLDEN_ORACLES = {
+    "kesten_hat<-asc": (KestenHat(Y, RHO, Q), ASC(Y, RHO, Q)),
+    "rogers<-qhermite": (Rogers(GAMMA, Q), QHermite(Q)),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_PARAMS))
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_connection_rows(self, kind, pair):
+        got = connection(pair, 12, **GOLDEN_PARAMS[kind]).rows
+        assert repr(got) == GOLDEN[kind][pair]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ORACLES))
+    def test_oracle_rows(self, name):
+        target, source = GOLDEN_ORACLES[name]
+        assert repr(oracle_connection(target, source, 10).rows) == GOLDEN["oracle"][name]
