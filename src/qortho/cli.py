@@ -15,12 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .qcore import (
-    NonConvergenceError,
-    ParameterError,
-    QOrthoError,
-    is_exact,
-)
+from .qcore import NonConvergenceError, ParameterError, QOrthoError
 from . import connect, densities, expand, polyfam, sampler, verify
 
 
@@ -239,9 +234,10 @@ def _cmd_verify(args):
     if args.suite and args.suite != "all":
         config["suites"] = tuple(s.strip() for s in args.suite.split(","))
     if args.q_grid:
-        config["q_grid"] = tuple(args.q_grid)
+        q_grid = tuple(args.q_grid)
+        config.update(q_grid=q_grid, identity_q_grid=q_grid, envelope_q_grid=q_grid)
     if args.tol is not None:
-        config["tol"] = args.tol
+        config.update(tol=args.tol, tol_identity=args.tol)
     reports, ok = verify.run_all(config)
     rows = [
         (r.check_id, json.dumps(r.params, sort_keys=True), r.residual,
@@ -341,8 +337,10 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run verification checks")
     p.add_argument("--suite", default="all")
-    p.add_argument("--q-grid", type=_float_list, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--q-grid", type=_float_list, default=None, help="q values of every suite")
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance of every suite but chapman (1e-6) and envelope, whose "
+                        "1e-9 is the sampler's slack, not a tolerance")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 

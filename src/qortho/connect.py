@@ -12,38 +12,30 @@ int/Fraction inputs are exact.  The Kesten target is the rescaled family
 ``KestenHat`` (k_n at sqrt(1-q)-scaled arguments, divided by (1-q)^{n/2}),
 which keeps every entry rational; multiply row n by (1-q)^{n/2} to recover
 the unscaled coefficients.
+
+The closed forms live in one table, ``_PAIRS``: each pair names the
+parameters it needs, an ``entries(n, Y, *values)`` rule yielding the
+(k, value) entries of row n, and optionally the family of its y-row, the
+values Y_m = B_m(y) or H_m(y|q) that every row reads.  :func:`connection`
+builds that y-row once per call and runs one row loop, dropping zero entries.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .qcore import (
     IrrationalParameterError,
     ParameterError,
     div,
+    ensure_exact,
     is_exact,
     q_binomial,
     q_factorial,
     q_pochhammer,
 )
-from .polyfam import BigB, QHermite, coeffs, eval_all
-
-
-PAIRS = (
-    "asc-from-h",
-    "h-from-asc",
-    "uhat-from-h",
-    "h-from-uhat",
-    "rogers-from-rogers",
-    "rogers-from-h",
-    "h-from-rogers",
-    "uhat-from-asc",
-    "kesten-from-asc",
-    "t-from-u",
-    "u-from-t",
-    "mehler",
-)
+from .polyfam import BigB, QHermite, RationalPoly, eval_all, validate
 
 
 @dataclass(frozen=True)
@@ -89,119 +81,18 @@ def _require(params, *names):
     return out
 
 
-def connection(pair, n_max, **params):
-    """Closed-form connection matrix for one of :data:`PAIRS`."""
-    if pair not in PAIRS:
-        raise ParameterError("unknown pair %r; expected one of %s" % (pair, PAIRS))
-    rows = {}
-    if pair in ("asc-from-h", "h-from-asc", "mehler"):
-        if pair == "mehler":
-            y, rho = _require(params, "y", "rho")
-            q = 1
-        else:
-            y, rho, q = _require(params, "y", "rho", "q")
-        B = eval_all(BigB(q), n_max, y) if pair == "asc-from-h" else None
-        H = eval_all(QHermite(q), n_max, y) if pair != "asc-from-h" else None
-        for n in range(n_max + 1):
-            row = {}
-            for k in range(n + 1):
-                binom = q_binomial(n, k, q)
-                cross = B[n - k] if B is not None else H[n - k]
-                v = binom * rho ** (n - k) * cross
-                if v != 0:
-                    row[k] = v
-            rows[n] = row
-    elif pair == "uhat-from-h":
-        (q,) = _require(params, "q")
-        c = div(1, 1 - q)
-        for n in range(n_max + 1):
-            row = {}
-            for j in range(n // 2 + 1):
-                v = (-1) ** j * c ** j * q ** (j * (j + 1) // 2) * q_binomial(n - j, j, q)
-                if v != 0:
-                    row[n - 2 * j] = v
-            rows[n] = row
-    elif pair == "h-from-uhat":
-        (q,) = _require(params, "q")
-        c = div(1, 1 - q)
-        for n in range(n_max + 1):
-            row = {}
-            for k in range(n // 2 + 1):
-                v = (
-                    q ** k
-                    * (q_binomial(n, k, q) - q ** (n - 2 * k + 1) * q_binomial(n, k - 1, q))
-                    * c ** k
-                )
-                if v != 0:
-                    row[n - 2 * k] = v
-            rows[n] = row
-    elif pair in ("rogers-from-rogers", "rogers-from-h", "h-from-rogers"):
-        if pair == "rogers-from-rogers":
-            beta, gamma, q = _require(params, "beta", "gamma", "q")
-        elif pair == "rogers-from-h":
-            gamma, q = _require(params, "gamma", "q")
-            beta = 0 * q
-        else:
-            beta, q = _require(params, "beta", "q")
-            gamma = 0 * q
-        for n in range(n_max + 1):
-            row = {}
-            nfact = q_factorial(n, q)
-            for k in range(n // 2 + 1):
-                prod = 1 + 0 * q
-                for i in range(k):
-                    prod = prod * (beta - gamma * q ** i)
-                v = (
-                    nfact
-                    * prod
-                    * q_pochhammer(gamma, q, n - k)
-                    * (1 - beta * q ** (n - 2 * k))
-                )
-                den = (
-                    q_factorial(k, q)
-                    * q_factorial(n - 2 * k, q)
-                    * q_pochhammer(beta * q, q, n - k)
-                    * (1 - beta)
-                )
-                v = div(v, den)
-                if v != 0:
-                    row[n - 2 * k] = v
-            rows[n] = row
-    elif pair in ("uhat-from-asc", "kesten-from-asc"):
-        y, rho, q = _require(params, "y", "rho", "q")
-        entry = d_hat_entry if pair == "uhat-from-asc" else c_hat_entry
-        for n in range(n_max + 1):
-            row = {}
-            for k in range(n + 1):
-                v = entry(k, n, y, rho, q)
-                if v != 0:
-                    row[k] = v
-            rows[n] = row
-    elif pair == "t-from-u":
-        half = Fraction(1, 2)
-        rows[0] = {0: 1}
-        if n_max >= 1:
-            rows[1] = {1: half}
-        for n in range(2, n_max + 1):
-            rows[n] = {n: half, n - 2: -half}
-    elif pair == "u-from-t":
-        for n in range(n_max + 1):
-            row = {}
-            for k in range(n % 2, n + 1, 2):
-                row[k] = 1 if k == 0 else 2
-            rows[n] = row
-    return ConnectionMatrix(pair, n_max, dict(params), rows)
+def d_hat_entry(k, n, y, rho, q, H=None):
+    """Coefficient of P_k in (1-q)^{-n/2} U_n(x sqrt(1-q)/2) over the ASC family.
 
-
-def d_hat_entry(k, n, y, rho, q):
-    """Coefficient of P_k in (1-q)^{-n/2} U_n(x sqrt(1-q)/2) over the ASC family."""
+    H may supply precomputed H_m(y|q) values, m <= n-k.
+    """
     if not 0 <= k <= n:
         return 0 * q
     c = div(1, 1 - q)
-    H = eval_all(QHermite(q), n - k, y)
+    if H is None:
+        H = eval_all(QHermite(q), n - k, y)
     total = 0 * q
-    j = 0
-    while n - k - 2 * j >= 0:
+    for j in range((n - k) // 2 + 1):
         m = n - k - 2 * j
         term = (
             (-1) ** j
@@ -213,21 +104,20 @@ def d_hat_entry(k, n, y, rho, q):
             * H[m]
         )
         total = total + term
-        j += 1
     return total
 
 
-def c_hat_entry(k, n, y, rho, q):
-    """Coefficient of P_k in KestenHat_n over the ASC family."""
+def c_hat_entry(k, n, y, rho, q, H=None):
+    """Coefficient of P_k in KestenHat_n over the ASC family; H as in d_hat_entry."""
     if not 0 <= k <= n:
         return 0 * q
     if n == 0:
         return 1 + 0 * q
     c = div(1, 1 - q)
-    H = eval_all(QHermite(q), n - k, y)
+    if H is None:
+        H = eval_all(QHermite(q), n - k, y)
     total = 0 * q
-    j = 0
-    while n - k - 2 * j >= 0:
+    for j in range((n - k) // 2 + 1):
         m = n - k - 2 * j
         # n-k >= 2j makes n-k + j(j-3)/2 >= j(j+1)/2 >= 0, so plain powers suffice
         expo = n - k + j * (j - 3) // 2
@@ -244,7 +134,6 @@ def c_hat_entry(k, n, y, rho, q):
             * H[m]
         )
         total = total + term
-        j += 1
     return total
 
 
@@ -301,18 +190,122 @@ def beta_parts(k, y, rho, q, H=None):
     return total, k % 2
 
 
+def _from_parts(parts, q):
+    """The value r (1-q)^{half/2} of a (rational, half) pair: r, or a float."""
+    r, half = parts
+    return r if half == 0 else float(r) * math.sqrt(1.0 - float(q))
+
+
 def gamma_coeff(k, y, rho, q, H=None):
-    r, half = gamma_parts(k, y, rho, q, H)
-    if half == 0:
-        return r
-    return float(r) * math.sqrt(1.0 - float(q))
+    return _from_parts(gamma_parts(k, y, rho, q, H), q)
 
 
 def beta_coeff(k, y, rho, q, H=None):
-    r, half = beta_parts(k, y, rho, q, H)
-    if half == 0:
-        return r
-    return float(r) * math.sqrt(1.0 - float(q))
+    return _from_parts(beta_parts(k, y, rho, q, H), q)
+
+
+# -- the pair table -----------------------------------------------------------
+# Each entries(n, Y, *values) yields the (k, value) entries of row n, given the
+# pair's parameter values in table order and the y-row Y (None without one).
+
+
+def _binomial(n, Y, y, rho, q=1):
+    # [n k]_q rho^{n-k} Y_{n-k}: B_m(y) for asc-from-h, H_m(y) for h-from-asc,
+    # and H_m(y|1), the q = 1 case, for mehler
+    for k in range(n + 1):
+        yield k, q_binomial(n, k, q) * rho ** (n - k) * Y[n - k]
+
+
+def _uhat_from_h(n, Y, q):
+    c = div(1, 1 - q)
+    for j in range(n // 2 + 1):
+        yield n - 2 * j, (-1) ** j * c ** j * q ** (j * (j + 1) // 2) * q_binomial(n - j, j, q)
+
+
+def _h_from_uhat(n, Y, q):
+    c = div(1, 1 - q)
+    for k in range(n // 2 + 1):
+        yield n - 2 * k, (
+            q ** k
+            * (q_binomial(n, k, q) - q ** (n - 2 * k + 1) * q_binomial(n, k - 1, q))
+            * c ** k
+        )
+
+
+def _rogers(n, Y, beta, gamma, q):
+    nfact = q_factorial(n, q)
+    prod = 1 + 0 * q  # prod_{i<k} (beta - gamma q^i)
+    for k in range(n // 2 + 1):
+        v = nfact * prod * q_pochhammer(gamma, q, n - k) * (1 - beta * q ** (n - 2 * k))
+        den = (
+            q_factorial(k, q)
+            * q_factorial(n - 2 * k, q)
+            * q_pochhammer(beta * q, q, n - k)
+            * (1 - beta)
+        )
+        yield n - 2 * k, div(v, den)
+        prod = prod * (beta - gamma * q ** k)
+
+
+def _from_asc(entry):
+    return lambda n, Y, y, rho, q: ((k, entry(k, n, y, rho, q, Y)) for k in range(n + 1))
+
+
+def _t_from_u(n, Y):
+    half = Fraction(1, 2)
+    if n < 2:
+        return [(n, 1 if n == 0 else half)]
+    return [(n, half), (n - 2, -half)]
+
+
+@dataclass(frozen=True)
+class _Pair:
+    params: tuple  # required parameter names, in the order entries takes them
+    entries: Callable
+    y_row: Optional[Callable] = None  # params -> family of the y-row at params["y"]
+
+
+def _h_row(p):
+    return QHermite(p["q"])
+
+
+_PAIRS = {
+    "asc-from-h": _Pair(("y", "rho", "q"), _binomial, lambda p: BigB(p["q"])),
+    "h-from-asc": _Pair(("y", "rho", "q"), _binomial, _h_row),
+    "uhat-from-h": _Pair(("q",), _uhat_from_h),
+    "h-from-uhat": _Pair(("q",), _h_from_uhat),
+    "rogers-from-rogers": _Pair(("beta", "gamma", "q"), _rogers),
+    "rogers-from-h": _Pair(
+        ("gamma", "q"), lambda n, Y, gamma, q: _rogers(n, Y, 0 * q, gamma, q)
+    ),
+    "h-from-rogers": _Pair(
+        ("beta", "q"), lambda n, Y, beta, q: _rogers(n, Y, beta, 0 * q, q)
+    ),
+    "uhat-from-asc": _Pair(("y", "rho", "q"), _from_asc(d_hat_entry), _h_row),
+    "kesten-from-asc": _Pair(("y", "rho", "q"), _from_asc(c_hat_entry), _h_row),
+    "t-from-u": _Pair((), _t_from_u),
+    "u-from-t": _Pair(
+        (), lambda n, Y: ((k, 1 if k == 0 else 2) for k in range(n % 2, n + 1, 2))
+    ),
+    "mehler": _Pair(("y", "rho"), _binomial, lambda p: QHermite(1)),
+}
+
+PAIRS = tuple(_PAIRS)
+
+
+def connection(pair, n_max, **params):
+    """Closed-form connection matrix for one of :data:`PAIRS`."""
+    if pair not in _PAIRS:
+        raise ParameterError("unknown pair %r; expected one of %s" % (pair, PAIRS))
+    spec = _PAIRS[pair]
+    values = _require(params, *spec.params)
+    Y = None
+    if spec.y_row is not None:
+        Y = eval_all(spec.y_row(params), n_max, params["y"])
+    rows = {}
+    for n in range(n_max + 1):
+        rows[n] = {k: v for k, v in spec.entries(n, Y, *values) if v != 0}
+    return ConnectionMatrix(pair, n_max, dict(params), rows)
 
 
 def oracle_connection(target_fam, source_fam, n_max):
@@ -321,8 +314,9 @@ def oracle_connection(target_fam, source_fam, n_max):
     Both families must admit exact coefficients (rational parameters).  The
     result expresses target_n as a combination of source_0..source_n.
     """
-    T = [coeffs(target_fam, n) for n in range(n_max + 1)]
-    S = [coeffs(source_fam, n) for n in range(n_max + 1)]
+    for fam in (target_fam, source_fam):
+        ensure_exact(**validate(fam).params())
+    T, S = (eval_all(fam, n_max, RationalPoly.x()) for fam in (target_fam, source_fam))
     for k, s in enumerate(S):
         if s.degree != k:
             raise ParameterError(

@@ -33,6 +33,7 @@ a fixed truncation K or an adaptive one driven by the bound rule.
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,9 +57,10 @@ from .polyfam import (
     Kesten,
     QHermite,
     Rogers,
-    eval_all,
-    v_growth,
-    w_growth,
+    _recurrence,
+    _Row,
+    _v_terms,
+    _w_terms,
 )
 from .densities import (
     density_eval,
@@ -111,32 +113,6 @@ class _Kernel:
     y_row: Optional[Callable] = None
     weighted: bool = False
     domain: Optional[Callable] = None
-
-
-class _Lazy:
-    """List extended on demand by rebuilding with doubled length."""
-
-    def __init__(self, build):
-        self._build = build
-        self._vals = []
-        self._hi = -1
-
-    def __getitem__(self, n):
-        if n > self._hi:
-            hi = max(2 * self._hi, n, 15)
-            self._vals = self._build(hi)
-            self._hi = hi
-        return self._vals[n]
-
-
-def _values(row):
-    """Lazy p_0(x), p_1(x), ... for row() = (family, x); row runs on first use."""
-
-    def build(m):
-        fam, x = row()
-        return eval_all(fam, m, x)
-
-    return _Lazy(build)
 
 
 # -- coefficient rules ------------------------------------------------------
@@ -205,13 +181,13 @@ def _chebu_bound(p, Y):
 
 def _hermite_bound(p, Y):
     q = p["q"]
-    W = _Lazy(lambda m: w_growth(m, q))
+    W = _Row(_w_terms(q))
     return lambda n, a: a * W[n] / (1.0 - q) ** (n / 2.0)
 
 
 def _asc_bound(p, Y):
     q, rho = p["q"], p["rho"]
-    W = _Lazy(lambda m: w_growth(m, q))
+    W = _Row(_w_terms(q))
 
     def rule(n, a):
         # |P_n| <= sum_j [n j]_q |rho|^{n-j} |B_{n-j}(y)| W_j (1-q)^{-j/2}
@@ -231,8 +207,8 @@ def _asc_bound(p, Y):
 
 def _rogers_bound(p, Y):
     q, g = p["q"], p["gamma"]
-    V = _Lazy(lambda m: v_growth(m, q, g))
-    QP = _Lazy(lambda m: [q_pochhammer(q, q, i) for i in range(m + 1)])
+    V = _Row(_v_terms(q, g))
+    QP = _Row(q_pochhammer(q, q, i) for i in count())
     return lambda n, a: a * abs(V[n] / (QP[n] * (1.0 - q) ** (n / 2.0)))
 
 
@@ -421,7 +397,14 @@ def _coeff(kernel, n, p, Y):
 
 
 def _y_values(kernel, p):
-    return None if kernel.y_row is None else _values(lambda: kernel.y_row(p))
+    """Lazy Y_n row; y_row runs on first use, as only some coefficient rules read it."""
+    if kernel.y_row is None:
+        return None
+
+    def values():
+        yield from _recurrence(*kernel.y_row(p))
+
+    return _Row(values())
 
 
 def expansion_coeff(id, n, **p):
@@ -454,7 +437,7 @@ def _mixed(lhs, rhs):
 
 def _terms(kernel, p, x):
     """Generator of (c_n a_n(x), bound of that term on S(q)) for n = 0, 1, ..."""
-    A = _values(lambda: kernel.family(p, x))
+    A = _Row(_recurrence(*kernel.family(p, x)))
     Y = _y_values(kernel, p)
     rule = kernel.bound(p, Y)
     zero = x * 0.0
@@ -574,7 +557,7 @@ def _i1(q, eps):
     xs = _grid(q)
     lhs = _fn_over_fu(xs, q, eps)
     xh = xs * math.sqrt(1.0 - q) / 2.0
-    U = _Lazy(lambda m: eval_all(ChebU(), m, xh))
+    U = _Row(_recurrence(ChebU(), xh))
 
     def gen():
         k = 0
@@ -603,8 +586,8 @@ def _i4(q, eps):
     xs = _grid(q)
     x2s = (1.0 - q) * xs * xs
     lhs = np.exp(-_log_fac_sum(x2s, q, eps))
-    H = _Lazy(lambda m: eval_all(QHermite(q), m, xs))
-    W = _Lazy(lambda m: w_growth(m, q))
+    H = _Row(_recurrence(QHermite(q), xs))
+    W = _Row(_w_terms(q))
     qinf = q_pochhammer_inf(q, q, eps)
 
     def gen():
@@ -675,8 +658,8 @@ def _diagonal_sum(q, rho, H, W):
 def _i5(q, rho, eps):
     xs = _grid(q)
     lhs = pm_ratio(xs, xs, rho, q, eps)
-    H = _Lazy(lambda m: eval_all(QHermite(q), m, xs))
-    W = _Lazy(lambda m: w_growth(m, q))
+    H = _Row(_recurrence(QHermite(q), xs))
+    W = _Row(_w_terms(q))
     res_grid = _mixed(lhs, _diagonal_sum(q, rho, H, W))
 
     # x = 0: (rho^2 q; q^2)_inf / (rho^2; q^2)_inf
@@ -712,8 +695,8 @@ def _i5(q, rho, eps):
 def _i6(q, rho, eps):
     # valid for (1-q) x^2 <= 2
     xs = math.sqrt(2.0 / (1.0 - q)) * np.asarray([-0.95, -0.4, 0.0, 0.55, 0.9])
-    H = _Lazy(lambda m: eval_all(QHermite(q), m, xs))
-    W = _Lazy(lambda m: w_growth(m, q))
+    H = _Row(_recurrence(QHermite(q), xs))
+    W = _Row(_w_terms(q))
 
     def gen_rhs():
         n = 0
@@ -739,7 +722,7 @@ def _i7(q, rho, eps):
     res_useries = 0.0
     for frac in (0.0, 0.3, 0.62):
         y = L * frac
-        Hy = _Lazy(lambda m: eval_all(QHermite(q), m, y))
+        Hy = _Row(_recurrence(QHermite(q), y))
         s = math.sqrt(1.0 - q)
         q3inf = q_pochhammer_inf(q ** 3, q ** 3, eps)
 

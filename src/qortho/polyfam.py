@@ -6,19 +6,27 @@ coefficient functions.  Evaluation is duck-typed over the point, so the same
 code path serves floats, exact rationals, numpy arrays and
 :class:`RationalPoly` values (which is how exact coefficient vectors are
 obtained).
+
+Rows are built once.  ``_recurrence(fam, x)`` is the only place the step
+runs: an endless generator of p_0(x), p_1(x), ....  ``eval_all`` is its
+first n_max+1 values, and ``w_growth`` / ``v_growth`` are prefixes of the
+generators ``_w_terms`` / ``_v_terms`` in the same way.  A ``_Row`` wraps
+any such generator as a lazy list: index n takes values from the generator
+once, in order, up to n and no further, so a row read to degree n costs n
+steps however it grows.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .qcore import (
     IrrationalParameterError,
     ParameterError,
     div,
+    ensure_exact,
     is_exact,
     q_bracket,
-    q_binomial,
     q_double_factorial_odd,
     q_pochhammer,
 )
@@ -163,12 +171,16 @@ class FamilyId:
     y: object = None
     rho: object = None
 
-    def label(self):
-        params = ",".join(
-            "%s=%s" % (name, getattr(self, name))
+    def params(self):
+        """The parameters that are set, by name."""
+        return {
+            name: getattr(self, name)
             for name in ("q", "beta", "y", "rho")
             if getattr(self, name) is not None
-        )
+        }
+
+    def label(self):
+        params = ",".join("%s=%s" % item for item in self.params().items())
         return "%s(%s)" % (self.tag, params) if params else self.tag
 
 
@@ -269,58 +281,60 @@ def _abc(fam):
             0,
             0 if n == 0 else -(q ** (n - 1)) * q_bracket(n, q),
         )
-    if tag == "chebt":
-        return lambda n: (1, 0, 0) if n == 0 else (2, 0, 1)
-    if tag == "chebu":
-        return lambda n: (2, 0, 0) if n == 0 else (2, 0, 1)
-    if tag == "chebt_hat":
-        q = fam.q
-        c = div(1, 1 - q)
-        return lambda n: (Fraction(1, 2), 0, 0) if n == 0 else (1, 0, c)
-    if tag == "chebu_hat":
-        q = fam.q
-        c = div(1, 1 - q)
-        return lambda n: (1, 0, 0) if n == 0 else (1, 0, c)
+    if tag in ("chebt", "chebu"):
+        a0 = 1 if tag == "chebt" else 2
+        return lambda n: (a0, 0, 0) if n == 0 else (2, 0, 1)
+    if tag in ("chebt_hat", "chebu_hat"):
+        a0 = Fraction(1, 2) if tag == "chebt_hat" else 1
+        c = div(1, 1 - fam.q)
+        return lambda n: (a0, 0, 0) if n == 0 else (1, 0, c)
     if tag == "hermite":
         return lambda n: (1, 0, n)
-    if tag == "kesten":
+    if tag in ("kesten", "kesten_hat"):
+        # kesten_hat rescales C_n by 1/(1-q) for n >= 1
         y, r = fam.y, fam.rho
+        c = 1 if tag == "kesten" else div(1, 1 - fam.q)
+
         def kest(n):
-            if n == 0:
-                return (1, -r * y, 0)
-            if n == 1:
-                return (1, 0, 1 - r * r)
-            return (1, 0, 1)
-        return kest
-    if tag == "kesten_hat":
-        q, y, r = fam.q, fam.y, fam.rho
-        c = div(1, 1 - q)
-        def kest_hat(n):
             if n == 0:
                 return (1, -r * y, 0)
             if n == 1:
                 return (1, 0, (1 - r * r) * c)
             return (1, 0, c)
-        return kest_hat
+
+        return kest
     raise ParameterError("unknown family tag %r" % (tag,))
+
+
+def _recurrence(fam, x):
+    """Endless p_0(x), p_1(x), ...; each value costs one recurrence step."""
+    validate(fam)
+    abc = _abc(fam)
+    prev, cur = x * 0, x * 0 + 1
+    n = 0
+    while True:
+        yield cur
+        A, B, C = abc(n)
+        prev, cur = cur, (A * x + B) * cur - C * prev
+        n += 1
+
+
+class _Row:
+    """Lazy list over an iterator: row[n] takes values once, in order, up to n."""
+
+    def __init__(self, values):
+        self._it = iter(values)
+        self._vals = []
+
+    def __getitem__(self, n):
+        while len(self._vals) <= n:
+            self._vals.append(next(self._it))
+        return self._vals[n]
 
 
 def eval_all(fam, n_max, x):
     """[p_0(x), ..., p_{n_max}(x)]; x may be scalar, Fraction, numpy array or RationalPoly."""
-    validate(fam)
-    abc = _abc(fam)
-    one = x * 0 + 1
-    out = [one]
-    if n_max == 0:
-        return out
-    prev = x * 0
-    cur = one
-    for n in range(n_max):
-        A, B, C = abc(n)
-        nxt = (A * x + B) * cur - C * prev
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
+    return list(islice(_recurrence(fam, x), n_max + 1))
 
 
 def eval(fam, n, x):
@@ -332,14 +346,19 @@ def eval(fam, n, x):
 
 def coeffs(fam, n):
     """Exact coefficient vector of p_n as a RationalPoly; parameters must be rational."""
-    validate(fam)
-    for name in ("q", "beta", "y", "rho"):
-        v = getattr(fam, name)
-        if v is not None and not is_exact(v):
-            raise IrrationalParameterError(
-                "coeffs(%s) needs rational %s, got %r" % (fam.tag, name, v)
-            )
+    ensure_exact(**validate(fam).params())
     return eval(fam, n, RationalPoly.x())
+
+
+def _w_terms(q):
+    """Endless W_0, W_1, ... (see :func:`w_growth`)."""
+    prev, cur = q * 0 + 1, q * 0 + 2
+    yield prev
+    p = q * 0 + 1  # q^n
+    while True:
+        yield cur
+        p = p * q
+        prev, cur = cur, 2 * cur - (1 - p) * prev
 
 
 def w_growth(n_max, q):
@@ -347,29 +366,27 @@ def w_growth(n_max, q):
 
     (1-q)^{n/2} max_{S(q)} |H_n(x|q)| equals W_n; returned as a list up to n_max.
     """
-    out = [q * 0 + 1]
-    if n_max == 0:
-        return out
-    out.append(q * 0 + 2)
+    return list(islice(_w_terms(q), n_max + 1))
+
+
+def _v_terms(q, beta):
+    """Endless V_0, V_1, ... (see :func:`v_growth`)."""
+    bp, qp = [q * 0 + 1], [q * 0 + 1]  # (beta;q)_i, (q;q)_i
     p = q * 0 + 1  # q^n
-    for n in range(1, n_max):
+    while True:
+        n = len(bp) - 1
+        acc = q * 0
+        for i in range(n + 1):
+            acc = acc + (bp[i] * bp[n - i]) / (qp[i] * qp[n - i])
+        yield acc
+        bp.append(bp[-1] * (1 - beta * p))
+        qp.append(qp[-1] * (1 - q * p))
         p = p * q
-        out.append(2 * out[-1] - (1 - p) * out[-2])
-    return out
 
 
 def v_growth(n_max, q, beta):
     """V_n = sum_i (beta;q)_i (beta;q)_{n-i} / ((q;q)_i (q;q)_{n-i}), n <= n_max."""
-    bp = [q_pochhammer(beta, q, i) for i in range(n_max + 1)]
-    qp = [q_pochhammer(q, q, i) for i in range(n_max + 1)]
-    out = []
-    for n in range(n_max + 1):
-        acc = q * 0
-        for i in range(n + 1):
-            term = (bp[i] * bp[n - i]) / (qp[i] * qp[n - i])
-            acc = acc + term
-        out.append(acc)
-    return out
+    return list(islice(_v_terms(q, beta), n_max + 1))
 
 
 def max_bound(fam, n):

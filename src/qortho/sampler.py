@@ -20,8 +20,8 @@ import numpy as np
 from .qcore import ParameterError, QOrthoError, support
 from . import connect, densities
 from .densities import density_ratio, fU
-from .expand import _Lazy, _theta_series
-from .polyfam import QHermite, eval_all
+from .expand import _theta_series
+from .polyfam import QHermite, _recurrence, _Row
 
 
 class EnvelopeViolationError(QOrthoError):
@@ -58,7 +58,7 @@ def _envelope(dens, sup):
     if dens.tag == "fn":
         return max(_theta_series(abs(q), signed=False, weighted=True), sup)
     # one H_m(y|q) row for all k, grown on demand
-    H = _Lazy(lambda m: eval_all(QHermite(q), m, dens.y))
+    H = _Row(_recurrence(QHermite(q), dens.y))
     total, small = 1.0, 0
     for k in range(1, 400):
         t = (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q, H=H))

@@ -28,7 +28,6 @@ from .polyfam import (
     ASC,
     ChebT_hat,
     ChebU_hat,
-    Kesten,
     KestenHat,
     QHermite,
     Rogers,
@@ -225,6 +224,7 @@ DEFAULT_CONFIG = {
     "tol_chapman": 1e-6,
     "tol_identity": 1e-10,
     "identity_q_grid": (0.2, 0.5, 0.8),
+    "envelope_q_grid": (0.3, 0.7),
     "rho_grid": (0.3, 0.6),
     "suites": ("normalization", "orthogonality", "projection", "chapman",
                "d-integral", "identities", "envelope"),
@@ -257,15 +257,7 @@ def run_all(config=None):
 
     if "normalization" in suites:
         for q in cfg["q_grid"]:
-            L = support(q).radius
-            for dens in (
-                fN(q),
-                fCN(0.4 * L, 0.45, q),
-                fR(0.35, q),
-                fU(q),
-                fT(q),
-                fK(0.4 * L, 0.45, q),
-            ):
+            for _, dens in _family_density_pairs(q):
                 reports.append(check_normalization(dens, tol))
 
     if "orthogonality" in suites:
@@ -302,7 +294,7 @@ def run_all(config=None):
     if "envelope" in suites:
         from . import sampler
 
-        for q in (0.3, 0.7):
+        for q in cfg["envelope_q_grid"]:
             L = support(q).radius
             for dens in (fN(q), fCN(0.3 * L, 0.5, q)):
                 M = sampler.envelope_constant(dens)

@@ -107,6 +107,27 @@ class TestVerify:
         assert lines[2] == "check_id,params,residual,tolerance,pass"
         assert all(l.endswith(",true") for l in lines[3:])
 
+    def test_default_identity_grid(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "identities")
+        assert code == 0
+        assert out.splitlines()[1] == "# checks=66, failures=0"
+
+    @pytest.mark.parametrize("suite,checks", [("identities", 22), ("envelope", 2)])
+    def test_q_grid_reaches_every_suite(self, capsys, suite, checks):
+        code, out = run(capsys, "verify", "--suite", suite, "--q-grid", "0.45",
+                        "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["checks"] == checks
+        assert {json.loads(row[1])["q"] for row in doc["rows"]} == {0.45}
+
+    def test_tol_reaches_identities_but_not_the_envelope_slack(self, capsys):
+        argv = ("verify", "--q-grid", "0.3", "--tol", "1e-12", "--format", "json")
+        _, out = run(capsys, *argv, "--suite", "identities")
+        assert {row[3] for row in json.loads(out)["rows"]} == {1e-12}
+        _, out = run(capsys, *argv, "--suite", "envelope")
+        assert {row[3] for row in json.loads(out)["rows"]} == {1e-9}
+
 
 class TestSample:
     def test_metadata_and_determinism(self, capsys):

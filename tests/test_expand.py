@@ -1,6 +1,7 @@
 """Tests for density-expansion kernels and the q-series identity battery."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,15 @@ class TestIdentitySuite:
         bad = sorted(r.check_id for r in reports if not r.passed)
         assert bad == ["i5:grid", "i6:grid"]
         assert all(math.isnan(r.residual) for r in reports if not r.passed)
+
+    def test_rows_stop_at_the_summed_degree(self):
+        # a row must stop at the degree its series sums: H_n(x|q) far past
+        # that degree overflows at this q
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = identity_suite(q_grid=(0.824,))
+        assert len(reports) == 22
+        assert all(r.passed for r in reports)
 
     def test_report_fields(self):
         reports = identity_suite(q_grid=(0.3,), rho_grid=(0.3,))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qortho.qcore import (
     q_factorial,
     q_pochhammer,
 )
+from qortho import polyfam
 from qortho.polyfam import (
     ASC,
     BigB,
@@ -37,6 +39,10 @@ from qortho.polyfam import (
     special_values,
     v_growth,
     w_growth,
+    _recurrence,
+    _Row,
+    _v_terms,
+    _w_terms,
 )
 
 F = Fraction
@@ -342,3 +348,42 @@ class TestEvalAll:
     def test_length(self):
         assert len(eval_all(ChebU(), 0, 0.3)) == 1
         assert len(eval_all(ChebU(), 5, 0.3)) == 6
+
+
+class TestRows:
+    def test_row_takes_each_value_once_and_no_further(self):
+        taken = []
+
+        def squares():
+            for n in count():
+                taken.append(n)
+                yield n * n
+
+        row = _Row(squares())
+        assert row[3] == 9 and taken == [0, 1, 2, 3]
+        assert row[1] == 1 and taken == [0, 1, 2, 3]
+        assert row[5] == 25 and taken == [0, 1, 2, 3, 4, 5]
+
+    def test_row_runs_one_step_per_new_degree(self, monkeypatch):
+        steps = []
+        abc = polyfam._abc
+
+        def counting(fam):
+            rule = abc(fam)
+            return lambda n: steps.append(n) or rule(n)
+
+        monkeypatch.setattr(polyfam, "_abc", counting)
+        row = _Row(_recurrence(QHermite(F(1, 2)), F(1, 3)))
+        row[4], row[2], row[6]
+        assert steps == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("fam", [QHermite(F(1, 3)), KestenHat(F(1, 2), F(1, 4), F(-1, 3)),
+                                     ChebT_hat(F(1, 5)), BigB(F(2, 3))])
+    def test_eval_all_is_a_prefix_of_the_row(self, fam):
+        row = _Row(_recurrence(fam, F(2, 7)))
+        assert eval_all(fam, 9, F(2, 7)) == [row[n] for n in range(10)]
+
+    def test_growth_lists_are_prefixes(self):
+        for q in (F(1, 3), 0.45):
+            assert w_growth(9, q) == list(islice(_w_terms(q), 10))
+            assert v_growth(7, q, q / 2) == list(islice(_v_terms(q, q / 2), 8))
