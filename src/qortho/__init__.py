@@ -33,7 +33,6 @@ from .polyfam import (
     eval,
     eval_all,
     max_bound,
-    special_values,
 )
 from .densities import (
     BoundaryError,

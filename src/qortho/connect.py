@@ -14,10 +14,16 @@ which keeps every entry rational; multiply row n by (1-q)^{n/2} to recover
 the unscaled coefficients.
 
 The closed forms live in one table, ``_PAIRS``: each pair names the
-parameters it needs, an ``entries(n, Y, *values)`` rule yielding the
-(k, value) entries of row n, and optionally the family of its y-row, the
-values Y_m = B_m(y) or H_m(y|q) that every row reads.  :func:`connection`
-builds that y-row once per call and runs one row loop, dropping zero entries.
+parameters it needs, a ``rows(Y, *values)`` rule, and optionally the family
+of its y-row, the values Y_m = B_m(y) or H_m(y|q) that every row reads.
+:func:`connection` builds that y-row once per call and calls ``rows`` once;
+the rule builds the q-series factors its entries read, also once per call
+(the q-Pascal table of q-binomials, the prefix rows of q-factorials and
+q-Pochhammer symbols, see :mod:`qortho.qcore`), and returns ``entries(n)``,
+which yields the (k, value) entries of row n.  One row loop then drops the
+zero entries.  The single-entry functions (:func:`d_hat_entry`,
+:func:`gamma_parts`, ...) take the same table as an optional ``B``, so a
+caller looping over k builds it once.
 """
 
 import math
@@ -31,9 +37,10 @@ from .qcore import (
     div,
     ensure_exact,
     is_exact,
-    q_binomial,
-    q_factorial,
-    q_pochhammer,
+    q_binomial_table,
+    _factorials,
+    _pochhammers,
+    _Row,
 )
 from .polyfam import BigB, QHermite, RationalPoly, eval_all, validate
 
@@ -81,16 +88,25 @@ def _require(params, *names):
     return out
 
 
-def d_hat_entry(k, n, y, rho, q, H=None):
+def _tables(q, y, m, H, B):
+    """H_0(y|q)..H_m(y|q) and the q-binomial table at q, unless supplied."""
+    if H is None:
+        H = eval_all(QHermite(q), m, y)
+    if B is None:
+        B = q_binomial_table(q)
+    return H, B
+
+
+def d_hat_entry(k, n, y, rho, q, H=None, B=None):
     """Coefficient of P_k in (1-q)^{-n/2} U_n(x sqrt(1-q)/2) over the ASC family.
 
-    H may supply precomputed H_m(y|q) values, m <= n-k.
+    H may supply precomputed H_m(y|q) values, m <= n-k, and B the table
+    ``qcore.q_binomial_table(q)``.
     """
     if not 0 <= k <= n:
         return 0 * q
     c = div(1, 1 - q)
-    if H is None:
-        H = eval_all(QHermite(q), n - k, y)
+    H, B = _tables(q, y, n - k, H, B)
     total = 0 * q
     for j in range((n - k) // 2 + 1):
         m = n - k - 2 * j
@@ -98,8 +114,8 @@ def d_hat_entry(k, n, y, rho, q, H=None):
             (-1) ** j
             * c ** j
             * q ** (j * (j + 1) // 2)
-            * q_binomial(n - j, n - k - j, q)
-            * q_binomial(n - k - j, m, q)
+            * B(n - j, n - k - j)
+            * B(n - k - j, m)
             * rho ** m
             * H[m]
         )
@@ -107,15 +123,14 @@ def d_hat_entry(k, n, y, rho, q, H=None):
     return total
 
 
-def c_hat_entry(k, n, y, rho, q, H=None):
-    """Coefficient of P_k in KestenHat_n over the ASC family; H as in d_hat_entry."""
+def c_hat_entry(k, n, y, rho, q, H=None, B=None):
+    """Coefficient of P_k in KestenHat_n over the ASC family; H, B as in d_hat_entry."""
     if not 0 <= k <= n:
         return 0 * q
     if n == 0:
         return 1 + 0 * q
     c = div(1, 1 - q)
-    if H is None:
-        H = eval_all(QHermite(q), n - k, y)
+    H, B = _tables(q, y, n - k, H, B)
     total = 0 * q
     for j in range((n - k) // 2 + 1):
         m = n - k - 2 * j
@@ -125,11 +140,8 @@ def c_hat_entry(k, n, y, rho, q, H=None):
             (-1) ** j
             * c ** j
             * q ** expo
-            * q_binomial(n - 1 - j, m, q)
-            * (
-                q_binomial(j + k, k, q)
-                - rho * rho * q ** k * q_binomial(j + k - 1, k, q)
-            )
+            * B(n - 1 - j, m)
+            * (B(j + k, k) - rho * rho * q ** k * B(j + k - 1, k))
             * rho ** m
             * H[m]
         )
@@ -137,16 +149,15 @@ def c_hat_entry(k, n, y, rho, q, H=None):
     return total
 
 
-def gamma_parts(k, y, rho, q, H=None):
+def gamma_parts(k, y, rho, q, H=None, B=None):
     """CN-over-U coefficient gamma_k as (rational, half) with value r (1-q)^{half/2}.
 
     gamma_k = sum_j (-1)^j q^{j(j+1)/2} [k-j choose k-2j]_q rho^{k-2j}
               (1-q)^{(k-2j)/2} H_{k-2j}(y|q); every term carries the same
     parity in the half-power, so the result is r for even k and
-    r sqrt(1-q) for odd k.  H may supply precomputed H_m(y|q) values.
+    r sqrt(1-q) for odd k.  H and B are as in :func:`d_hat_entry`.
     """
-    if H is None:
-        H = eval_all(QHermite(q), k, y)
+    H, B = _tables(q, y, k, H, B)
     total = 0 * q
     omq = 1 - q
     for j in range(k // 2 + 1):
@@ -154,7 +165,7 @@ def gamma_parts(k, y, rho, q, H=None):
         term = (
             (-1) ** j
             * q ** (j * (j + 1) // 2)
-            * q_binomial(k - j, m, q)
+            * B(k - j, m)
             * rho ** m
             * omq ** (m // 2)
             * H[m]
@@ -163,7 +174,7 @@ def gamma_parts(k, y, rho, q, H=None):
     return total, k % 2
 
 
-def beta_parts(k, y, rho, q, H=None):
+def beta_parts(k, y, rho, q, H=None, B=None):
     """CN-over-K coefficient beta_k as (rational, half); beta_0 = 1, beta_1 = 0.
 
     beta_k = sum_{j>=1} (-1)^j q^{k+j(j-3)/2} [k-1-j choose k-2j]_q rho^{k-2j}
@@ -171,8 +182,7 @@ def beta_parts(k, y, rho, q, H=None):
     """
     if k == 0:
         return 1 + 0 * q, 0
-    if H is None:
-        H = eval_all(QHermite(q), k, y)
+    H, B = _tables(q, y, k, H, B)
     total = 0 * q
     omq = 1 - q
     for j in range(1, k // 2 + 1):
@@ -181,7 +191,7 @@ def beta_parts(k, y, rho, q, H=None):
         term = (
             (-1) ** j
             * q ** expo
-            * q_binomial(k - 1 - j, m, q)
+            * B(k - 1 - j, m)
             * rho ** m
             * omq ** (m // 2)
             * H[m]
@@ -196,72 +206,94 @@ def _from_parts(parts, q):
     return r if half == 0 else float(r) * math.sqrt(1.0 - float(q))
 
 
-def gamma_coeff(k, y, rho, q, H=None):
-    return _from_parts(gamma_parts(k, y, rho, q, H), q)
+def gamma_coeff(k, y, rho, q, H=None, B=None):
+    return _from_parts(gamma_parts(k, y, rho, q, H, B), q)
 
 
-def beta_coeff(k, y, rho, q, H=None):
-    return _from_parts(beta_parts(k, y, rho, q, H), q)
+def beta_coeff(k, y, rho, q, H=None, B=None):
+    return _from_parts(beta_parts(k, y, rho, q, H, B), q)
 
 
 # -- the pair table -----------------------------------------------------------
-# Each entries(n, Y, *values) yields the (k, value) entries of row n, given the
-# pair's parameter values in table order and the y-row Y (None without one).
+# Each rows(Y, *values) takes the pair's parameter values in table order and
+# the y-row Y (None without one), builds the factors its entries read once, and
+# returns entries(n), which yields the (k, value) entries of row n.
 
 
-def _binomial(n, Y, y, rho, q=1):
+def _binomial(Y, y, rho, q=1):
     # [n k]_q rho^{n-k} Y_{n-k}: B_m(y) for asc-from-h, H_m(y) for h-from-asc,
     # and H_m(y|1), the q = 1 case, for mehler
-    for k in range(n + 1):
-        yield k, q_binomial(n, k, q) * rho ** (n - k) * Y[n - k]
+    B = q_binomial_table(q)
+    return lambda n: ((k, B(n, k) * rho ** (n - k) * Y[n - k]) for k in range(n + 1))
 
 
-def _uhat_from_h(n, Y, q):
+def _uhat_from_h(Y, q):
+    B = q_binomial_table(q)
     c = div(1, 1 - q)
-    for j in range(n // 2 + 1):
-        yield n - 2 * j, (-1) ** j * c ** j * q ** (j * (j + 1) // 2) * q_binomial(n - j, j, q)
+
+    def entries(n):
+        for j in range(n // 2 + 1):
+            yield n - 2 * j, (-1) ** j * c ** j * q ** (j * (j + 1) // 2) * B(n - j, j)
+
+    return entries
 
 
-def _h_from_uhat(n, Y, q):
+def _h_from_uhat(Y, q):
+    B = q_binomial_table(q)
     c = div(1, 1 - q)
-    for k in range(n // 2 + 1):
-        yield n - 2 * k, (
-            q ** k
-            * (q_binomial(n, k, q) - q ** (n - 2 * k + 1) * q_binomial(n, k - 1, q))
-            * c ** k
-        )
+
+    def entries(n):
+        for k in range(n // 2 + 1):
+            yield n - 2 * k, (
+                q ** k * (B(n, k) - q ** (n - 2 * k + 1) * B(n, k - 1)) * c ** k
+            )
+
+    return entries
 
 
-def _rogers(n, Y, beta, gamma, q):
-    nfact = q_factorial(n, q)
-    prod = 1 + 0 * q  # prod_{i<k} (beta - gamma q^i)
-    for k in range(n // 2 + 1):
-        v = nfact * prod * q_pochhammer(gamma, q, n - k) * (1 - beta * q ** (n - 2 * k))
-        den = (
-            q_factorial(k, q)
-            * q_factorial(n - 2 * k, q)
-            * q_pochhammer(beta * q, q, n - k)
-            * (1 - beta)
-        )
-        yield n - 2 * k, div(v, den)
-        prod = prod * (beta - gamma * q ** k)
+def _rogers(Y, beta, gamma, q):
+    fact = _Row(_factorials(q))  # [i]_q!
+    gam = _Row(_pochhammers(gamma, q))  # (gamma;q)_i
+    bq = _Row(_pochhammers(beta * q, q))  # (beta q;q)_i
+
+    def entries(n):
+        prod = 1 + 0 * q  # prod_{i<k} (beta - gamma q^i)
+        for k in range(n // 2 + 1):
+            v = fact[n] * prod * gam[n - k] * (1 - beta * q ** (n - 2 * k))
+            den = fact[k] * fact[n - 2 * k] * bq[n - k] * (1 - beta)
+            yield n - 2 * k, div(v, den)
+            prod = prod * (beta - gamma * q ** k)
+
+    return entries
 
 
 def _from_asc(entry):
-    return lambda n, Y, y, rho, q: ((k, entry(k, n, y, rho, q, Y)) for k in range(n + 1))
+    def rows(Y, y, rho, q):
+        B = q_binomial_table(q)
+        return lambda n: ((k, entry(k, n, y, rho, q, Y, B)) for k in range(n + 1))
+
+    return rows
 
 
-def _t_from_u(n, Y):
+def _t_from_u(Y):
     half = Fraction(1, 2)
-    if n < 2:
-        return [(n, 1 if n == 0 else half)]
-    return [(n, half), (n - 2, -half)]
+
+    def entries(n):
+        if n < 2:
+            return [(n, 1 if n == 0 else half)]
+        return [(n, half), (n - 2, -half)]
+
+    return entries
+
+
+def _u_from_t(Y):
+    return lambda n: ((k, 1 if k == 0 else 2) for k in range(n % 2, n + 1, 2))
 
 
 @dataclass(frozen=True)
 class _Pair:
-    params: tuple  # required parameter names, in the order entries takes them
-    entries: Callable
+    params: tuple  # required parameter names, in the order rows takes them
+    rows: Callable
     y_row: Optional[Callable] = None  # params -> family of the y-row at params["y"]
 
 
@@ -276,17 +308,15 @@ _PAIRS = {
     "h-from-uhat": _Pair(("q",), _h_from_uhat),
     "rogers-from-rogers": _Pair(("beta", "gamma", "q"), _rogers),
     "rogers-from-h": _Pair(
-        ("gamma", "q"), lambda n, Y, gamma, q: _rogers(n, Y, 0 * q, gamma, q)
+        ("gamma", "q"), lambda Y, gamma, q: _rogers(Y, 0 * q, gamma, q)
     ),
     "h-from-rogers": _Pair(
-        ("beta", "q"), lambda n, Y, beta, q: _rogers(n, Y, beta, 0 * q, q)
+        ("beta", "q"), lambda Y, beta, q: _rogers(Y, beta, 0 * q, q)
     ),
     "uhat-from-asc": _Pair(("y", "rho", "q"), _from_asc(d_hat_entry), _h_row),
     "kesten-from-asc": _Pair(("y", "rho", "q"), _from_asc(c_hat_entry), _h_row),
     "t-from-u": _Pair((), _t_from_u),
-    "u-from-t": _Pair(
-        (), lambda n, Y: ((k, 1 if k == 0 else 2) for k in range(n % 2, n + 1, 2))
-    ),
+    "u-from-t": _Pair((), _u_from_t),
     "mehler": _Pair(("y", "rho"), _binomial, lambda p: QHermite(1)),
 }
 
@@ -302,9 +332,10 @@ def connection(pair, n_max, **params):
     Y = None
     if spec.y_row is not None:
         Y = eval_all(spec.y_row(params), n_max, params["y"])
+    entries = spec.rows(Y, *values)
     rows = {}
     for n in range(n_max + 1):
-        rows[n] = {k: v for k, v in spec.entries(n, Y, *values) if v != 0}
+        rows[n] = {k: v for k, v in entries(n) if v != 0}
     return ConnectionMatrix(pair, n_max, dict(params), rows)
 
 

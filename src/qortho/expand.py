@@ -6,9 +6,11 @@ fields say everything about that expansion:
 - ``coeff_params`` / ``params``: the parameters the coefficient rule needs,
   and those the evaluated expansion needs; a missing one is a ParameterError,
   and so is a rho, beta or gamma outside (-1, 1).
-- ``coeff(n, p, Y)``: the coefficient rule c_n, exact on rational
-  parameters.  With ``even`` set, c_n = 0 for odd n and the rule is called
-  with k = n/2 to give c_{2k}.
+- ``coeff(p, Y)``: the coefficient rule, exact on rational parameters.  It
+  builds what its coefficients read once per call (prefix rows of
+  q-factorials and q-Pochhammer symbols, the q-binomial table) and returns
+  c(n), the coefficient c_n.  With ``even`` set, c_n = 0 for odd n and c is
+  called with k = n/2 to give c_{2k}.
 - ``base`` / ``target``: the density constructors, ``(p, trunc_eps)``.
 - ``family(p, x)``: the term family a_n and the point it is evaluated at,
   such as ChebU at x sqrt(1-q)/2 or QHermite(q) at x.
@@ -33,7 +35,6 @@ a fixed truncation K or an adaptive one driven by the bound rule.
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,10 +43,11 @@ from .qcore import (
     NonConvergenceError,
     ParameterError,
     VerificationReport,
+    _factorials,
+    _pochhammers,
+    _Row,
     div,
-    q_binomial,
-    q_factorial,
-    q_pochhammer,
+    q_binomial_table,
     q_pochhammer_inf,
     support,
 )
@@ -58,7 +60,6 @@ from .polyfam import (
     QHermite,
     Rogers,
     _recurrence,
-    _Row,
     _v_terms,
     _w_terms,
 )
@@ -116,11 +117,13 @@ class _Kernel:
 
 
 # -- coefficient rules ------------------------------------------------------
+# Each rule(p, Y) returns c(n); the rows it reads are built once per call.
 
 
-def _c_n_over_u(k, p, Y):
+def _c_n_over_u(p, Y):
     # c_{2k} = (-1)^k q^{k(k+1)/2}
-    return (-1) ** k * p["q"] ** (k * (k + 1) // 2)
+    q = p["q"]
+    return lambda k: (-1) ** k * q ** (k * (k + 1) // 2)
 
 
 def _below_unit_q(p):
@@ -128,37 +131,59 @@ def _below_unit_q(p):
         raise ParameterError("the target density does not exist at q = 1")
 
 
-def _c_u_over_n(k, p, Y):
+def _c_u_over_n(p, Y):
     # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1}), 0/0 at q = 1
     _below_unit_q(p)
     q = p["q"]
-    num = q ** k * (1 - q) ** (k + 1)
-    return div(num, q_pochhammer(q, q, k) * q_pochhammer(q, q, k + 1))
+    qq = _Row(_pochhammers(q, q))
+    return lambda k: div(q ** k * (1 - q) ** (k + 1), qq[k] * qq[k + 1])
 
 
-def _c_r_over_n(k, p, Y):
+def _c_cn_over_n(p, Y):
+    # c_n = rho^n / [n]_q!
+    rho = p["rho"]
+    fact = _Row(_factorials(p["q"]))
+    return lambda n: div(rho ** n, fact[n])
+
+
+def _c_r_over_n(p, Y):
     # c_{2k} = beta^k / ([k]_q! (beta q;q)_k)
     beta, q = p["beta"], p["q"]
-    return div(beta ** k, q_factorial(k, q) * q_pochhammer(beta * q, q, k))
+    fact = _Row(_factorials(q))
+    bq = _Row(_pochhammers(beta * q, q))
+    return lambda k: div(beta ** k, fact[k] * bq[k])
 
 
-def _c_n_over_r(k, p, Y):
+def _c_n_over_r(p, Y):
     # c_{2k} = (-g)^k q^{k(k-1)/2} (g;q)_k (1 - g q^{2k}) / ((1-g) [k]_q! (g^2;q)_{2k})
     g, q = p["gamma"], p["q"]
-    num = (
-        (-g) ** k
-        * q ** (k * (k - 1) // 2)
-        * q_pochhammer(g, q, k)
-        * (1 - g * q ** (2 * k))
-    )
-    den = (1 - g) * q_factorial(k, q) * q_pochhammer(g * g, q, 2 * k)
-    return div(num, den)
+    fact = _Row(_factorials(q))
+    gp = _Row(_pochhammers(g, q))
+    g2 = _Row(_pochhammers(g * g, q))
+
+    def c(k):
+        num = (-g) ** k * q ** (k * (k - 1) // 2) * gp[k] * (1 - g * q ** (2 * k))
+        return div(num, (1 - g) * fact[k] * g2[2 * k])
+
+    return c
 
 
-def _c_n_over_cn(n, p, Y):
+def _c_n_over_cn(p, Y):
     # c_n = rho^n / ((rho^2;q)_n [n]_q!)
     rho, q = p["rho"], p["q"]
-    return div(rho ** n, q_pochhammer(rho * rho, q, n) * q_factorial(n, q))
+    fact = _Row(_factorials(q))
+    r2 = _Row(_pochhammers(rho * rho, q))
+    return lambda n: div(rho ** n, r2[n] * fact[n])
+
+
+def _c_from_parts(coeff):
+    # beta_coeff / gamma_coeff reading the call's H_m(y|q) row and q-binomial table
+    def rule(p, Y):
+        y, rho, q = p["y"], p["rho"], p["q"]
+        B = q_binomial_table(q)
+        return lambda n: coeff(n, y, rho, q, H=Y, B=B)
+
+    return rule
 
 
 # -- sup-norm bound rules ---------------------------------------------------
@@ -179,26 +204,29 @@ def _chebu_bound(p, Y):
     return lambda n, a: a * (n + 1)
 
 
+def _over(num, den):
+    """num / den for a bound; inf once den underflows to 0 (large n, q near 1)."""
+    return num / den if den else math.inf
+
+
 def _hermite_bound(p, Y):
     q = p["q"]
     W = _Row(_w_terms(q))
-    return lambda n, a: a * W[n] / (1.0 - q) ** (n / 2.0)
+    return lambda n, a: _over(a * W[n], (1.0 - q) ** (n / 2.0))
 
 
 def _asc_bound(p, Y):
     q, rho = p["q"], p["rho"]
     W = _Row(_w_terms(q))
+    B = q_binomial_table(q)
 
     def rule(n, a):
         # |P_n| <= sum_j [n j]_q |rho|^{n-j} |B_{n-j}(y)| W_j (1-q)^{-j/2}
         pb = 0.0
         for j in range(n + 1):
-            pb += (
-                float(q_binomial(n, j, q))
-                * abs(rho) ** (n - j)
-                * abs(Y[n - j])
-                * W[j]
-                / (1.0 - q) ** (j / 2.0)
+            pb += _over(
+                B(n, j) * abs(rho) ** (n - j) * abs(Y[n - j]) * W[j],
+                (1.0 - q) ** (j / 2.0),
             )
         return a * pb
 
@@ -208,8 +236,8 @@ def _asc_bound(p, Y):
 def _rogers_bound(p, Y):
     q, g = p["q"], p["gamma"]
     V = _Row(_v_terms(q, g))
-    QP = _Row(q_pochhammer(q, q, i) for i in count())
-    return lambda n, a: a * abs(V[n] / (QP[n] * (1.0 - q) ** (n / 2.0)))
+    QP = _Row(_pochhammers(q, q))
+    return lambda n, a: a * abs(_over(V[n], QP[n] * (1.0 - q) ** (n / 2.0)))
 
 
 def _kesten_bound(p, Y):
@@ -277,7 +305,7 @@ _KERNELS = {
     "cn_over_n": _Kernel(
         coeff_params=("rho", "q"),
         params=("y", "rho", "q"),
-        coeff=lambda n, p, Y: div(p["rho"] ** n, q_factorial(n, p["q"])),
+        coeff=_c_cn_over_n,
         base=_fN,
         target=_fCN,
         family=_qhermite,
@@ -321,7 +349,7 @@ _KERNELS = {
     "cn_over_k": _Kernel(
         coeff_params=("y", "rho", "q"),
         params=("y", "rho", "q"),
-        coeff=lambda n, p, Y: beta_coeff(n, p["y"], p["rho"], p["q"], H=Y),
+        coeff=_c_from_parts(beta_coeff),
         base=lambda p, eps: fK(p["y"], p["rho"], p["q"], eps),
         target=_fCN,
         family=lambda p, x: (
@@ -334,7 +362,7 @@ _KERNELS = {
     "cn_over_u": _Kernel(
         coeff_params=("y", "rho", "q"),
         params=("y", "rho", "q"),
-        coeff=lambda n, p, Y: gamma_coeff(n, p["y"], p["rho"], p["q"], H=Y),
+        coeff=_c_from_parts(gamma_coeff),
         base=_fU,
         target=_fCN,
         family=_chebu_half,
@@ -344,7 +372,7 @@ _KERNELS = {
     "mehler_classical": _Kernel(
         coeff_params=("rho",),
         params=("y", "rho"),
-        coeff=lambda n, p, Y: div(p["rho"] ** n, math.factorial(n)),
+        coeff=lambda p, Y: lambda n: div(p["rho"] ** n, math.factorial(n)),
         base=lambda p, eps: fN(1.0, eps),
         target=lambda p, eps: fCN(p["y"], p["rho"], 1.0, eps),
         family=lambda p, x: (ClassicalHermite(), x),
@@ -356,7 +384,7 @@ _KERNELS = {
         # c_n = rho^n U_n(y/2)
         coeff_params=("y", "rho"),
         params=("y", "rho"),
-        coeff=lambda n, p, Y: p["rho"] ** n * Y[n],
+        coeff=lambda p, Y: lambda n: p["rho"] ** n * Y[n],
         base=lambda p, eps: fU(0.0, eps),
         target=lambda p, eps: fCN(p["y"], p["rho"], 0.0, eps),
         family=lambda p, x: (ChebU(), x / 2.0),
@@ -388,12 +416,13 @@ def _require(id, params, names):
             raise ParameterError("expansion %r needs |%s| < 1, got %r" % (id, name, v))
 
 
-def _coeff(kernel, n, p, Y):
+def _coeffs(kernel, p, Y):
+    """c(n) for the kernel at p, with c_n = 0 for odd n when the kernel is even."""
+    c = kernel.coeff(p, Y)
     if not kernel.even:
-        return kernel.coeff(n, p, Y)
-    if n % 2:
-        return 0 * p["q"]
-    return kernel.coeff(n // 2, p, Y)
+        return c
+    zero = 0 * p["q"]
+    return lambda n: zero if n % 2 else c(n // 2)
 
 
 def _y_values(kernel, p):
@@ -413,7 +442,7 @@ def expansion_coeff(id, n, **p):
     if n < 0:
         raise ParameterError("coefficient index must be >= 0, got %r" % (n,))
     _require(id, p, kernel.coeff_params)
-    return _coeff(kernel, n, p, _y_values(kernel, p))
+    return _coeffs(kernel, p, _y_values(kernel, p))(n)
 
 
 def base_density(id, params, trunc_eps=1e-14):
@@ -439,6 +468,7 @@ def _terms(kernel, p, x):
     """Generator of (c_n a_n(x), bound of that term on S(q)) for n = 0, 1, ..."""
     A = _Row(_recurrence(*kernel.family(p, x)))
     Y = _y_values(kernel, p)
+    coeff = _coeffs(kernel, p, Y)
     rule = kernel.bound(p, Y)
     zero = x * 0.0
     n = 0
@@ -446,7 +476,7 @@ def _terms(kernel, p, x):
         if kernel.even and n % 2:
             yield zero, 0.0
         else:
-            c = float(_coeff(kernel, n, p, Y))
+            c = float(coeff(n))
             if kernel.weighted:
                 c = c * Y[n]
             term = c * A[n]
@@ -459,7 +489,8 @@ def expansion_eval(spec, x, tol=1e-9):
 
     With spec.K set, exactly K+1 terms are summed.  Otherwise terms are added
     until two consecutive sup-norm bounds fall below tol, capped at K_CAP
-    (TruncationError past the cap).
+    (TruncationError past the cap).  A value or tail that is not finite, as
+    when the terms or their bounds overflow, raises NonConvergenceError.
     """
     kernel = _kernel(spec.id)
     _require(spec.id, spec.params, kernel.params)
@@ -504,6 +535,10 @@ def expansion_eval(spec, x, tol=1e-9):
     tail_series = next(gen)[1] + next(gen)[1]
     value = base * acc
     tail = np.abs(base) * tail_series
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(tail))):
+        raise NonConvergenceError(
+            "expansion %r overflowed within %d terms" % (spec.id, n + 1)
+        )
     if scalar:
         return ExpansionResult(float(value[0]), float(tail[0]), n + 1)
     return ExpansionResult(value, tail, n + 1)
@@ -718,6 +753,7 @@ def _i7(q, rho, eps):
     """Three forms E1 = E2 = E3 of (q^3;q^3)_inf fCN(x|y,rho,q)/fN(x|q) at the
     theta = pi/3 point x = 2 cos(theta)/sqrt(1-q) = 1/sqrt(1-q), for three y."""
     L = support(q).radius
+    B = q_binomial_table(q)
     res_prod = 0.0
     res_useries = 0.0
     for frac in (0.0, 0.3, 0.62):
@@ -750,8 +786,8 @@ def _i7(q, rho, eps):
         def gen_e3():
             m = 0
             while True:
-                g0 = float(gamma_coeff(3 * m, y, rho, q, H=Hy))
-                g1 = float(gamma_coeff(3 * m + 1, y, rho, q, H=Hy))
+                g0 = float(gamma_coeff(3 * m, y, rho, q, H=Hy, B=B))
+                g1 = float(gamma_coeff(3 * m + 1, y, rho, q, H=Hy, B=B))
                 yield (-1) ** m * (g0 + g1), abs(g0) + abs(g1)
                 m += 1
 

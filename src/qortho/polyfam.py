@@ -10,10 +10,10 @@ obtained).
 Rows are built once.  ``_recurrence(fam, x)`` is the only place the step
 runs: an endless generator of p_0(x), p_1(x), ....  ``eval_all`` is its
 first n_max+1 values, and ``w_growth`` / ``v_growth`` are prefixes of the
-generators ``_w_terms`` / ``_v_terms`` in the same way.  A ``_Row`` wraps
-any such generator as a lazy list: index n takes values from the generator
-once, in order, up to n and no further, so a row read to degree n costs n
-steps however it grows.
+generators ``_w_terms`` / ``_v_terms`` in the same way.  Callers that read
+a row by index wrap the generator in ``qcore._Row``, a lazy list that takes
+each value once, in order, up to the index asked for and no further, so a
+row read to degree n costs n steps however it grows.
 """
 
 from dataclasses import dataclass
@@ -25,9 +25,7 @@ from .qcore import (
     ParameterError,
     div,
     ensure_exact,
-    is_exact,
     q_bracket,
-    q_double_factorial_odd,
     q_pochhammer,
 )
 
@@ -319,19 +317,6 @@ def _recurrence(fam, x):
         n += 1
 
 
-class _Row:
-    """Lazy list over an iterator: row[n] takes values once, in order, up to n."""
-
-    def __init__(self, values):
-        self._it = iter(values)
-        self._vals = []
-
-    def __getitem__(self, n):
-        while len(self._vals) <= n:
-            self._vals.append(next(self._it))
-        return self._vals[n]
-
-
 def eval_all(fam, n_max, x):
     """[p_0(x), ..., p_{n_max}(x)]; x may be scalar, Fraction, numpy array or RationalPoly."""
     return list(islice(_recurrence(fam, x), n_max + 1))
@@ -413,74 +398,3 @@ def max_bound(fam, n):
         v = v_growth(n, q, float(fam.beta))[n]
         return v / (q_pochhammer(q, q, n) * (1.0 - q) ** (n / 2.0))
     raise ParameterError("max_bound supports qhermite and rogers, got %r" % (fam.tag,))
-
-
-def special_values(fam, n, point):
-    """Closed-form value p_n(point) for the tabulated (family, point) pairs.
-
-    Supported: chebu at 0, 1, -1, 1/2; qhermite at 0 and "edge"; kesten at 0
-    and 1; bigb at 0; rogers at 0.  Exact on rational parameters.
-    """
-    validate(fam)
-    if n < 0:
-        raise ParameterError("degree must be >= 0, got %r" % (n,))
-    tag = fam.tag
-    if tag == "chebu":
-        if point == 0:
-            if n % 2 == 1:
-                return 0
-            return (-1) ** (n // 2)
-        if point == 1:
-            return n + 1
-        if point == -1:
-            return (-1) ** n * (n + 1)
-        if point == Fraction(1, 2):
-            return (1, 1, 0, -1, -1, 0)[n % 6]
-    elif tag == "qhermite":
-        q = fam.q
-        if point == 0:
-            if n % 2 == 1:
-                return q * 0
-            k = n // 2
-            return (-1) ** k * q_double_factorial_odd(k, q)
-        if point == "edge":
-            # right endpoint of S(q); exact W_n over an exact power when n even
-            w = w_growth(n, q)[n]
-            if is_exact(q) and n % 2 == 0:
-                return w / (1 - Fraction(q)) ** (n // 2)
-            return float(w) / (1.0 - float(q)) ** (n / 2.0)
-    elif tag == "kesten":
-        y, r = fam.y, fam.rho
-        if point == 0:
-            if n == 0:
-                return 1 + 0 * r
-            if n % 2 == 0:
-                return (-1) ** (n // 2) * (1 - r * r)
-            k = (n + 1) // 2
-            return (-1) ** k * r * y
-        if point == 1:
-            if n == 0:
-                return 1 + 0 * r
-            m, rem = divmod(n, 3)
-            if rem == 0:
-                return (-1) ** m * (1 - r * r)
-            if rem == 2:  # n = 3(m+1) - 1
-                return (-1) ** m * (-r * y + r * r)
-            return (-1) ** m * (1 - r * y)  # n = 3(m+1) - 2
-    elif tag == "bigb":
-        q = fam.q
-        if point == 0:
-            if n % 2 == 1:
-                return q * 0
-            k = n // 2
-            return q ** (k * (k - 1)) * q_double_factorial_odd(k, q)
-    elif tag == "rogers":
-        q, b = fam.q, fam.beta
-        if point == 0:
-            if n % 2 == 1:
-                return q * 0
-            k = n // 2
-            return (-1) ** k * q_pochhammer(b * b, q * q, k) * q_double_factorial_odd(k, q)
-    raise ParameterError(
-        "no tabulated special value for family %r at point %r" % (tag, point)
-    )

@@ -11,11 +11,23 @@ Conventions::
 All finite operations are exact on rational inputs (``int`` /
 ``fractions.Fraction``) and work in floating point otherwise.  The infinite
 product is floating-point only and truncated with a controlled tail bound.
+
+Loops that read many of these values build them once per call instead of
+once per term.  :func:`q_binomial_table` is one lazily grown q-Pascal
+triangle, [n k] = [n-1 k-1] + q^k [n-1 k] (Gasper & Rahman, *Basic
+Hypergeometric Series*, 1.3).  ``_factorials(q)`` and ``_pochhammers(a, q)``
+are the endless prefix rows [0]_q!, [1]_q!, ... and (a;q)_0, (a;q)_1, ...;
+:func:`q_factorial` and :func:`q_pochhammer` are their n-th values, so each
+row entry is bit for bit the scalar value.  A ``_Row`` wraps such a
+generator as a lazy list: index n takes values once, in order, up to n and
+no further.  :func:`q_binomial` keeps its product form as the scalar
+primitive and the independent check of the table.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 
 class QOrthoError(Exception):
@@ -83,18 +95,40 @@ def q_bracket(n, q):
     return acc
 
 
+class _Row:
+    """Lazy list over an iterator: row[n] takes values once, in order, up to n."""
+
+    def __init__(self, values):
+        self._it = iter(values)
+        self._vals = []
+
+    def __getitem__(self, n):
+        while len(self._vals) <= n:
+            self._vals.append(next(self._it))
+        return self._vals[n]
+
+
+def _nth(values, n):
+    return next(islice(values, n, None))
+
+
+def _factorials(q):
+    """Endless [0]_q!, [1]_q!, ...; one factor [i]_q per value."""
+    out = _one(q)
+    br = _zero(q)
+    p = _one(q)
+    while True:
+        yield out
+        br = br + p  # br == [i]_q after this line
+        p = p * q
+        out = out * br
+
+
 def q_factorial(n, q):
     """[n]_q! = prod_{i=1}^{n} [i]_q; [0]_q! = 1."""
     if n < 0:
         raise ParameterError("q_factorial needs n >= 0, got %r" % (n,))
-    out = _one(q)
-    br = _zero(q)
-    p = _one(q)
-    for _ in range(n):
-        br = br + p  # br == [i]_q after this line
-        p = p * q
-        out = out * br
-    return out
+    return _nth(_factorials(q), n)
 
 
 def q_binomial(n, k, q):
@@ -118,6 +152,34 @@ def q_binomial(n, k, q):
     return div(num, den)
 
 
+def q_binomial_table(q):
+    """B(n, k) = [n k]_q from one q-Pascal triangle grown on demand; 0 off it.
+
+    Row n is built once, from row n-1, by [n k] = [n-1 k-1] + q^k [n-1 k]
+    (two operations per entry, no division), so reading every [n k] with
+    n <= N costs O(N^2) in all.  Entries have the type :func:`q_binomial`
+    returns: Fractions for rational q, ints at q = int 1, floats otherwise.
+    """
+    zero = _zero(q)
+    rows = [[q_binomial(0, 0, q)]]
+    powers = [_one(q)]  # q^j
+
+    def B(n, k):
+        if k < 0 or k > n:
+            return zero
+        while len(rows) <= n:
+            prev = rows[-1]
+            powers.append(q ** len(powers))
+            row = [prev[0]]
+            for j in range(1, len(prev)):
+                row.append(prev[j - 1] + powers[j] * prev[j])
+            row.append(prev[-1])
+            rows.append(row)
+        return rows[n][k]
+
+    return B
+
+
 def q_double_factorial_odd(k, q):
     """[2k-1]_q!! = prod_{i=1}^{k} [2i-1]_q; 1 when k = 0."""
     if k < 0:
@@ -133,6 +195,16 @@ def q_double_factorial_odd(k, q):
     return out
 
 
+def _pochhammers(a, q):
+    """Endless (a;q)_0, (a;q)_1, ...; one factor (1 - a q^i) per value."""
+    out = _one(q)
+    p = _one(q)
+    while True:
+        yield out
+        out = out * (1 - a * p)
+        p = p * q
+
+
 def q_pochhammer(a, q, n):
     """(a;q)_n; `a` may be a sequence, meaning the product of the symbols."""
     if isinstance(a, (tuple, list)):
@@ -142,12 +214,7 @@ def q_pochhammer(a, q, n):
         return out
     if n < 0:
         raise ParameterError("q_pochhammer needs n >= 0, got %r" % (n,))
-    out = _one(q)
-    p = _one(q)
-    for _ in range(n):
-        out = out * (1 - a * p)
-        p = p * q
-    return out
+    return _nth(_pochhammers(a, q), n)
 
 
 def truncation_order(amplitude, q, eps):

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ParameterError, QOrthoError, support
+from .qcore import ParameterError, QOrthoError, _Row, q_binomial_table, support
 from . import connect, densities
 from .densities import density_ratio, fU
 from .expand import _theta_series
-from .polyfam import QHermite, _recurrence, _Row
+from .polyfam import QHermite, _recurrence
 
 
 class EnvelopeViolationError(QOrthoError):
@@ -57,11 +57,12 @@ def _envelope(dens, sup):
     q = dens.q
     if dens.tag == "fn":
         return max(_theta_series(abs(q), signed=False, weighted=True), sup)
-    # one H_m(y|q) row for all k, grown on demand
+    # one H_m(y|q) row and one q-binomial table for all k, grown on demand
     H = _Row(_recurrence(QHermite(q), dens.y))
+    B = q_binomial_table(q)
     total, small = 1.0, 0
     for k in range(1, 400):
-        t = (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q, H=H))
+        t = (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q, H=H, B=B))
         total += t
         small = small + 1 if t < 1e-12 else 0
         if small >= 3:

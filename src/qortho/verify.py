@@ -8,7 +8,6 @@ difference), with NonConvergenceError past the node cap.
 """
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -312,15 +311,3 @@ def run_all(config=None):
                 )
 
     return reports, all(r.passed for r in reports)
-
-
-def reports_to_csv(reports):
-    lines = ["check_id,params,residual,tolerance,pass"]
-    for r in reports:
-        params = json.dumps(r.params, sort_keys=True)
-        lines.append(
-            '%s,"%s",%r,%r,%s'
-            % (r.check_id, params.replace('"', '""'), r.residual, r.tolerance,
-               "true" if r.passed else "false")
-        )
-    return "\n".join(lines)

@@ -26,7 +26,6 @@ from qortho.polyfam import (
     Rogers,
     coeffs,
     eval_all,
-    special_values,
 )
 from qortho.polyfam import eval as poly_eval
 from qortho.densities import (
@@ -54,6 +53,7 @@ from qortho.expand import (
 )
 from qortho.verify import check_chapman, check_orthogonality
 from qortho.sampler import ks_statistic, sample
+from special_values import special_values
 
 F = Fraction
 

@@ -222,6 +222,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 4
 
+    @pytest.mark.parametrize("q", ["0.88", "0.9"])
+    def test_overflowing_fixed_truncation(self, capsys, q):
+        # 700 terms run past the H_n overflow: the sum is nan at 0.88, and at
+        # 0.9 the (1-q)^{n/2} of the term bound also underflows to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["expand", "--id", "u_over_n", "--q", q, "--x", "0",
+                         "--k", "700"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "overflowed" in err
+
     def test_argparse_rejects_unknown(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--family", "nope", "--n", "1", "--x", "0"])

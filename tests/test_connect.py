@@ -76,6 +76,17 @@ class TestClosedForms:
             for k in range(n + 1):
                 assert closed.coeff(n, k) == oracle.coeff(n, k), (pair, n, k)
 
+    @pytest.mark.parametrize("pair", ["kesten-from-asc", "rogers-from-rogers"])
+    def test_matches_oracle_at_degree_24(self, pair):
+        # deep rows read the q-binomial table and the prefix rows far from
+        # their first entries
+        target, source, params = _target_source(pair)
+        closed = connection(pair, 24, **params)
+        oracle = oracle_connection(target, source, 24)
+        for n in range(25):
+            for k in range(n + 1):
+                assert closed.coeff(n, k) == oracle.coeff(n, k), (pair, n, k)
+
     def test_t_from_u_row(self):
         m = connection("t-from-u", 4)
         assert m.rows[2] == {2: F(1, 2), 0: F(-1, 2)}
@@ -251,7 +262,10 @@ class TestKestenBand:
 # ---------------------------------------------------------------------------
 # golden values: the repr of every connection row at n = 12 (and of two oracle
 # triangles at n = 10), recorded from the per-pair implementation; repr pins
-# each entry's type and, for floats, every bit
+# each entry's type and, for floats, every bit.  The float rows of the six
+# pairs that read q-binomials were re-recorded when those came from the
+# q-Pascal table (each moved entry checked against the exact path at the
+# float-rounded parameters)
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "connect_golden.json").read_text())

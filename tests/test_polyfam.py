@@ -17,6 +17,7 @@ from qortho.qcore import (
     q_double_factorial_odd,
     q_factorial,
     q_pochhammer,
+    _Row,
 )
 from qortho import polyfam
 from qortho.polyfam import (
@@ -36,14 +37,13 @@ from qortho.polyfam import (
     eval as fam_eval,
     eval_all,
     max_bound,
-    special_values,
     v_growth,
     w_growth,
     _recurrence,
-    _Row,
     _v_terms,
     _w_terms,
 )
+from special_values import special_values
 
 F = Fraction
 

@@ -15,6 +15,7 @@ from qortho.qcore import (
     ensure_exact,
     is_exact,
     q_binomial,
+    q_binomial_table,
     q_bracket,
     q_double_factorial_odd,
     q_factorial,
@@ -22,6 +23,8 @@ from qortho.qcore import (
     q_pochhammer_inf,
     support,
     truncation_order,
+    _factorials,
+    _pochhammers,
 )
 
 # small rationals in (-1, 1), denominators kept tame so Fractions stay fast
@@ -91,6 +94,49 @@ class TestQBinomial:
         lhs = q_binomial(n, k, q)
         rhs = q_binomial(n - 1, k - 1, q) + q ** k * q_binomial(n - 1, k, q)
         assert lhs == rhs
+
+
+class TestQBinomialTable:
+    """The q-Pascal table against the product-form q_binomial as oracle."""
+
+    @given(
+        q=st.one_of(
+            rationals,
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), 0, 1]),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_equals_product_form(self, q, data):
+        B = q_binomial_table(q)
+        # rows in random order, so the table grows by jumps and is reread
+        for n in data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=4)):
+            for k in range(-2, n + 3):  # k < 0 and k > n give 0
+                got, want = B(n, k), q_binomial(n, k, q)
+                assert got == want and type(got) is type(want), (n, k)
+
+    @pytest.mark.parametrize("q", [-0.95, -0.5, 0.3, 0.9, 0.99])
+    def test_float_entries_within_4e15_of_exact(self, q):
+        # against the exact value at the float's own rational value (the exact
+        # table is checked against the product form above); the product form
+        # itself reaches 2e-14 at q = 0.99 on the same entries
+        B, exact = q_binomial_table(q), q_binomial_table(Fraction(q))
+        for n in range(41):
+            for k in range(n + 1):
+                want = exact(n, k)
+                if want:
+                    assert abs(Fraction(B(n, k)) - want) <= 4e-15 * abs(want), (n, k)
+
+
+class TestPrefixRows:
+    @given(q=st.one_of(rationals, st.floats(-0.95, 0.95)), a=rationals)
+    @settings(max_examples=40)
+    def test_scalars_are_row_entries(self, q, a):
+        # the same products in the same order: equal bit for bit on floats too
+        fact, poch = _factorials(q), _pochhammers(a, q)
+        for n in range(16):
+            assert repr(next(fact)) == repr(q_factorial(n, q))
+            assert repr(next(poch)) == repr(q_pochhammer(a, q, n))
 
 
 class TestQDoubleFactorialOdd:

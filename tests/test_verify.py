@@ -15,7 +15,6 @@ from qortho.verify import (
     check_orthogonality,
     check_projection,
     integrate,
-    reports_to_csv,
     run_all,
 )
 
@@ -104,14 +103,3 @@ class TestRunAll:
         assert any(i.startswith("normalization") for i in ids)
         assert any(i.startswith("orthogonality") for i in ids)
         assert any(i.startswith("i1") for i in ids)
-
-    def test_csv_shape(self):
-        reports, _ = run_all(
-            {"q_grid": (0.3,), "suites": ("normalization",)}
-        )
-        text = reports_to_csv(reports)
-        lines = text.splitlines()
-        assert lines[0] == "check_id,params,residual,tolerance,pass"
-        assert len(lines) == len(reports) + 1
-        assert all(line.endswith(",true") or line.endswith(",false")
-                   for line in lines[1:])
