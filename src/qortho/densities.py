@@ -25,11 +25,26 @@ p = q^k by repeated multiplication, adds log factor(p) in log space and
 stops before the index K = truncation_order(a, q, eps), where a bounds
 |factor - 1| / |q|^k on S(q) (7 for fac_k, 19 |rho| for w_k, 7 |beta| for
 den_k), so the dropped tail changes the product by a relative eps at most.
-At least one factor is taken, which keeps the shape of x when a = 0.  A
-factor <= 0 means a point outside S(q) and raises ParameterError.
+At least one factor is taken, which keeps the shape of x when a = 0.
 
-A NaN point is a ParameterError; +-inf lies outside S(q), where every
-density is 0.
+Every factor is affine in per-point features with scalar coefficients::
+
+    fac_k = (1 + p)^2         - p phi,        phi = (1-q) x^2
+    den_k = (1 + b p)^2       - p phi,        phi = b (1-q) x^2
+    w_k   = (1 - r^2 p^2)^2   - (1-q) r p (1 + r^2 p^2) phi1
+                              + (1-q) r^2 p^2 phi2,   phi1 = x y, phi2 = x^2 + y^2
+
+The features are built and broadcast once per call; each factor is formed in
+one preallocated buffer (a second one only for phi2 of w_k), logged in place
+and added to the sum in k order.  This is the rounding order of the formulas
+as written, so a point has the same bits alone or in an array.  A factor
+<= 0 means a point outside S(q): its log is -inf or NaN, and one finiteness
+check after the loop raises ParameterError for it, and for a NaN or infinite
+factor alike.
+
+A NaN point is a ParameterError.  +-inf lies outside S(q), where
+``density_eval`` gives 0; the merged ratios (``pm_ratio`` and the product
+forms of ``density_ratio``) have no value there and raise ParameterError.
 
 fN and fCN admit q = 1 closed forms (standard normal, N(rho y, 1 - rho^2));
 the remaining families reject q = 1.
@@ -135,49 +150,76 @@ def _ret(scalar, out):
     return float(out[0]) if scalar else out
 
 
-def _log_qproduct(factor, amplitude, q, eps, first=0):
+def _log_qproduct(coeffs, features, amplitude, q, eps, first=0):
     """sum_{first <= k < K} log factor(q^k), the one truncated product loop.
+
+    factor(p) = c0 + c1 phi1 [+ c2 phi2] with ``coeffs(p) = (c0, c1[, c2])``
+    and per-point features ``features() = (phi1[, phi2])``, built once per
+    call.  Each factor is formed in one preallocated buffer (a second one only
+    for phi2), logged in place and added to the sum in k order.  That is the
+    rounding of the formula written out, so a point gets the same bits alone
+    or inside any array, and no array is allocated per factor.
 
     K comes from ``truncation_order(amplitude, q, eps)`` for factors with
     |factor(q^k) - 1| <= amplitude |q|^k, and at least one factor is taken,
-    so the sum has the shape of the factor even when amplitude is 0.
+    so the sum has the shape of the features even when amplitude is 0.  A
+    factor <= 0, NaN or inf logs to a non-finite value, so one check after the
+    loop raises ParameterError for a point outside S(q).
     """
     K = max(truncation_order(amplitude, q, eps), first + 1)
-    p = q ** first
-    out = 0.0
-    for _ in range(first, K):
-        f = factor(p)
-        if np.any(f <= 0.0):
-            raise ParameterError("nonpositive product factor; point outside S(q)?")
-        out += np.log(f)
-        p *= q
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = features()
+        shape = np.broadcast_shapes(*(np.shape(v) for v in phi))
+        f = np.empty(shape)
+        g = np.empty(shape) if len(phi) == 2 else None
+        out = np.zeros(shape)
+        p = q ** first
+        for _ in range(first, K):
+            c = coeffs(p)
+            np.multiply(phi[0], c[1], out=f)
+            f += c[0]
+            if g is not None:
+                np.multiply(phi[1], c[2], out=g)
+                f += g
+            out += np.log(f, out=f)
+            p *= q
+    if not np.isfinite(out).all():
+        raise ParameterError("product factor <= 0 or not finite; point outside S(q)?")
     return out
 
 
 def _log_fac_sum(x2s, q, eps):
     """sum_{k>=1} log fac_k with x2s = (1-q) x^2; |fac_k - 1| <= 7 |q|^k on S(q)."""
-    return _log_qproduct(lambda p: (1.0 + p) ** 2 - x2s * p, 7.0, q, eps, first=1)
+    return _log_qproduct(
+        lambda p: ((1.0 + p) ** 2, -p), lambda: (x2s,), 7.0, q, eps, first=1
+    )
 
 
 def _log_w_sum(x, y, rho, q, eps):
     """sum_{k>=0} log w_k; |w_k - 1| <= 19 |rho| |q|^k for x, y in S(q)."""
     omq = 1.0 - q
 
-    def w(p):
+    def coeffs(p):
         r2p2 = rho * rho * p * p
         return (
-            (1.0 - r2p2) ** 2
-            - omq * rho * p * (1.0 + r2p2) * (x * y)
-            + omq * rho * rho * p * p * (x * x + y * y)
+            (1.0 - r2p2) ** 2,
+            -(omq * rho * p * (1.0 + r2p2)),
+            omq * rho * rho * p * p,
         )
 
-    return _log_qproduct(w, 19.0 * abs(rho), q, eps)
+    return _log_qproduct(
+        coeffs, lambda: (x * y, x * x + y * y), 19.0 * abs(rho), q, eps
+    )
 
 
 def _log_den_sum(x2s, beta, q, eps):
     """sum_{k>=0} log den_k; |den_k - 1| <= 7 |beta| |q|^k on S(q)."""
     return _log_qproduct(
-        lambda p: (1.0 + beta * p) ** 2 - beta * x2s * p, 7.0 * abs(beta), q, eps
+        lambda p: ((1.0 + beta * p) ** 2, -p),
+        lambda: (beta * x2s,),
+        7.0 * abs(beta),
+        q,
+        eps,
     )
 
 
@@ -264,6 +306,9 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
     """fCN(x|y,rho,q) / fN(x|q) = (rho^2;q)_inf / prod_k w_k(x, y).
 
     Symmetric in (x, y); broadcasts, so either argument may be an array.
+    A NaN point, or a point where some w_k is <= 0 or not finite (+-inf, or
+    far enough outside S(q)), raises ParameterError: the ratio has no value
+    there, and no NaN is returned in its place.
     """
     _check_q(q)
     x_scalar, xa = _as_array(x)

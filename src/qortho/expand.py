@@ -506,35 +506,37 @@ def expansion_eval(spec, x, tol=1e-9):
     if kernel.domain is not None:
         kernel.domain(p)
     base = density_eval(base_density(spec.id, p), xa)
-    gen = _terms(kernel, p, xa)
-    acc = np.zeros_like(xa)
     fixed = spec.K is not None
     if fixed and spec.K < 0:
         raise ParameterError("K must be >= 0")
-    small = 0
-    n = -1
-    while True:
-        n += 1
-        term, bound = next(gen)
-        acc = acc + term
-        if fixed:
-            if n >= spec.K:
-                break
-        else:
-            if bound <= tol:
-                small += 1
-                if small >= 2 and n >= 2:
+    # overflow in the rows or terms is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = _terms(kernel, p, xa)
+        acc = np.zeros_like(xa)
+        small = 0
+        n = -1
+        while True:
+            n += 1
+            term, bound = next(gen)
+            acc = acc + term
+            if fixed:
+                if n >= spec.K:
                     break
             else:
-                small = 0
-            if n >= K_CAP:
-                raise TruncationError(
-                    "expansion %r did not reach tol=%g within %d terms"
-                    % (spec.id, tol, K_CAP)
-                )
-    tail_series = next(gen)[1] + next(gen)[1]
-    value = base * acc
-    tail = np.abs(base) * tail_series
+                if bound <= tol:
+                    small += 1
+                    if small >= 2 and n >= 2:
+                        break
+                else:
+                    small = 0
+                if n >= K_CAP:
+                    raise TruncationError(
+                        "expansion %r did not reach tol=%g within %d terms"
+                        % (spec.id, tol, K_CAP)
+                    )
+        tail_series = next(gen)[1] + next(gen)[1]
+        value = base * acc
+        tail = np.abs(base) * tail_series
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(tail))):
         raise NonConvergenceError(
             "expansion %r overflowed within %d terms" % (spec.id, n + 1)

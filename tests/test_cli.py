@@ -5,10 +5,15 @@ can be asserted without spawning subprocesses.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qortho
 from qortho.cli import main
 
 
@@ -226,13 +231,27 @@ class TestExitCodes:
     def test_overflowing_fixed_truncation(self, capsys, q):
         # 700 terms run past the H_n overflow: the sum is nan at 0.88, and at
         # 0.9 the (1-q)^{n/2} of the term bound also underflows to 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["expand", "--id", "u_over_n", "--q", q, "--x", "0",
-                         "--k", "700"])
+        code = main(["expand", "--id", "u_over_n", "--q", q, "--x", "0",
+                     "--k", "700"])
         out, err = capsys.readouterr()
         assert code == 4
         assert out == ""
         assert "overflowed" in err
+
+    @pytest.mark.parametrize("q", ["0.88", "0.9"])
+    def test_overflow_stderr_is_one_line(self, q):
+        # a child interpreter, so any numpy RuntimeWarning reaches its stderr
+        src = str(Path(qortho.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qortho.cli", "expand", "--id", "u_over_n",
+             "--q", q, "--x", "0", "--k", "700"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "qortho: expansion 'u_over_n' overflowed within 701 terms\n"
 
     def test_argparse_rejects_unknown(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,16 @@
 """Tests for the infinite-product densities and their ratios."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qortho.qcore import NonConvergenceError, ParameterError, support
+import product_reference as ref
+from qortho import densities
+from qortho.qcore import NonConvergenceError, ParameterError, q_pochhammer_inf, support
 from qortho.densities import (
     BoundaryError,
     density_eval,
@@ -57,14 +62,19 @@ class TestConstruction:
 
 class TestEval:
     def test_scalar_and_array_agree(self):
-        d = fN(0.4)
-        xs = np.linspace(-2.5, 2.5, 11)
-        arr = density_eval(d, xs)
-        assert isinstance(arr, np.ndarray)
-        for i, x in enumerate(xs):
-            v = density_eval(d, float(x))
-            assert isinstance(v, float)
-            assert v == pytest.approx(arr[i], abs=0.0)
+        # every density gives a point the same bits alone as inside an array
+        fracs = (-1.0, -0.99, -0.6, 0.0, 0.13, 0.77, 0.99, 1.0, 1.3)
+        for q in (-0.8, 0.4, 0.9):
+            L = support(q).radius
+            for d in (fN(q), fCN(0.3 * L, -0.6, q), fR(0.45, q), fU(q), fT(q),
+                      fK(-0.2 * L, 0.5, q)):
+                xs = L * np.asarray(fracs[1:-2] if d.tag == "ft" else fracs)
+                arr = density_eval(d, xs)
+                assert isinstance(arr, np.ndarray)
+                for x, v in zip(xs, arr):
+                    s = density_eval(d, float(x))
+                    assert isinstance(s, float)
+                    assert s.hex() == float(v).hex(), (d.tag, q, x)
 
     def test_outside_support_is_zero(self):
         q = 0.5
@@ -181,11 +191,78 @@ class TestPmRatio:
             pm_ratio(np.array([0.1, 1.0]), 0.5, 0.0, 0.5), 1.0, atol=0.0
         )
 
+    def test_infinite_point_raises_instead_of_nan(self):
+        # the ratio has no value at +-inf; no NaN and no RuntimeWarning leaks out
+        x = np.array([np.inf, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="outside S"):
+                pm_ratio(x, 0.3, 0.4, 0.5)
+            with pytest.raises(ParameterError, match="outside S"):
+                density_ratio(fCN(0.3, 0.4, 0.5), fN(0.5), x)
+            with pytest.raises(ParameterError, match="outside S"):
+                pm_ratio(-np.inf, 0.0, 0.0, 0.5)
+
     def test_nan_point_rejected(self):
         with pytest.raises(ParameterError, match="NaN"):
             pm_ratio(math.nan, 0.3, 0.4, 0.5)
         with pytest.raises(ParameterError, match="NaN"):
             pm_ratio(np.array([0.2, 0.3]), math.nan, 0.4, 0.5)
+
+
+fracs = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def product_points(draw):
+    """(q, x, y) with x, y in S(q): scalars, 1-d arrays or a 2-d broadcast pair."""
+    q = draw(st.floats(-0.9, 0.9))
+    L = support(q).radius
+
+    def row(n):
+        return L * np.array(draw(st.lists(fracs, min_size=n, max_size=n)))
+
+    shape = draw(st.sampled_from(("scalar", "1d", "1d-scalar-y", "2d")))
+    if shape == "scalar":
+        return q, L * draw(fracs), L * draw(fracs)
+    n = draw(st.integers(1, 9))
+    if shape == "1d":
+        return q, row(n), row(n)
+    if shape == "1d-scalar-y":
+        return q, row(n), L * draw(fracs)
+    return q, row(n)[:, None], row(draw(st.integers(1, 9)))[None, :]
+
+
+def _same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert [float(v).hex() for v in np.ravel(got)] == [float(v).hex() for v in np.ravel(want)]
+
+
+class TestProductKernelBits:
+    """The in-place product kernel reproduces the per-factor loop bit for bit."""
+
+    @given(case=product_points(), rho=st.floats(-0.95, 0.95),
+           beta=st.floats(-0.95, 0.95), eps=st.sampled_from((1e-15, 1e-14, 1e-8)))
+    @settings(max_examples=80, deadline=None)
+    def test_helpers_match_reference(self, case, rho, beta, eps):
+        q, x, y = case
+        x2s = (1.0 - q) * x * x
+        _same_bits(densities._log_fac_sum(x2s, q, eps), ref.log_fac_sum(x2s, q, eps))
+        _same_bits(densities._log_den_sum(x2s, beta, q, eps),
+                   ref.log_den_sum(x2s, beta, q, eps))
+        _same_bits(densities._log_w_sum(x, y, rho, q, eps),
+                   ref.log_w_sum(x, y, rho, q, eps))
+
+    @given(case=product_points(), rho=st.floats(-0.95, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_pm_ratio_matches_reference(self, case, rho):
+        q, x, y = case
+        want = q_pochhammer_inf(rho * rho, q, 1e-14) * np.exp(
+            -ref.log_w_sum(np.atleast_1d(x), np.atleast_1d(y), rho, q, 1e-14)
+        )
+        got = pm_ratio(x, y, rho, q)
+        assert isinstance(got, float) == (np.ndim(x) == np.ndim(y) == 0)
+        _same_bits(np.ravel(got), np.ravel(want))
 
 
 class TestDensityRatio:
