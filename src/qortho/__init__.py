@@ -8,7 +8,6 @@ from .qcore import (
     SupportInterval,
     q_binomial,
     q_bracket,
-    q_double_factorial_odd,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
@@ -32,7 +31,6 @@ from .polyfam import (
     coeffs,
     eval,
     eval_all,
-    max_bound,
 )
 from .densities import (
     BoundaryError,

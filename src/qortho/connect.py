@@ -63,21 +63,6 @@ class ConnectionMatrix:
                     width = max(width, n - k)
         return width
 
-    def to_csv(self):
-        """Exact CSV rows ``n,k,numerator,denominator``; requires rational entries."""
-        lines = []
-        for n in sorted(self.rows):
-            for k in sorted(self.rows[n]):
-                v = self.rows[n][k]
-                if not is_exact(v):
-                    raise IrrationalParameterError(
-                        "to_csv needs rational entries, found %r at (%d, %d)"
-                        % (v, n, k)
-                    )
-                f = Fraction(v)
-                lines.append("%d,%d,%d,%d" % (n, k, f.numerator, f.denominator))
-        return "\n".join(lines)
-
 
 def _require(params, *names):
     out = []

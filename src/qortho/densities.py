@@ -42,9 +42,10 @@ as written, so a point has the same bits alone or in an array.  A factor
 check after the loop raises ParameterError for it, and for a NaN or infinite
 factor alike.
 
-A NaN point is a ParameterError.  +-inf lies outside S(q), where
+A NaN point is a ParameterError.  Outside S(q), +-inf included,
 ``density_eval`` gives 0; the merged ratios (``pm_ratio`` and the product
 forms of ``density_ratio``) have no value there and raise ParameterError.
+The endpoints +-L belong to S(q), and the merged ratios are finite there.
 
 fN and fCN admit q = 1 closed forms (standard normal, N(rho y, 1 - rho^2));
 the remaining families reject q = 1.
@@ -144,6 +145,14 @@ def _as_array(x):
     if np.isnan(xa).any():
         raise ParameterError("x must not be NaN")
     return xa.ndim == 0, np.atleast_1d(xa)
+
+
+def _support_points(x, q):
+    """_as_array(x) for a merged ratio: a point outside S(q) is a ParameterError."""
+    scalar, xa = _as_array(x)
+    if (np.abs(xa) > _edge(q)).any():
+        raise ParameterError("merged density ratio evaluated outside S(q)")
+    return scalar, xa
 
 
 def _ret(scalar, out):
@@ -306,20 +315,19 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
     """fCN(x|y,rho,q) / fN(x|q) = (rho^2;q)_inf / prod_k w_k(x, y).
 
     Symmetric in (x, y); broadcasts, so either argument may be an array.
-    A NaN point, or a point where some w_k is <= 0 or not finite (+-inf, or
-    far enough outside S(q)), raises ParameterError: the ratio has no value
-    there, and no NaN is returned in its place.
+    A NaN point, or a point outside S(q), raises ParameterError: the ratio
+    has no value there, and no NaN is returned in its place.
     """
     _check_q(q)
-    x_scalar, xa = _as_array(x)
-    y_scalar, ya = _as_array(y)
+    x_scalar, xa = _support_points(x, q)
+    y_scalar, ya = _support_points(y, q)
     const = q_pochhammer_inf(rho * rho, q, eps)
     out = const * np.exp(-_log_w_sum(xa, ya, rho, q, eps))
     return _ret(x_scalar and y_scalar, out)
 
 
 def _fr_over_fn(x, beta, q, eps):
-    scalar, xa = _as_array(x)
+    scalar, xa = _support_points(x, q)
     const = q_pochhammer_inf(beta * beta, q, eps) / (
         q_pochhammer_inf(beta, q, eps) * q_pochhammer_inf(beta * q, q, eps)
     )
@@ -329,14 +337,14 @@ def _fr_over_fn(x, beta, q, eps):
 
 
 def _fn_over_fu(x, q, eps):
-    scalar, xa = _as_array(x)
+    scalar, xa = _support_points(x, q)
     x2s = (1.0 - q) * xa * xa
     out = q_pochhammer_inf(q, q, eps) * np.exp(_log_fac_sum(x2s, q, eps))
     return _ret(scalar, out)
 
 
 def _fcn_over_fu(x, y, rho, q, eps):
-    scalar, xa = _as_array(x)
+    scalar, xa = _support_points(x, q)
     x2s = (1.0 - q) * xa * xa
     logs = _log_fac_sum(x2s, q, eps) - _log_w_sum(xa, y, rho, q, eps)
     out = q_pochhammer_inf((rho * rho, q), q, eps) * np.exp(logs)
@@ -347,8 +355,9 @@ def density_ratio(num, den, x):
     """num(x) / den(x), using a merged product form where one exists.
 
     Merged pairs (same q required): fCN/fN, fR/fN, fN/fU, fCN/fU.  These stay
-    finite on all of S(q) including the endpoints.  Other combinations fall
-    back to the plain quotient and require den(x) > 0.
+    finite on all of S(q) including the endpoints, and raise ParameterError
+    outside it.  Other combinations fall back to the plain quotient and
+    require den(x) > 0.
     """
     if num.q != den.q:
         raise ParameterError("density ratio requires matching q")

@@ -8,25 +8,29 @@ code path serves floats, exact rationals, numpy arrays and
 obtained).
 
 Rows are built once.  ``_recurrence(fam, x)`` is the only place the step
-runs: an endless generator of p_0(x), p_1(x), ....  ``eval_all`` is its
-first n_max+1 values, and ``w_growth`` / ``v_growth`` are prefixes of the
-generators ``_w_terms`` / ``_v_terms`` in the same way.  Callers that read
-a row by index wrap the generator in ``qcore._Row``, a lazy list that takes
-each value once, in order, up to the index asked for and no further, so a
-row read to degree n costs n steps however it grows.
+runs: an endless generator of p_0(x), p_1(x), ..., and ``eval_all`` is its
+first n_max+1 values.  The q-bracket factors [n]_q of the C_n come from one
+``qcore._brackets`` row per call, so each step costs O(1) operations.
+Callers that read a row by index wrap the generator in ``qcore._Row``, a lazy
+list that takes each value once, in order, up to the index asked for and no
+further, so a row read to degree n costs n steps however it grows.
+
+``_w_terms`` and ``_v_terms`` are the rows W_n and V_n from which the
+sup-norm bound rules of ``expand`` bound |H_n| and |R_n| on S(q).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from .qcore import (
     IrrationalParameterError,
     ParameterError,
+    _brackets,
+    _pochhammers,
+    _Row,
     div,
     ensure_exact,
-    q_bracket,
-    q_pochhammer,
 )
 
 
@@ -140,20 +144,6 @@ class RationalPoly:
             out = out * self
         return out
 
-    def deflate(self, root):
-        """Synthetic division by (x - root): returns (quotient, remainder)."""
-        root = Fraction(root)
-        acc = Fraction(0)
-        out = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        if not out:
-            return RationalPoly(), Fraction(0)
-        rem = out.pop()
-        out.reverse()
-        return RationalPoly(out), rem
-
     def lead(self):
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
@@ -251,33 +241,32 @@ def validate(fam):
 
 def _abc(fam):
     """Recurrence coefficients (A_n, B_n, C_n) for p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}."""
-    tag = fam.tag
+    tag, q = fam.tag, fam.q
+    br = _Row(_brackets(q))  # [n]_q, lazy: only the q-Hermite-type families read it
     if tag == "qhermite":
-        q = fam.q
-        return lambda n: (1, 0, q_bracket(n, q))
+        return lambda n: (1, 0, br[n])
     if tag == "rogers":
-        q, b = fam.q, fam.beta
+        b = fam.beta
         # C_0 is multiplied by p_{-1} = 0; short-circuit keeps q^{n-1} well-defined.
         return lambda n: (
             1 - b * q ** n,
             0,
-            0 if n == 0 else (1 - b * b * q ** (n - 1)) * q_bracket(n, q),
+            0 if n == 0 else (1 - b * b * q ** (n - 1)) * br[n],
         )
     if tag == "asc":
         # At q = 1 this reduces to the Gaussian-conditional recurrence
         # G_{n+1} = (x - rho y) G_n - n (1 - rho^2) G_{n-1}.
-        q, y, r = fam.q, fam.y, fam.rho
+        y, r = fam.y, fam.rho
         return lambda n: (
             1,
             -r * y * q ** n,
-            0 if n == 0 else (1 - r * r * q ** (n - 1)) * q_bracket(n, q),
+            0 if n == 0 else (1 - r * r * q ** (n - 1)) * br[n],
         )
     if tag == "bigb":
-        q = fam.q
         return lambda n: (
             -(q ** n),
             0,
-            0 if n == 0 else -(q ** (n - 1)) * q_bracket(n, q),
+            0 if n == 0 else -(q ** (n - 1)) * br[n],
         )
     if tag in ("chebt", "chebu"):
         a0 = 1 if tag == "chebt" else 2
@@ -336,7 +325,10 @@ def coeffs(fam, n):
 
 
 def _w_terms(q):
-    """Endless W_0, W_1, ... (see :func:`w_growth`)."""
+    """Endless W_0, W_1, ...: W_n = sum_i [n i]_q by W_{n+1} = 2 W_n - (1 - q^n) W_{n-1}.
+
+    (1-q)^{n/2} max_{S(q)} |H_n(x|q)| equals W_n (attained at the right endpoint).
+    """
     prev, cur = q * 0 + 1, q * 0 + 2
     yield prev
     p = q * 0 + 1  # q^n
@@ -346,55 +338,15 @@ def _w_terms(q):
         prev, cur = cur, 2 * cur - (1 - p) * prev
 
 
-def w_growth(n_max, q):
-    """W_n = sum_i [n i]_q via a_{n+1} = 2 a_n - (1 - q^n) a_{n-1}, a_0 = 1, a_1 = 2.
-
-    (1-q)^{n/2} max_{S(q)} |H_n(x|q)| equals W_n; returned as a list up to n_max.
-    """
-    return list(islice(_w_terms(q), n_max + 1))
-
-
 def _v_terms(q, beta):
-    """Endless V_0, V_1, ... (see :func:`v_growth`)."""
-    bp, qp = [q * 0 + 1], [q * 0 + 1]  # (beta;q)_i, (q;q)_i
-    p = q * 0 + 1  # q^n
-    while True:
-        n = len(bp) - 1
+    """Endless V_0, V_1, ...: V_n = sum_i (beta;q)_i (beta;q)_{n-i} / ((q;q)_i (q;q)_{n-i}).
+
+    V_n / ((q;q)_n (1-q)^{n/2}) bounds max_{S(q)} |R_n(x|beta,q)| for 0 <= q < 1.
+    """
+    bp = _Row(_pochhammers(beta, q))
+    qp = _Row(_pochhammers(q, q))
+    for n in count():
         acc = q * 0
         for i in range(n + 1):
             acc = acc + (bp[i] * bp[n - i]) / (qp[i] * qp[n - i])
         yield acc
-        bp.append(bp[-1] * (1 - beta * p))
-        qp.append(qp[-1] * (1 - q * p))
-        p = p * q
-
-
-def v_growth(n_max, q, beta):
-    """V_n = sum_i (beta;q)_i (beta;q)_{n-i} / ((q;q)_i (q;q)_{n-i}), n <= n_max."""
-    return list(islice(_v_terms(q, beta), n_max + 1))
-
-
-def max_bound(fam, n):
-    """Upper bound for max_{x in S(q)} |p_n(x)|.
-
-    q-Hermite: W_n / (1-q)^{n/2} (sharp, attained at the right endpoint).
-    Rogers: V_n / ((q;q)_n (1-q)^{n/2}); the V-sum bound is only established
-    for 0 <= q < 1, so negative q is rejected here.
-    """
-    validate(fam)
-    if fam.tag == "qhermite":
-        q = float(fam.q)
-        if not -1.0 < q < 1.0:
-            raise ParameterError("max_bound needs -1 < q < 1, got q=%r" % (fam.q,))
-        w = w_growth(n, q)[n]
-        return w / (1.0 - q) ** (n / 2.0)
-    if fam.tag == "rogers":
-        q = float(fam.q)
-        if not 0.0 <= q < 1.0:
-            raise ParameterError(
-                "Rogers max_bound is only established for 0 <= q < 1, got q=%r"
-                % (fam.q,)
-            )
-        v = v_growth(n, q, float(fam.beta))[n]
-        return v / (q_pochhammer(q, q, n) * (1.0 - q) ** (n / 2.0))
-    raise ParameterError("max_bound supports qhermite and rogers, got %r" % (fam.tag,))

@@ -12,16 +12,19 @@ All finite operations are exact on rational inputs (``int`` /
 ``fractions.Fraction``) and work in floating point otherwise.  The infinite
 product is floating-point only and truncated with a controlled tail bound.
 
-Loops that read many of these values build them once per call instead of
-once per term.  :func:`q_binomial_table` is one lazily grown q-Pascal
-triangle, [n k] = [n-1 k-1] + q^k [n-1 k] (Gasper & Rahman, *Basic
-Hypergeometric Series*, 1.3).  ``_factorials(q)`` and ``_pochhammers(a, q)``
-are the endless prefix rows [0]_q!, [1]_q!, ... and (a;q)_0, (a;q)_1, ...;
-:func:`q_factorial` and :func:`q_pochhammer` are their n-th values, so each
-row entry is bit for bit the scalar value.  A ``_Row`` wraps such a
-generator as a lazy list: index n takes values once, in order, up to n and
-no further.  :func:`q_binomial` keeps its product form as the scalar
-primitive and the independent check of the table.
+This module is the one source of every running q-quantity.  Loops that
+read many of these values build them once per call instead of once per
+term.  :func:`q_binomial_table` is one lazily grown q-Pascal triangle,
+[n k] = [n-1 k-1] + q^k [n-1 k] (Gasper & Rahman, *Basic Hypergeometric
+Series*, 1.3).  ``_brackets(q)``, ``_factorials(q)`` and
+``_pochhammers(a, q)`` are the endless prefix rows [0]_q, [1]_q, ...;
+[0]_q!, [1]_q!, ... (products of the bracket row's values); and (a;q)_0,
+(a;q)_1, ....  :func:`q_bracket`, :func:`q_factorial` and
+:func:`q_pochhammer` are their n-th values, so each row entry is bit for
+bit the scalar value.  A ``_Row`` wraps such a generator as a lazy list:
+index n takes values once, in order, up to n and no further.
+:func:`q_binomial` keeps its product form as the scalar primitive and the
+independent check of the table.
 """
 
 import math
@@ -83,18 +86,6 @@ def _one(q):
     return q * 0 + 1
 
 
-def q_bracket(n, q):
-    """[n]_q = 1 + q + ... + q^{n-1}; [0]_q = 0."""
-    if n < 0:
-        raise ParameterError("q_bracket needs n >= 0, got %r" % (n,))
-    acc = _zero(q)
-    p = _one(q)
-    for _ in range(n):
-        acc = acc + p
-        p = p * q
-    return acc
-
-
 class _Row:
     """Lazy list over an iterator: row[n] takes values once, in order, up to n."""
 
@@ -112,15 +103,28 @@ def _nth(values, n):
     return next(islice(values, n, None))
 
 
-def _factorials(q):
-    """Endless [0]_q!, [1]_q!, ...; one factor [i]_q per value."""
-    out = _one(q)
+def _brackets(q):
+    """Endless [0]_q, [1]_q, ...; one term q^i per value."""
     br = _zero(q)
     p = _one(q)
     while True:
-        yield out
-        br = br + p  # br == [i]_q after this line
+        yield br
+        br = br + p
         p = p * q
+
+
+def q_bracket(n, q):
+    """[n]_q = 1 + q + ... + q^{n-1}; [0]_q = 0."""
+    if n < 0:
+        raise ParameterError("q_bracket needs n >= 0, got %r" % (n,))
+    return _nth(_brackets(q), n)
+
+
+def _factorials(q):
+    """Endless [0]_q!, [1]_q!, ...; one factor [i]_q per value."""
+    out = _one(q)
+    for br in islice(_brackets(q), 1, None):
+        yield out
         out = out * br
 
 
@@ -178,21 +182,6 @@ def q_binomial_table(q):
         return rows[n][k]
 
     return B
-
-
-def q_double_factorial_odd(k, q):
-    """[2k-1]_q!! = prod_{i=1}^{k} [2i-1]_q; 1 when k = 0."""
-    if k < 0:
-        raise ParameterError("q_double_factorial_odd needs k >= 0, got %r" % (k,))
-    out = _one(q)
-    br = _zero(q)
-    p = _one(q)
-    for i in range(1, 2 * k):
-        br = br + p  # br == [i]_q
-        p = p * q
-        if i % 2 == 1:
-            out = out * br
-    return out
 
 
 def _pochhammers(a, q):

@@ -6,14 +6,25 @@ library.
 """
 
 from fractions import Fraction
+from itertools import islice
 
-from qortho.polyfam import validate, w_growth
-from qortho.qcore import (
-    ParameterError,
-    is_exact,
-    q_double_factorial_odd,
-    q_pochhammer,
-)
+from qortho.polyfam import _w_terms, validate
+from qortho.qcore import ParameterError, is_exact, q_pochhammer
+
+
+def q_double_factorial_odd(k, q):
+    """[2k-1]_q!! = prod_{i=1}^{k} [2i-1]_q; 1 when k = 0."""
+    if k < 0:
+        raise ParameterError("q_double_factorial_odd needs k >= 0, got %r" % (k,))
+    out = q * 0 + 1
+    br = q * 0
+    p = q * 0 + 1
+    for i in range(1, 2 * k):
+        br = br + p  # br == [i]_q
+        p = p * q
+        if i % 2 == 1:
+            out = out * br
+    return out
 
 
 def special_values(fam, n, point):
@@ -46,7 +57,7 @@ def special_values(fam, n, point):
             return (-1) ** k * q_double_factorial_odd(k, q)
         if point == "edge":
             # right endpoint of S(q); exact W_n over an exact power when n even
-            w = w_growth(n, q)[n]
+            w = next(islice(_w_terms(q), n, None))
             if is_exact(q) and n % 2 == 0:
                 return w / (1 - Fraction(q)) ** (n // 2)
             return float(w) / (1.0 - float(q)) ** (n / 2.0)

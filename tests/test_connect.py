@@ -129,15 +129,6 @@ class TestMatrixContainer:
         assert connection("t-from-u", 9).band() == 2
         assert connection("asc-from-h", 6, y=Y, rho=RHO, q=Q).band() == 6
 
-    def test_to_csv_exact_only(self):
-        m = connection("uhat-from-h", 4, q=Q)
-        lines = m.to_csv().splitlines()
-        assert lines[0] == "0,0,1,1"
-        assert all(len(line.split(",")) == 4 for line in lines)
-        mf = connection("uhat-from-h", 4, q=0.5)
-        with pytest.raises(IrrationalParameterError):
-            mf.to_csv()
-
     def test_coeff_outside_triangle_is_zero(self):
         m = connection("t-from-u", 5)
         assert m.coeff(3, 2) == 0

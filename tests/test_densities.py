@@ -203,6 +203,12 @@ class TestPmRatio:
             with pytest.raises(ParameterError, match="outside S"):
                 pm_ratio(-np.inf, 0.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("scale", [1.01, 1.2, 2.0])
+    def test_conditioning_point_outside_support_raises(self, scale):
+        L = support(0.5).radius
+        with pytest.raises(ParameterError, match="outside S"):
+            pm_ratio(0.1, scale * L, 0.4, 0.5)
+
     def test_nan_point_rejected(self):
         with pytest.raises(ParameterError, match="NaN"):
             pm_ratio(math.nan, 0.3, 0.4, 0.5)
@@ -265,6 +271,15 @@ class TestProductKernelBits:
         _same_bits(np.ravel(got), np.ravel(want))
 
 
+MERGED = [
+    (fCN(0.3, 0.4, 0.5), fN(0.5)),
+    (fR(-0.3, 0.5), fN(0.5)),
+    (fN(0.5), fU(0.5)),
+    (fCN(0.3, 0.4, 0.5), fU(0.5)),
+]
+MERGED_IDS = ["fcn/fn", "fr/fn", "fn/fu", "fcn/fu"]
+
+
 class TestDensityRatio:
     def test_merged_pairs_match_direct_quotients(self):
         q, rho, y, beta = 0.5, 0.4, 0.3, 0.35
@@ -288,6 +303,17 @@ class TestDensityRatio:
         v = density_ratio(fN(q), fU(q), np.array([L, -L]))
         assert np.all(np.isfinite(v))
         assert np.all(v > 0)
+
+    @pytest.mark.parametrize("num,den", MERGED, ids=MERGED_IDS)
+    @pytest.mark.parametrize("scale", [1.01, 1.2, 2.0])
+    def test_merged_pairs_raise_outside_support(self, num, den, scale):
+        # density_eval gives 0 for both densities there, so there is no ratio;
+        # the edge itself stays valid
+        L = support(0.5).radius
+        assert np.all(np.isfinite(density_ratio(num, den, np.array([-L, L]))))
+        for x in (scale * L, np.array([0.0, -scale * L])):
+            with pytest.raises(ParameterError, match="outside S"):
+                density_ratio(num, den, x)
 
     def test_mixed_q_rejected(self):
         with pytest.raises(ParameterError):

@@ -14,12 +14,12 @@ from qortho.qcore import (
     ParameterError,
     q_binomial,
     q_bracket,
-    q_double_factorial_odd,
     q_factorial,
     q_pochhammer,
     _Row,
 )
 from qortho import polyfam
+from qortho.expand import _hermite_bound, _rogers_bound
 from qortho.polyfam import (
     ASC,
     BigB,
@@ -36,16 +36,30 @@ from qortho.polyfam import (
     coeffs,
     eval as fam_eval,
     eval_all,
-    max_bound,
-    v_growth,
-    w_growth,
     _recurrence,
     _v_terms,
     _w_terms,
 )
-from special_values import special_values
+import row_reference as ref
+from special_values import q_double_factorial_odd, special_values
 
 F = Fraction
+
+
+def deflate(poly, root):
+    """Synthetic division of a RationalPoly by (x - root): (quotient, remainder)."""
+    root = Fraction(root)
+    acc = Fraction(0)
+    out = []
+    for c in reversed(poly.coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    if not out:
+        return RationalPoly(), Fraction(0)
+    rem = out.pop()
+    out.reverse()
+    return RationalPoly(out), rem
+
 
 q_rationals = st.fractions(
     min_value=F(-9, 10), max_value=F(9, 10), max_denominator=10
@@ -77,10 +91,10 @@ class TestRationalPoly:
     def test_deflate(self):
         x = RationalPoly.x()
         p = (x - 2) * (x + 3)
-        quot, rem = p.deflate(F(2))
+        quot, rem = deflate(p, F(2))
         assert rem == 0
         assert quot.coeffs == (F(3), F(1))
-        quot2, rem2 = p.deflate(F(1))
+        quot2, rem2 = deflate(p, F(1))
         assert rem2 == (1 - 2) * (1 + 3)
 
     def test_lead(self):
@@ -228,7 +242,7 @@ class TestDegenerations:
             prev, cur = cur, nxt
             polys.append(cur)
         for n in range(1, 9):
-            quot, rem = polys[n].deflate(F(1))
+            quot, rem = deflate(polys[n], F(1))
             assert rem == 0  # R_n(x0|1,q) = 0 for n >= 1
             # (beta;q)_n / (beta - 1) at beta = 1 equals -(q;q)_{n-1}
             scale = -q_pochhammer(q, q, n - 1)
@@ -257,7 +271,7 @@ class TestSpecialValues:
     def test_qhermite_at_edge(self):
         # H_n(2/sqrt(1-q)) = W_n / (1-q)^{n/2}, exact for even n
         q = F(1, 2)
-        W = w_growth(8, q)
+        W = list(islice(_w_terms(q), 9))
         for n in (0, 2, 4, 6, 8):
             v = special_values(QHermite(q), n, "edge")
             assert v == W[n] / (1 - q) ** (n // 2)
@@ -288,13 +302,13 @@ class TestSpecialValues:
 class TestGrowth:
     def test_w_growth_is_binomial_sum(self):
         q = F(1, 3)
-        W = w_growth(9, q)
+        W = list(islice(_w_terms(q), 10))
         for n in range(10):
             assert W[n] == sum(q_binomial(n, i, q) for i in range(n + 1))
 
     def test_v_growth_direct_sum(self):
         q, beta = F(1, 3), F(1, 4)
-        V = v_growth(7, q, beta)
+        V = list(islice(_v_terms(q, beta), 8))
         for n in range(8):
             direct = sum(
                 q_pochhammer(beta, q, i)
@@ -304,14 +318,15 @@ class TestGrowth:
             )
             assert V[n] == direct
 
+    # the sup-norm bound rules that certify expansion truncations, read with
+    # a = |c_n| = 1
     @given(q=st.floats(0.05, 0.9), frac=st.floats(-1.0, 1.0), n=st.integers(0, 12))
     @settings(max_examples=80, deadline=None)
     def test_qhermite_bound_dominates(self, q, frac, n):
         L = 2.0 / math.sqrt(1.0 - q)
         x = frac * L
-        assert abs(fam_eval(QHermite(q), n, x)) <= max_bound(QHermite(q), n) * (
-            1 + 1e-12
-        )
+        bound = _hermite_bound({"q": q}, None)(n, 1.0)
+        assert abs(fam_eval(QHermite(q), n, x)) <= bound * (1 + 1e-12)
 
     @given(q=st.floats(0.05, 0.9), beta=st.floats(0.0, 0.8),
            frac=st.floats(-1.0, 1.0), n=st.integers(0, 10))
@@ -319,16 +334,8 @@ class TestGrowth:
     def test_rogers_bound_dominates(self, q, beta, frac, n):
         L = 2.0 / math.sqrt(1.0 - q)
         x = frac * L
-        bound = max_bound(Rogers(beta, q), n)
+        bound = _rogers_bound({"q": q, "gamma": beta}, None)(n, 1.0)
         assert abs(fam_eval(Rogers(beta, q), n, x)) <= bound * (1 + 1e-12)
-
-    def test_rogers_bound_rejects_negative_q(self):
-        with pytest.raises(ParameterError):
-            max_bound(Rogers(0.3, -0.5), 4)
-
-    def test_qhermite_bound_requires_open_q(self):
-        with pytest.raises(ParameterError):
-            max_bound(QHermite(1), 4)
 
 
 class TestEvalAll:
@@ -383,7 +390,31 @@ class TestRows:
         row = _Row(_recurrence(fam, F(2, 7)))
         assert eval_all(fam, 9, F(2, 7)) == [row[n] for n in range(10)]
 
-    def test_growth_lists_are_prefixes(self):
-        for q in (F(1, 3), 0.45):
-            assert w_growth(9, q) == list(islice(_w_terms(q), 10))
-            assert v_growth(7, q, q / 2) == list(islice(_v_terms(q, q / 2), 8))
+
+@st.composite
+def q_hermite_type(draw):
+    """(family, x) for qhermite, rogers, asc or bigb, on floats or on Fractions."""
+    if draw(st.booleans()):
+        num, point = st.floats(-0.95, 0.95), st.floats(-3.0, 3.0)
+    else:
+        num = point = q_rationals
+    tag = draw(st.sampled_from(("qhermite", "rogers", "asc", "bigb")))
+    q = draw(num)
+    fam = {
+        "qhermite": lambda: QHermite(q),
+        "rogers": lambda: Rogers(draw(num), q),
+        "asc": lambda: ASC(draw(point), draw(num), q),
+        "bigb": lambda: BigB(q),
+    }[tag]()
+    return fam, draw(point)
+
+
+class TestRowReference:
+    """Rows with C_n from the bracket row equal the per-step bracket form bit for bit."""
+
+    @given(case=q_hermite_type())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_reference(self, case):
+        fam, x = case
+        got = list(islice(_recurrence(fam, x), 61))
+        assert [repr(v) for v in got] == [repr(v) for v in ref.row(fam, x, 60)]

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qortho.qcore import (
     q_binomial,
     q_binomial_table,
     q_bracket,
-    q_double_factorial_odd,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
@@ -26,6 +26,9 @@ from qortho.qcore import (
     _factorials,
     _pochhammers,
 )
+
+import row_reference as ref
+from special_values import q_double_factorial_odd
 
 # small rationals in (-1, 1), denominators kept tame so Fractions stay fast
 rationals = st.fractions(
@@ -137,6 +140,19 @@ class TestPrefixRows:
         for n in range(16):
             assert repr(next(fact)) == repr(q_factorial(n, q))
             assert repr(next(poch)) == repr(q_pochhammer(a, q, n))
+
+
+class TestBracketRows:
+    """The bracket row reproduces the per-n bracket loop bit for bit."""
+
+    @given(q=st.one_of(rationals, st.floats(-0.95, 0.95)))
+    @settings(max_examples=40)
+    def test_rows_match_reference(self, q):
+        want = ref.factorials(q, 60)
+        got = list(islice(_factorials(q), 61))
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        for n in range(61):
+            assert repr(q_bracket(n, q)) == repr(ref.bracket(n, q))
 
 
 class TestQDoubleFactorialOdd:
