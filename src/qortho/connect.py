@@ -14,16 +14,18 @@ which keeps every entry rational; multiply row n by (1-q)^{n/2} to recover
 the unscaled coefficients.
 
 The closed forms live in one table, ``_PAIRS``: each pair names the
-parameters it needs, a ``rows(Y, *values)`` rule, and optionally the family
-of its y-row, the values Y_m = B_m(y) or H_m(y|q) that every row reads.
-:func:`connection` builds that y-row once per call and calls ``rows`` once;
-the rule builds the q-series factors its entries read, also once per call
-(the q-Pascal table of q-binomials, the prefix rows of q-factorials and
-q-Pochhammer symbols, see :mod:`qortho.qcore`), and returns ``entries(n)``,
-which yields the (k, value) entries of row n.  One row loop then drops the
-zero entries.  The single-entry functions (:func:`d_hat_entry`,
-:func:`gamma_parts`, ...) take the same table as an optional ``B``, so a
-caller looping over k builds it once.
+parameters it needs, a ``rows(Y, *values)`` rule, its families, whose
+domains :func:`connection` checks with ``polyfam.validate`` as the oracle
+does, and optionally the family of its y-row, the values Y_m = B_m(y) or
+H_m(y|q) that every row reads.  :func:`connection` builds that y-row once
+per call and calls ``rows`` once; the rule builds the q-series factors its
+entries read, also once per call (the q-Pascal table of q-binomials, the
+prefix rows of q-factorials and q-Pochhammer symbols, see
+:mod:`qortho.qcore`), and returns ``entries(n)``, which yields the (k, value)
+entries of row n.  One row loop then drops the zero entries.  The
+single-entry functions (:func:`d_hat_entry`, :func:`gamma_parts`, ...) take
+the same table as an optional ``B``, so a caller looping over k builds it
+once.
 """
 
 import math
@@ -42,7 +44,9 @@ from .qcore import (
     _pochhammers,
     _Row,
 )
-from .polyfam import BigB, QHermite, RationalPoly, eval_all, validate
+from .polyfam import (
+    ASC, BigB, ChebU_hat, KestenHat, QHermite, RationalPoly, Rogers, eval_all, validate,
+)
 
 
 @dataclass(frozen=True)
@@ -279,6 +283,7 @@ def _u_from_t(Y):
 class _Pair:
     params: tuple  # required parameter names, in the order rows takes them
     rows: Callable
+    families: Callable = lambda p: ()  # params -> the families polyfam.validate checks
     y_row: Optional[Callable] = None  # params -> family of the y-row at params["y"]
 
 
@@ -286,23 +291,41 @@ def _h_row(p):
     return QHermite(p["q"])
 
 
+def _asc(p):
+    return (ASC(p["y"], p["rho"], p["q"]),)
+
+
+def _rogers_by(*names):
+    return lambda p: tuple(Rogers(p[name], p["q"]) for name in names)
+
+
 _PAIRS = {
-    "asc-from-h": _Pair(("y", "rho", "q"), _binomial, lambda p: BigB(p["q"])),
-    "h-from-asc": _Pair(("y", "rho", "q"), _binomial, _h_row),
-    "uhat-from-h": _Pair(("q",), _uhat_from_h),
-    "h-from-uhat": _Pair(("q",), _h_from_uhat),
-    "rogers-from-rogers": _Pair(("beta", "gamma", "q"), _rogers),
+    "asc-from-h": _Pair(("y", "rho", "q"), _binomial, _asc, lambda p: BigB(p["q"])),
+    "h-from-asc": _Pair(("y", "rho", "q"), _binomial, _asc, _h_row),
+    "uhat-from-h": _Pair(("q",), _uhat_from_h, lambda p: (ChebU_hat(p["q"]),)),
+    "h-from-uhat": _Pair(("q",), _h_from_uhat, lambda p: (ChebU_hat(p["q"]),)),
+    "rogers-from-rogers": _Pair(
+        ("beta", "gamma", "q"), _rogers, _rogers_by("beta", "gamma")
+    ),
     "rogers-from-h": _Pair(
-        ("gamma", "q"), lambda Y, gamma, q: _rogers(Y, 0 * q, gamma, q)
+        ("gamma", "q"), lambda Y, gamma, q: _rogers(Y, 0 * q, gamma, q), _rogers_by("gamma")
     ),
     "h-from-rogers": _Pair(
-        ("beta", "q"), lambda Y, beta, q: _rogers(Y, beta, 0 * q, q)
+        ("beta", "q"), lambda Y, beta, q: _rogers(Y, beta, 0 * q, q), _rogers_by("beta")
     ),
-    "uhat-from-asc": _Pair(("y", "rho", "q"), _from_asc(d_hat_entry), _h_row),
-    "kesten-from-asc": _Pair(("y", "rho", "q"), _from_asc(c_hat_entry), _h_row),
+    "uhat-from-asc": _Pair(
+        ("y", "rho", "q"), _from_asc(d_hat_entry),
+        lambda p: (ChebU_hat(p["q"]),) + _asc(p), _h_row,
+    ),
+    "kesten-from-asc": _Pair(
+        ("y", "rho", "q"), _from_asc(c_hat_entry),
+        lambda p: (KestenHat(p["y"], p["rho"], p["q"]),) + _asc(p), _h_row,
+    ),
     "t-from-u": _Pair((), _t_from_u),
     "u-from-t": _Pair((), _u_from_t),
-    "mehler": _Pair(("y", "rho"), _binomial, lambda p: QHermite(1)),
+    "mehler": _Pair(
+        ("y", "rho"), _binomial, lambda p: _asc(dict(p, q=1)), lambda p: QHermite(1)
+    ),
 }
 
 PAIRS = tuple(_PAIRS)
@@ -314,6 +337,8 @@ def connection(pair, n_max, **params):
         raise ParameterError("unknown pair %r; expected one of %s" % (pair, PAIRS))
     spec = _PAIRS[pair]
     values = _require(params, *spec.params)
+    for fam in spec.families(params):
+        validate(fam)
     Y = None
     if spec.y_row is not None:
         Y = eval_all(spec.y_row(params), n_max, params["y"])

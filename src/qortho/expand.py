@@ -38,10 +38,12 @@ Chebyshev U for i1, fU/fN in q-Hermite for i4 on the grid and at x = 0), it
 sums that kernel's ``_terms``, coefficient and bound rules included; the
 other series read their q-factorials and q-Pochhammer symbols from the
 ``qcore`` prefix rows.
+Every series here, expansion or identity, sums through ``qcore._sum_series``.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,10 +51,14 @@ import numpy as np
 from .qcore import (
     NonConvergenceError,
     ParameterError,
+    TruncationError,  # re-exported as expand.TruncationError
     VerificationReport,
     _factorials,
+    _plain_sum,
     _pochhammers,
     _Row,
+    _sum_series,
+    _theta_series,
     div,
     q_binomial_table,
     q_pochhammer_inf,
@@ -87,10 +93,6 @@ from .connect import beta_coeff, gamma_coeff
 K_CAP = 500
 
 
-class TruncationError(NonConvergenceError):
-    """Adaptive truncation could not certify the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class ExpansionSpec:
     id: str
@@ -101,7 +103,7 @@ class ExpansionSpec:
 @dataclass(frozen=True)
 class ExpansionResult:
     value: object  # reconstructed target density, same shape as x
-    tail: object  # |base| * two-term lookahead bound on the dropped series
+    tail: object  # |base| * the next two term bounds; for an even kernel one is 0
     n_terms: int  # number of terms summed
 
 
@@ -477,8 +479,7 @@ def _terms(kernel, p, x):
     coeff = _coeffs(kernel, p, Y)
     rule = kernel.bound(p, Y)
     zero = x * 0.0
-    n = 0
-    while True:
+    for n in count():
         if kernel.even and n % 2:
             yield zero, 0.0
         else:
@@ -487,16 +488,18 @@ def _terms(kernel, p, x):
                 c = c * Y[n]
             term = c * A[n]
             yield term, _maxabs(term) if rule is None else rule(n, abs(c))
-        n += 1
 
 
 def expansion_eval(spec, x, tol=1e-9):
     """Evaluate the expansion at x; returns ExpansionResult(value, tail, n_terms).
 
-    With spec.K set, exactly K+1 terms are summed.  Otherwise terms are added
-    until two consecutive sup-norm bounds fall below tol, capped at K_CAP
-    (TruncationError past the cap).  A value or tail that is not finite, as
-    when the terms or their bounds overflow, raises NonConvergenceError.
+    With spec.K set, exactly K+1 terms are summed.  Otherwise the sum stops at
+    the second sup-norm bound in a row <= tol, capped at K_CAP (TruncationError
+    past it).  For the four even kernels (n_over_u, u_over_n, r_over_n,
+    n_over_r) the zero odd term counts as one of the two, so the sum stops at
+    the first even term under tol and the tail holds one nonzero bound.  A y
+    outside S(q) is a ParameterError; a value or tail that is not finite
+    (overflowed terms, bounds or coefficients) raises NonConvergenceError.
     """
     kernel = _kernel(spec.id)
     _require(spec.id, spec.params, kernel.params)
@@ -512,83 +515,34 @@ def expansion_eval(spec, x, tol=1e-9):
     if kernel.domain is not None:
         kernel.domain(p)
     base = density_eval(base_density(spec.id, p), xa)
+    target_density(spec.id, p)  # its constructor checks the conditioning point y
     fixed = spec.K is not None
     if fixed and spec.K < 0:
         raise ParameterError("K must be >= 0")
     # overflow in the rows or terms is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = _terms(kernel, p, xa)
-        acc = np.zeros_like(xa)
-        small = 0
-        n = -1
-        while True:
-            n += 1
-            term, bound = next(gen)
-            acc = acc + term
-            if fixed:
-                if n >= spec.K:
-                    break
-            else:
-                if bound <= tol:
-                    small += 1
-                    if small >= 2 and n >= 2:
-                        break
-                else:
-                    small = 0
-                if n >= K_CAP:
-                    raise TruncationError(
-                        "expansion %r did not reach tol=%g within %d terms"
-                        % (spec.id, tol, K_CAP)
-                    )
-        tail_series = next(gen)[1] + next(gen)[1]
+        terms = _terms(kernel, p, xa)
+        if fixed:
+            acc, n_terms = _sum_series(islice(terms, spec.K + 1), -math.inf, cap=math.inf)
+        else:
+            msg = "expansion %r did not reach tol=%g within %d terms" % (spec.id, tol, K_CAP)
+            acc, n_terms = _sum_series(terms, tol, cap=K_CAP, message=msg)
+        # the tail: the next two bounds, under the same overflow rule
+        tail_series, _ = _sum_series(((b, b) for _, b in islice(terms, 2)), -math.inf)
         value = base * acc
         tail = np.abs(base) * tail_series
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(tail))):
         raise NonConvergenceError(
-            "expansion %r overflowed within %d terms" % (spec.id, n + 1)
+            "expansion %r overflowed within %d terms" % (spec.id, n_terms)
         )
     if scalar:
-        return ExpansionResult(float(value[0]), float(tail[0]), n + 1)
-    return ExpansionResult(value, tail, n + 1)
+        return ExpansionResult(float(value[0]), float(tail[0]), n_terms)
+    return ExpansionResult(value, tail, n_terms)
 
 
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
-
-
-_SERIES_STOP = 1e-16
-_SERIES_CAP = 1500
-
-
-def _sum_series(gen, stop=_SERIES_STOP, consecutive=2, cap=_SERIES_CAP):
-    acc = None
-    small = 0
-    for n, (term, size) in enumerate(gen):
-        acc = term if acc is None else acc + term
-        if size <= stop:
-            small += 1
-            if small >= consecutive:
-                return acc
-        else:
-            small = 0
-        if n >= cap:
-            raise NonConvergenceError("identity series did not settle")
-    raise NonConvergenceError("identity series generator exhausted")
-
-
-def _theta_series(q, signed, weighted):
-    """sum_k s^k (2k+1 if weighted else 1) q^{k(k+1)/2} with s = -1 if signed."""
-
-    def gen():
-        k = 0
-        while True:
-            t = q ** (k * (k + 1) // 2)
-            w = (2 * k + 1) if weighted else 1
-            yield ((-1) ** k if signed else 1) * w * t, abs(t) * w
-            k += 1
-
-    return _sum_series(gen(), stop=1e-18, consecutive=1)
 
 
 def _grid(q, fractions=(-0.93, -0.51, 0.0, 0.37, 0.85)):
@@ -602,7 +556,7 @@ def _even_kernel_sum(id, q, xs):
     The odd terms are zero, so four small terms in a row are two small even
     terms: the default rule of ``_sum_series``, applied to the nonzero terms.
     """
-    return _sum_series(_terms(_KERNELS[id], {"q": q}, xs), consecutive=4)
+    return _sum_series(_terms(_KERNELS[id], {"q": q}, xs), consecutive=4)[0]
 
 
 def _i1(q, eps):
@@ -637,14 +591,9 @@ def _i4(q, eps):
 
     # boundary: (q;q)_inf^{-3} = sum q^k W_{2k} / ((q;q)_k (q^2;q)_k)
     W = _Row(_w_terms(q))
-
-    def gen_edge():
-        rows = zip(_pochhammers(q, q), _pochhammers(q * q, q))
-        for k, (qp, qp2) in enumerate(rows):
-            term = q ** k * W[2 * k] / (qp * qp2)
-            yield term, abs(term)
-
-    res_edge = _mixed(qinf ** -3.0, _sum_series(gen_edge(), stop=1e-18, consecutive=1))
+    rows = enumerate(zip(_pochhammers(q, q), _pochhammers(q * q, q)))
+    edge = (q ** k * W[2 * k] / (qp * qp2) for k, (qp, qp2) in rows)
+    res_edge = _mixed(qinf ** -3.0, _plain_sum(edge))
     return res_grid, res_x0, res_edge
 
 
@@ -655,42 +604,26 @@ def _diagonal_terms(q, rho, H, W):
         yield c * H[n] * H[n], abs(c) * (W[n] / (1.0 - q) ** (n / 2.0)) ** 2
 
 
-def _diagonal_sum(q, rho, H, W):
-    """sum_n rho^n H_n(x)^2 / [n]_q!; NaN (a failed check) once its term bound overflows."""
-    try:
-        return _sum_series(_diagonal_terms(q, rho, H, W))
-    except OverflowError:
-        return math.nan
-
-
 def _i5(q, rho, eps):
     xs = _grid(q)
     lhs = pm_ratio(xs, xs, rho, q, eps)
     H = _Row(_recurrence(QHermite(q), xs))
     W = _Row(_w_terms(q))
-    res_grid = _mixed(lhs, _diagonal_sum(q, rho, H, W))
+    res_grid = _mixed(lhs, _sum_series(_diagonal_terms(q, rho, H, W))[0])
 
     # x = 0: (rho^2 q; q^2)_inf / (rho^2; q^2)_inf
     lhs0 = q_pochhammer_inf(rho * rho * q, q * q, eps) / q_pochhammer_inf(
         rho * rho, q * q, eps
     )
     # rhs = sum_k rho^{2k} (q;q^2)_k / (q^2;q^2)_k
-    def gen_x0():
-        rows = zip(_pochhammers(q, q * q), _pochhammers(q * q, q * q))
-        for k, (odd, even) in enumerate(rows):
-            term = rho ** (2 * k) * odd / even
-            yield term, abs(term)
-
-    res_x0 = _mixed(lhs0, _sum_series(gen_x0(), stop=1e-18, consecutive=1))
+    rows = enumerate(zip(_pochhammers(q, q * q), _pochhammers(q * q, q * q)))
+    x0 = (rho ** (2 * k) * odd / even for k, (odd, even) in rows)
+    res_x0 = _mixed(lhs0, _plain_sum(x0))
 
     # boundary: (rho^2;q)_inf / (rho;q)_inf^4 = sum rho^n W_n^2 / (q;q)_n
-    def gen_edge():
-        for n, qp in enumerate(_pochhammers(q, q)):
-            term = rho ** n * float(W[n]) ** 2 / qp
-            yield term, abs(term)
-
+    edge = (rho ** n * float(W[n]) ** 2 / qp for n, qp in enumerate(_pochhammers(q, q)))
     lhs_e = q_pochhammer_inf(rho * rho, q, eps) / q_pochhammer_inf(rho, q, eps) ** 4
-    res_edge = _mixed(lhs_e, _sum_series(gen_edge(), stop=1e-18, consecutive=1))
+    res_edge = _mixed(lhs_e, _plain_sum(edge))
     return res_grid, res_x0, res_edge
 
 
@@ -706,8 +639,8 @@ def _i6(q, rho, eps):
             c = rho ** n / (fact * rq)
             yield c * H[2 * n], abs(c) * W[2 * n] / (1.0 - q) ** n
 
-    lhs = (1.0 - rho) * _diagonal_sum(q, rho, H, W)
-    rhs = _sum_series(gen_rhs())
+    lhs = (1.0 - rho) * _sum_series(_diagonal_terms(q, rho, H, W))[0]
+    rhs = _sum_series(gen_rhs())[0]
     return _mixed(lhs, rhs)
 
 
@@ -729,11 +662,10 @@ def _i7(q, rho, eps):
         def gen_e1():
             eta_prev, eta = 0.0, 1.0
             for k, qp in enumerate(_pochhammers(q, q)):
-                term = (s * rho) ** k * Hy[k] * eta / qp
-                yield term, abs(term)
+                yield (s * rho) ** k * Hy[k] * eta / qp
                 eta_prev, eta = eta, eta - (1.0 - q ** k) * eta_prev
 
-        e1 = q3inf * _sum_series(gen_e1(), stop=1e-17, consecutive=4)
+        e1 = q3inf * _plain_sum(gen_e1(), 1e-17, consecutive=4)
 
         # E2: (rho^2;q)_inf (q^3;q^3)_inf / prod_k (1 - rho^2 q^{2k} + rho^4 q^{4k}
         #      - sqrt(1-q) rho y q^k (1 + rho^2 q^{2k}) + (1-q) rho^2 y^2 q^{2k}),
@@ -742,14 +674,12 @@ def _i7(q, rho, eps):
 
         # E3: sum_m (-1)^m (gamma_{3m} + gamma_{3m+1})
         def gen_e3():
-            m = 0
-            while True:
+            for m in count():
                 g0 = float(gamma_coeff(3 * m, y, rho, q, H=Hy, B=B))
                 g1 = float(gamma_coeff(3 * m + 1, y, rho, q, H=Hy, B=B))
                 yield (-1) ** m * (g0 + g1), abs(g0) + abs(g1)
-                m += 1
 
-        e3 = _sum_series(gen_e3(), stop=1e-17)
+        e3 = _sum_series(gen_e3(), 1e-17)[0]
 
         res_prod = max(res_prod, _mixed(e1, e2))
         res_useries = max(res_useries, _mixed(e1, e3))

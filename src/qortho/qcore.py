@@ -25,12 +25,17 @@ bit the scalar value.  A ``_Row`` wraps such a generator as a lazy list:
 index n takes values once, in order, up to n and no further.
 :func:`q_binomial` keeps its product form as the scalar primitive and the
 independent check of the table.
+
+``_sum_series`` is the one truncated-sum loop: the expansions, every
+identity-battery series and the sampler envelope sum through it, with one
+stop rule, one cap and one overflow rule.  ``_plain_sum`` feeds it a series
+whose terms are their own bounds, such as ``_theta_series``.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 
 class QOrthoError(Exception):
@@ -47,6 +52,10 @@ class IrrationalParameterError(ParameterError):
 
 class NonConvergenceError(QOrthoError):
     """A truncation/tolerance target could not be met within the iteration cap."""
+
+
+class TruncationError(NonConvergenceError):
+    """Adaptive truncation could not certify the requested tolerance."""
 
 
 #: Hard cap on the number of factors kept in any infinite product.  With the
@@ -204,6 +213,43 @@ def q_pochhammer(a, q, n):
     if n < 0:
         raise ParameterError("q_pochhammer needs n >= 0, got %r" % (n,))
     return _nth(_pochhammers(a, q), n)
+
+
+def _sum_series(terms, stop=1e-16, consecutive=2, cap=1500,
+                message="series did not settle"):
+    """(sum, terms summed) of a truncated series given as (term, bound) pairs.
+
+    It stops at the ``consecutive``-th bound in a row <= stop, or at the end
+    of a finite iterable (a fixed order K is ``islice(terms, K + 1)``), and
+    raises TruncationError(message) if cap + 1 terms did not stop it.  An
+    OverflowError while a term is formed ends the sum as NaN, that term counted.
+    """
+    total, n, small = 0.0, 0, 0
+    try:
+        for term, bound in terms:
+            total = term if n == 0 else total + term
+            n += 1
+            small = small + 1 if bound <= stop else 0
+            if small >= consecutive:
+                break
+            if n > cap:
+                raise TruncationError(message)
+    except OverflowError:
+        return math.nan, n + 1
+    return total, n
+
+
+def _plain_sum(terms, stop=1e-18, consecutive=1, cap=1500):
+    """The :func:`_sum_series` sum of a series whose terms are their own bounds."""
+    return _sum_series(((t, abs(t)) for t in terms), stop, consecutive, cap)[0]
+
+
+def _theta_series(q, signed, weighted):
+    """sum_k s^k (2k+1 if weighted else 1) q^{k(k+1)/2} with s = -1 if signed."""
+    s = -1 if signed else 1
+    return _plain_sum(
+        s ** k * (2 * k + 1 if weighted else 1) * q ** (k * (k + 1) // 2) for k in count()
+    )
 
 
 def truncation_order(amplitude, q, eps):

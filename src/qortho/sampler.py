@@ -5,8 +5,10 @@ on [-L, L].  Each batch draws its proposals, then its acceptance uniforms,
 from one generator spawned per batch from the seed's ``SeedSequence``.
 
 The ratio r(x) = target(x)/fU(x) is bounded: for fN by the alternating-series
-envelope M = sum (2k+1)|q|^{k(k+1)/2}, for fCN by 1 + sum (k+1)|gamma_k| over
-the Chebyshev expansion coefficients.  r is evaluated once per call on a
+envelope M = sum (2k+1)|q|^{k(k+1)/2}, for fCN by sum (k+1)|gamma_k| over the
+Chebyshev expansion coefficients (gamma_0 = 1), both summed by
+``qcore._sum_series``; an fCN series that has not settled after 400 terms
+falls back to 1.05 times the grid supremum.  r is evaluated once per call on a
 dense grid, whose supremum both floors M and checks it before any sampling;
 every proposal batch re-checks the bound, so a bad envelope aborts loudly
 instead of skewing the output.
@@ -14,13 +16,16 @@ instead of skewing the output.
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
-from .qcore import ParameterError, QOrthoError, _Row, q_binomial_table, support
+from .qcore import (
+    ParameterError, QOrthoError, TruncationError, _plain_sum, _Row, _theta_series,
+    q_binomial_table, support,
+)
 from . import connect, densities
 from .densities import density_ratio, fU
-from .expand import _theta_series
 from .polyfam import QHermite, _recurrence
 
 
@@ -60,14 +65,14 @@ def _envelope(dens, sup):
     # one H_m(y|q) row and one q-binomial table for all k, grown on demand
     H = _Row(_recurrence(QHermite(q), dens.y))
     B = q_binomial_table(q)
-    total, small = 1.0, 0
-    for k in range(1, 400):
-        t = (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q, H=H, B=B))
-        total += t
-        small = small + 1 if t < 1e-12 else 0
-        if small >= 3:
-            return max(total, sup)
-    return sup * 1.05
+    terms = (
+        (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q, H=H, B=B)) for k in count()
+    )
+    try:
+        # three terms in a row < 1e-12 end the sum; 400 terms without them stall
+        return max(_plain_sum(terms, math.nextafter(1e-12, 0.0), 3, cap=399), sup)
+    except TruncationError:
+        return sup * 1.05
 
 
 def envelope_constant(dens, grid_n=_GRID_N):

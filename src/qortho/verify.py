@@ -71,42 +71,34 @@ def integrate(f, q, tol=1e-10, n0=128, n_cap=1024):
     )
 
 
-def _norm(fam, dens, n):
-    """Closed-form squared norm of fam_n under dens; validates the pairing."""
+#: closed-form squared norm rule(dens, n) of fam_n under dens, keyed by
+#: (family tag, density tag)
+_NORMS = {
+    ("qhermite", "fn"): lambda d, n: float(q_factorial(n, d.q)),
+    ("asc", "fcn"): lambda d, n: float(
+        q_pochhammer(d.rho * d.rho, d.q, n) * q_factorial(n, d.q)
+    ),
+    ("rogers", "fr"): lambda d, n: float(
+        (1 - d.beta) * q_pochhammer(d.beta * d.beta, d.q, n) * q_factorial(n, d.q)
+        / (1 - d.beta * d.q ** n)
+    ),
+    ("chebu_hat", "fu"): lambda d, n: (1.0 - d.q) ** (-n),
+    ("chebt_hat", "ft"): lambda d, n: 1.0 if n == 0 else 0.5 * (1.0 - d.q) ** (-n),
+    ("kesten_hat", "fk"): lambda d, n: (
+        1.0 if n == 0 else (1.0 - d.rho ** 2) * (1.0 - d.q) ** (-n)
+    ),
+}
+
+
+def _norm_rule(fam, dens):
+    """The pair's norm rule, once its family parameters match the density's."""
     pair = (fam.tag, dens.tag)
-    if pair == ("qhermite", "fn"):
-        if fam.q != dens.q:
-            raise ParameterError("family and density q differ")
-        return float(q_factorial(n, dens.q))
-    if pair == ("asc", "fcn"):
-        if (fam.q, fam.y, fam.rho) != (dens.q, dens.y, dens.rho):
-            raise ParameterError("ASC/fCN parameter mismatch")
-        r, q = dens.rho, dens.q
-        return float(q_pochhammer(r * r, q, n) * q_factorial(n, q))
-    if pair == ("rogers", "fr"):
-        if (fam.q, fam.beta) != (dens.q, dens.beta):
-            raise ParameterError("Rogers/fR parameter mismatch")
-        b, q = dens.beta, dens.q
-        return float(
-            (1 - b) * q_pochhammer(b * b, q, n) * q_factorial(n, q) / (1 - b * q ** n)
-        )
-    if pair == ("chebu_hat", "fu"):
-        if fam.q != dens.q:
-            raise ParameterError("family and density q differ")
-        return (1.0 - dens.q) ** (-n)
-    if pair == ("chebt_hat", "ft"):
-        if fam.q != dens.q:
-            raise ParameterError("family and density q differ")
-        if n == 0:
-            return 1.0
-        return 0.5 * (1.0 - dens.q) ** (-n)
-    if pair == ("kesten_hat", "fk"):
-        if (fam.q, fam.y, fam.rho) != (dens.q, dens.y, dens.rho):
-            raise ParameterError("Kesten/fK parameter mismatch")
-        if n == 0:
-            return 1.0
-        return (1.0 - dens.rho ** 2) * (1.0 - dens.q) ** (-n)
-    raise ParameterError("no closed-form norm for pair %r" % (pair,))
+    if pair not in _NORMS:
+        raise ParameterError("no closed-form norm for pair %r" % (pair,))
+    for name, v in fam.params().items():
+        if getattr(dens, name) != v:
+            raise ParameterError("%s/%s parameter mismatch in %s" % (*pair, name))
+    return _NORMS[pair]
 
 
 @functools.lru_cache(maxsize=64)
@@ -128,8 +120,9 @@ def _gram(fam, dens, n_max, n0=256):
 
 def check_orthogonality(fam, dens, n, m, tol=1e-8):
     """Compare the (n, m) inner product against the closed-form norm."""
+    norm = _norm_rule(fam, dens)
     G, quad_err = _gram(fam, dens, max(n, m))
-    expected = _norm(fam, dens, n) if n == m else 0.0
+    expected = norm(dens, n) if n == m else 0.0
     residual = abs(float(G[n, m]) - expected)
     return VerificationReport(
         "orthogonality:%s/%s" % (fam.tag, dens.tag),

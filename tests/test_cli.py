@@ -253,6 +253,42 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == "qortho: expansion 'u_over_n' overflowed within 701 terms\n"
 
+    def test_overflowing_coefficient(self, capsys):
+        # 171! is too large for a float, so rho^n / n! overflows at n = 171
+        code = main(["expand", "--id", "mehler_classical", "--y", "0", "--rho", "0.9",
+                     "--x", "0"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err == "qortho: expansion 'mehler_classical' overflowed within 172 terms\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--pair", "asc-from-h", "--n", "2", "--y", "1/3", "--rho", "3/2", "--q", "1/2"],
+        ["--pair", "mehler", "--n", "3", "--y", "1", "--rho", "5"],
+        ["--pair", "uhat-from-h", "--n", "4", "--q", "1"],
+        ["--pair", "rogers-from-rogers", "--n", "3", "--beta", "1", "--gamma", "1/2",
+         "--q", "1/2"],
+    ])
+    def test_connection_outside_family_domain(self, capsys, argv):
+        code = main(["connect"] + argv)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qortho: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--id", "pm_q0", "--y", "2.5", "--rho", "0.3"],
+        ["--id", "cn_over_n", "--q", "0.5", "--y", "10", "--rho", "0.3"],
+        ["--id", "cn_over_u", "--q", "0.5", "--y", "10", "--rho", "0.3"],
+    ])
+    def test_conditioning_point_outside_support(self, capsys, argv):
+        code = main(["expand", "--x", "0"] + argv)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        y = float(argv[argv.index("--y") + 1])
+        assert err == "qortho: fCN conditioning point must lie in S(q), got y=%r\n" % y
+
     def test_argparse_rejects_unknown(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--family", "nope", "--n", "1", "--x", "0"])

@@ -45,23 +45,23 @@ F = Fraction
 Q, Y, RHO, BETA, GAMMA = F(1, 3), F(2, 5), F(1, 4), F(1, 5), F(2, 7)
 
 
-def _target_source(pair):
+def _target_source(pair, y=Y, rho=RHO, q=Q, beta=BETA, gamma=GAMMA):
     """Families whose oracle expansion must match the closed form."""
     table = {
-        "asc-from-h": (ASC(Y, RHO, Q), QHermite(Q), dict(y=Y, rho=RHO, q=Q)),
-        "h-from-asc": (QHermite(Q), ASC(Y, RHO, Q), dict(y=Y, rho=RHO, q=Q)),
-        "uhat-from-h": (ChebU_hat(Q), QHermite(Q), dict(q=Q)),
-        "h-from-uhat": (QHermite(Q), ChebU_hat(Q), dict(q=Q)),
+        "asc-from-h": (ASC(y, rho, q), QHermite(q), dict(y=y, rho=rho, q=q)),
+        "h-from-asc": (QHermite(q), ASC(y, rho, q), dict(y=y, rho=rho, q=q)),
+        "uhat-from-h": (ChebU_hat(q), QHermite(q), dict(q=q)),
+        "h-from-uhat": (QHermite(q), ChebU_hat(q), dict(q=q)),
         "rogers-from-rogers": (
-            Rogers(GAMMA, Q), Rogers(BETA, Q), dict(beta=BETA, gamma=GAMMA, q=Q)),
-        "rogers-from-h": (Rogers(GAMMA, Q), QHermite(Q), dict(gamma=GAMMA, q=Q)),
-        "h-from-rogers": (QHermite(Q), Rogers(BETA, Q), dict(beta=BETA, q=Q)),
-        "uhat-from-asc": (ChebU_hat(Q), ASC(Y, RHO, Q), dict(y=Y, rho=RHO, q=Q)),
-        "kesten-from-asc": (KestenHat(Y, RHO, Q), ASC(Y, RHO, Q),
-                            dict(y=Y, rho=RHO, q=Q)),
+            Rogers(gamma, q), Rogers(beta, q), dict(beta=beta, gamma=gamma, q=q)),
+        "rogers-from-h": (Rogers(gamma, q), QHermite(q), dict(gamma=gamma, q=q)),
+        "h-from-rogers": (QHermite(q), Rogers(beta, q), dict(beta=beta, q=q)),
+        "uhat-from-asc": (ChebU_hat(q), ASC(y, rho, q), dict(y=y, rho=rho, q=q)),
+        "kesten-from-asc": (KestenHat(y, rho, q), ASC(y, rho, q),
+                            dict(y=y, rho=rho, q=q)),
         "t-from-u": (ChebT(), ChebU(), {}),
         "u-from-t": (ChebU(), ChebT(), {}),
-        "mehler": (ClassicalHermite(), ASC(Y, RHO, 1), dict(y=Y, rho=RHO)),
+        "mehler": (ClassicalHermite(), ASC(y, rho, 1), dict(y=y, rho=rho)),
     }
     return table[pair]
 
@@ -114,6 +114,27 @@ class TestClosedForms:
         for n in range(1, 9):
             total = sum(q_binomial(n, j, Q) * B[n - j] * H[j] for j in range(n + 1))
             assert total == 0
+
+    @pytest.mark.parametrize("pair,name,bad", [
+        (pair, name, bad)
+        for pair in PAIRS
+        for name, bad in (("q", 1), ("q", F(-1)), ("q", F(3, 2)), ("rho", F(3, 2)),
+                          ("rho", -1), ("beta", 1), ("gamma", F(-7, 5)))
+        if name in _target_source(pair)[2]
+    ])
+    def test_domain_matches_oracle(self, pair, name, bad):
+        # connection refuses exactly the parameters the oracle's families refuse
+        target, source, params = _target_source(pair, **{name: bad})
+
+        def refused(build):
+            try:
+                build()
+            except ParameterError:
+                return True
+            return False
+
+        assert refused(lambda: connection(pair, 4, **params)) == refused(
+            lambda: oracle_connection(target, source, 4))
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(ParameterError):

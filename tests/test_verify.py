@@ -1,6 +1,7 @@
 """Tests for the quadrature backend and the verification checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestOrthogonality:
             check_orthogonality(QHermite(0.5), fU(0.5), 1, 1)
         with pytest.raises(ParameterError):
             check_orthogonality(Rogers(0.2, 0.5), fR(0.3, 0.5), 1, 1)
+
+    @pytest.mark.parametrize("fam,dens", [
+        (QHermite(0.5), fN(0.3)),
+        (ASC(0.2, 0.4, 0.5), fCN(0.2, 0.45, 0.5)),
+        (Rogers(0.2, 0.5), fR(0.3, 0.5)),
+    ])
+    def test_mismatch_refused_before_quadrature(self, fam, dens):
+        # off the diagonal too, and before any Gram matrix is built
+        with mock.patch.object(verify, "_gram", side_effect=AssertionError):
+            with pytest.raises(ParameterError, match="mismatch"):
+                check_orthogonality(fam, dens, 0, 1)
 
     def test_chebt_hat_constant_norm(self):
         q = 0.4
