@@ -6,11 +6,19 @@ work in float.  Output is CSV (default) or JSON, deterministic byte-for-byte
 for a fixed command line: the first line is
 `# qortho v1, <subcommand>, <flags>` with flags sorted by name.
 
+Families and densities come from one name -> constructor table per kind;
+each constructor gets the flags its signature names, and one it needs but
+was not given is a ParameterError ("family 'rogers' requires --beta").  The
+library checks every value (``qcore.check_params``), and only the
+parameters an entry point uses, so a flag it does not use is never refused.
+
 Exit codes: 0 success, 2 usage (argparse), 3 ParameterError,
-4 NonConvergenceError, 1 other qortho errors or failed verification.
+4 NonConvergenceError or a float overflow, 1 other qortho errors or failed
+verification.
 """
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -109,50 +117,42 @@ def _emit(args, columns, rows, extra_meta=None):
         sys.stdout.write(text)
 
 
-_FAMILY_PARAMS = {
-    "qhermite": ("q",),
-    "rogers": ("beta", "q"),
-    "asc": ("y", "rho", "q"),
-    "bigb": ("q",),
-    "chebt": (),
-    "chebu": (),
-    "chebt-hat": ("q",),
-    "chebu-hat": ("q",),
-    "hermite": (),
-    "kesten": ("y", "rho"),
-    "kesten-hat": ("y", "rho", "q"),
-}
-
-_FAMILY_CTOR = {
-    "qhermite": polyfam.QHermite,
-    "rogers": polyfam.Rogers,
-    "asc": polyfam.ASC,
-    "bigb": polyfam.BigB,
-    "chebt": polyfam.ChebT,
-    "chebu": polyfam.ChebU,
-    "chebt-hat": polyfam.ChebT_hat,
-    "chebu-hat": polyfam.ChebU_hat,
-    "hermite": polyfam.ClassicalHermite,
-    "kesten": polyfam.Kesten,
+#: name -> constructor, one table per kind
+_FAMILIES = {
+    "qhermite": polyfam.QHermite, "rogers": polyfam.Rogers, "asc": polyfam.ASC,
+    "bigb": polyfam.BigB, "chebt": polyfam.ChebT, "chebu": polyfam.ChebU,
+    "chebt-hat": polyfam.ChebT_hat, "chebu-hat": polyfam.ChebU_hat,
+    "hermite": polyfam.ClassicalHermite, "kesten": polyfam.Kesten,
     "kesten-hat": polyfam.KestenHat,
 }
+_DENSITIES = {f.__name__.lower(): f for f in (
+    densities.fN, densities.fCN, densities.fR, densities.fU, densities.fT, densities.fK)}
+
+#: the parameter flags of the library's entry points
+_PARAMS = ("q", "y", "rho", "beta", "gamma")
 
 
-def _mk_family(args):
-    names = _FAMILY_PARAMS[args.family]
-    vals = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise ParameterError(
-                "family %r requires --%s" % (args.family, name)
-            )
-        vals.append(v)
-    return _FAMILY_CTOR[args.family](*vals)
+def _build(kind, table, name, args):
+    """table[name] called with the flags its signature names; unset ones take
+    the parameter's default, and without one they are a ParameterError."""
+    kwargs = {}
+    for param in inspect.signature(table[name]).parameters.values():
+        v = getattr(args, param.name, None)
+        if v is not None:
+            kwargs[param.name] = v
+        elif param.default is param.empty:
+            raise ParameterError("%s %r requires --%s"
+                                 % (kind, name, param.name.replace("_", "-")))
+    return table[name](**kwargs)
+
+
+def _params(args):
+    """The parameter flags that were given, by name."""
+    return {name: getattr(args, name) for name in _PARAMS if getattr(args, name) is not None}
 
 
 def _cmd_eval(args):
-    fam = _mk_family(args)
+    fam = _build("family", _FAMILIES, args.family, args)
     rows = []
     for x in args.x:
         val = polyfam.eval(fam, args.n, x)
@@ -162,33 +162,16 @@ def _cmd_eval(args):
 
 
 def _cmd_coeffs(args):
-    fam = _mk_family(args)
+    fam = _build("family", _FAMILIES, args.family, args)
     poly = polyfam.coeffs(fam, args.n)
     rows = [(args.n, k, c) for k, c in enumerate(poly.coeffs)]
     _emit(args, ("n", "k", "coeff"), rows)
     return 0
 
 
-_DENSITY_CTOR = {
-    "fn": lambda a: densities.fN(a.q, a.trunc_eps),
-    "fcn": lambda a: densities.fCN(_req(a, "y"), _req(a, "rho"), a.q, a.trunc_eps),
-    "fr": lambda a: densities.fR(_req(a, "beta"), a.q, a.trunc_eps),
-    "fu": lambda a: densities.fU(a.q),
-    "ft": lambda a: densities.fT(a.q),
-    "fk": lambda a: densities.fK(_req(a, "y"), _req(a, "rho"), a.q),
-}
-
-
-def _req(args, name):
-    v = getattr(args, name)
-    if v is None:
-        raise ParameterError("density %r requires --%s" % (args.density, name))
-    return float(v)
-
-
 def _cmd_density(args):
-    args.q = float(args.q)
-    dens = _DENSITY_CTOR[args.density](args)
+    dens = _build("density", _DENSITIES, args.density, args)
+    args.q = dens.q  # the header shows q as the float the density uses
     xs = [float(x) for x in args.x]
     rows = [(x, densities.density_eval(dens, x)) for x in xs]
     _emit(args, ("x", "value"), rows)
@@ -196,11 +179,7 @@ def _cmd_density(args):
 
 
 def _cmd_expand(args):
-    params = {}
-    for name in ("q", "rho", "y", "beta", "gamma"):
-        v = getattr(args, name)
-        if v is not None:
-            params[name] = v
+    params = _params(args)
     if args.x is not None:
         spec = expand.ExpansionSpec(args.id, dict(params), args.k)
         rows = []
@@ -210,6 +189,8 @@ def _cmd_expand(args):
         _emit(args, ("x", "value", "tail", "n_terms"), rows)
         return 0
     k_max = args.k_max if args.k_max is not None else 8
+    if k_max < 0:
+        raise ParameterError("--k-max must be >= 0, got %r" % (k_max,))
     rows = [(n, expand.expansion_coeff(args.id, n, **params))
             for n in range(k_max + 1)]
     _emit(args, ("n", "coeff"), rows)
@@ -217,12 +198,7 @@ def _cmd_expand(args):
 
 
 def _cmd_connect(args):
-    params = {}
-    for name in ("q", "y", "rho", "beta", "gamma"):
-        v = getattr(args, name)
-        if v is not None:
-            params[name] = v
-    mat = connect.connection(args.pair, args.n, **params)
+    mat = connect.connection(args.pair, args.n, **_params(args))
     row = mat.rows.get(args.n, {})
     rows = [(args.n, k, row[k]) for k in sorted(row, reverse=True)]
     _emit(args, ("n", "k", "coeff"), rows)
@@ -251,12 +227,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    dens_args = argparse.Namespace(
-        density=args.target, q=float(args.q),
-        y=args.y, rho=args.rho, beta=None,
-        trunc_eps=1e-14,
-    )
-    dens = _DENSITY_CTOR[args.target](dens_args)
+    dens = _build("density", _DENSITIES, args.target, args)
     result = sampler.sample(dens, args.n, seed=args.seed, batch=args.batch)
     meta = {
         "acceptance_rate": result.acceptance_rate,
@@ -277,16 +248,8 @@ def _cmd_sample(args):
 
 
 def _add_common(p, *names):
-    if "q" in names:
-        p.add_argument("--q", type=_num, default=None)
-    if "y" in names:
-        p.add_argument("--y", type=_num, default=None)
-    if "rho" in names:
-        p.add_argument("--rho", type=_num, default=None)
-    if "beta" in names:
-        p.add_argument("--beta", type=_num, default=None)
-    if "gamma" in names:
-        p.add_argument("--gamma", type=_num, default=None)
+    for name in names:
+        p.add_argument("--" + name, type=_num, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
 
@@ -299,20 +262,20 @@ def _build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("eval", help="evaluate a family member p_n(x)")
-    p.add_argument("--family", choices=sorted(_FAMILY_PARAMS), required=True)
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=_num_list, required=True)
     _add_common(p, "q", "y", "rho", "beta")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("coeffs", help="monomial coefficients of p_n (exact)")
-    p.add_argument("--family", choices=sorted(_FAMILY_PARAMS), required=True)
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, "q", "y", "rho", "beta")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("density", help="evaluate a density on points")
-    p.add_argument("--density", choices=sorted(_DENSITY_CTOR), required=True)
+    p.add_argument("--density", choices=sorted(_DENSITIES), required=True)
     p.add_argument("--x", type=_num_list, required=True)
     p.add_argument("--trunc-eps", type=float, default=1e-14)
     _add_common(p, "q", "y", "rho", "beta")
@@ -364,7 +327,7 @@ def main(argv=None):
     except ParameterError as exc:
         print("qortho: %s" % exc, file=sys.stderr)
         return 3
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, OverflowError) as exc:  # a value past the float range
         print("qortho: %s" % exc, file=sys.stderr)
         return 4
     except QOrthoError as exc:

@@ -14,10 +14,11 @@ which keeps every entry rational; multiply row n by (1-q)^{n/2} to recover
 the unscaled coefficients.
 
 The closed forms live in one table, ``_PAIRS``: each pair names the
-parameters it needs, a ``rows(Y, *values)`` rule, its families, whose
-domains :func:`connection` checks with ``polyfam.validate`` as the oracle
-does, and optionally the family of its y-row, the values Y_m = B_m(y) or
-H_m(y|q) that every row reads.  :func:`connection` builds that y-row once
+parameters it needs, which :func:`connection` checks with
+``qcore.check_params`` (q = 1 only where both families allow it, so it
+refuses what the oracle's ``polyfam.validate`` refuses), a
+``rows(Y, *values)`` rule, and optionally the family of its y-row, the
+values Y_m = B_m(y) or H_m(y|q) that every row reads.  :func:`connection` builds that y-row once
 per call and calls ``rows`` once; the rule builds the q-series factors its
 entries read, also once per call (the q-Pascal table of q-binomials, the
 prefix rows of q-factorials and q-Pochhammer symbols, see
@@ -35,6 +36,7 @@ from typing import Callable, Optional
 
 from .qcore import (
     IrrationalParameterError,
+    NonConvergenceError,
     ParameterError,
     div,
     ensure_exact,
@@ -43,10 +45,9 @@ from .qcore import (
     _factorials,
     _pochhammers,
     _Row,
+    check_params,
 )
-from .polyfam import (
-    ASC, BigB, ChebU_hat, KestenHat, QHermite, RationalPoly, Rogers, eval_all, validate,
-)
+from .polyfam import BigB, QHermite, RationalPoly, eval_all, validate
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,6 @@ class ConnectionMatrix:
                 if v != 0:
                     width = max(width, n - k)
         return width
-
-
-def _require(params, *names):
-    out = []
-    for name in names:
-        if name not in params or params[name] is None:
-            raise ParameterError("pair needs parameter %r" % (name,))
-        out.append(params[name])
-    return out
 
 
 def _tables(q, y, m, H, B):
@@ -283,7 +275,7 @@ def _u_from_t(Y):
 class _Pair:
     params: tuple  # required parameter names, in the order rows takes them
     rows: Callable
-    families: Callable = lambda p: ()  # params -> the families polyfam.validate checks
+    unit_q: bool = False  # q = 1 is in the domain of both families
     y_row: Optional[Callable] = None  # params -> family of the y-row at params["y"]
 
 
@@ -291,54 +283,40 @@ def _h_row(p):
     return QHermite(p["q"])
 
 
-def _asc(p):
-    return (ASC(p["y"], p["rho"], p["q"]),)
-
-
-def _rogers_by(*names):
-    return lambda p: tuple(Rogers(p[name], p["q"]) for name in names)
-
-
 _PAIRS = {
-    "asc-from-h": _Pair(("y", "rho", "q"), _binomial, _asc, lambda p: BigB(p["q"])),
-    "h-from-asc": _Pair(("y", "rho", "q"), _binomial, _asc, _h_row),
-    "uhat-from-h": _Pair(("q",), _uhat_from_h, lambda p: (ChebU_hat(p["q"]),)),
-    "h-from-uhat": _Pair(("q",), _h_from_uhat, lambda p: (ChebU_hat(p["q"]),)),
-    "rogers-from-rogers": _Pair(
-        ("beta", "gamma", "q"), _rogers, _rogers_by("beta", "gamma")
-    ),
+    "asc-from-h": _Pair(("y", "rho", "q"), _binomial, True, lambda p: BigB(p["q"])),
+    "h-from-asc": _Pair(("y", "rho", "q"), _binomial, True, _h_row),
+    "uhat-from-h": _Pair(("q",), _uhat_from_h),
+    "h-from-uhat": _Pair(("q",), _h_from_uhat),
+    "rogers-from-rogers": _Pair(("beta", "gamma", "q"), _rogers, True),
     "rogers-from-h": _Pair(
-        ("gamma", "q"), lambda Y, gamma, q: _rogers(Y, 0 * q, gamma, q), _rogers_by("gamma")
+        ("gamma", "q"), lambda Y, gamma, q: _rogers(Y, 0 * q, gamma, q), True
     ),
     "h-from-rogers": _Pair(
-        ("beta", "q"), lambda Y, beta, q: _rogers(Y, beta, 0 * q, q), _rogers_by("beta")
+        ("beta", "q"), lambda Y, beta, q: _rogers(Y, beta, 0 * q, q), True
     ),
-    "uhat-from-asc": _Pair(
-        ("y", "rho", "q"), _from_asc(d_hat_entry),
-        lambda p: (ChebU_hat(p["q"]),) + _asc(p), _h_row,
-    ),
-    "kesten-from-asc": _Pair(
-        ("y", "rho", "q"), _from_asc(c_hat_entry),
-        lambda p: (KestenHat(p["y"], p["rho"], p["q"]),) + _asc(p), _h_row,
-    ),
+    "uhat-from-asc": _Pair(("y", "rho", "q"), _from_asc(d_hat_entry), y_row=_h_row),
+    "kesten-from-asc": _Pair(("y", "rho", "q"), _from_asc(c_hat_entry), y_row=_h_row),
     "t-from-u": _Pair((), _t_from_u),
     "u-from-t": _Pair((), _u_from_t),
-    "mehler": _Pair(
-        ("y", "rho"), _binomial, lambda p: _asc(dict(p, q=1)), lambda p: QHermite(1)
-    ),
+    "mehler": _Pair(("y", "rho"), _binomial, y_row=lambda p: QHermite(1)),
 }
 
 PAIRS = tuple(_PAIRS)
 
 
 def connection(pair, n_max, **params):
-    """Closed-form connection matrix for one of :data:`PAIRS`."""
+    """Closed-form connection matrix for one of :data:`PAIRS`.
+
+    The pair's parameters pass ``qcore.check_params``; n_max < 0 is a
+    ParameterError, and a float entry that overflows a NonConvergenceError.
+    """
     if pair not in _PAIRS:
         raise ParameterError("unknown pair %r; expected one of %s" % (pair, PAIRS))
+    if n_max < 0:
+        raise ParameterError("n_max must be >= 0, got %r" % (n_max,))
     spec = _PAIRS[pair]
-    values = _require(params, *spec.params)
-    for fam in spec.families(params):
-        validate(fam)
+    values = check_params("pair %r" % (pair,), params, spec.params, spec.unit_q)
     Y = None
     if spec.y_row is not None:
         Y = eval_all(spec.y_row(params), n_max, params["y"])
@@ -346,6 +324,8 @@ def connection(pair, n_max, **params):
     rows = {}
     for n in range(n_max + 1):
         rows[n] = {k: v for k, v in entries(n) if v != 0}
+        if any(isinstance(v, float) and not math.isfinite(v) for v in rows[n].values()):
+            raise NonConvergenceError("pair %r row %d overflowed" % (pair, n))
     return ConnectionMatrix(pair, n_max, dict(params), rows)
 
 

@@ -48,7 +48,10 @@ forms of ``density_ratio``) have no value there and raise ParameterError.
 The endpoints +-L belong to S(q), and the merged ratios are finite there.
 
 fN and fCN admit q = 1 closed forms (standard normal, N(rho y, 1 - rho^2));
-the remaining families reject q = 1.
+the remaining families reject q = 1.  The six constructors and ``pm_ratio``
+check their parameters in one place, ``_density``: ``qcore.check_params``
+for q, rho, beta and a finite y, plus the one rule of this module, a
+conditioning point y in S(q) when q < 1.
 """
 
 import math
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ParameterError, q_pochhammer_inf, truncation_order
+from .qcore import ParameterError, check_params, q_pochhammer_inf, truncation_order
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,15 +78,8 @@ class DensityId:
     trunc_eps: float = 1e-14
 
 
-def _check_q(q, allow_unit=False):
-    qf = float(q)
-    if abs(qf) < 1.0 or (allow_unit and qf == 1.0):
-        return qf
-    raise ParameterError("density requires |q| < 1, got q=%r" % (q,))
-
-
 def _check_eps(eps):
-    if not 0.0 < float(eps) < 1.0:
+    if not 0 < eps < 1:
         raise ParameterError("trunc_eps must lie in (0, 1), got %r" % (eps,))
     return float(eps)
 
@@ -92,51 +88,46 @@ def _edge(q):
     return 2.0 / math.sqrt(1.0 - q)
 
 
+def _density(tag, trunc_eps, unit_q=False, **params):
+    """DensityId(tag) of the float values of params, each checked by check_params.
+
+    The one rule added here: a conditioning point y lies in S(q) when q < 1.
+    """
+    owner = "f" + tag[1:].upper()
+    check_params(owner, params, tuple(params), unit_q)
+    p = {name: float(v) for name, v in params.items()}
+    if "y" in p and p["q"] < 1.0 and not abs(p["y"]) <= _edge(p["q"]):
+        raise ParameterError(
+            "%s conditioning point must lie in S(q), got y=%r" % (owner, p["y"])
+        )
+    return DensityId(tag, trunc_eps=_check_eps(trunc_eps), **p)
+
+
 def fN(q, trunc_eps=1e-14):
-    return DensityId("fn", _check_q(q, allow_unit=True), trunc_eps=_check_eps(trunc_eps))
+    return _density("fn", trunc_eps, True, q=q)
 
 
 def fCN(y, rho, q, trunc_eps=1e-14):
-    qf = _check_q(q, allow_unit=True)
-    rf = float(rho)
-    if not abs(rf) < 1.0:
-        raise ParameterError("fCN requires |rho| < 1, got rho=%r" % (rho,))
-    yf = float(y)
-    if math.isnan(yf) or (qf < 1.0 and abs(yf) > _edge(qf)):
-        raise ParameterError(
-            "fCN conditioning point must lie in S(q), got y=%r" % (y,)
-        )
-    return DensityId("fcn", qf, y=yf, rho=rf, trunc_eps=_check_eps(trunc_eps))
+    return _density("fcn", trunc_eps, True, q=q, rho=rho, y=y)
 
 
 def fR(beta, q, trunc_eps=1e-14):
     """Continuous q^2-Hermite-type density; beta = 1 returns the fT limit."""
-    qf = _check_q(q)
-    bf = float(beta)
-    if bf == 1.0:
-        return fT(qf, trunc_eps=trunc_eps)
-    if not abs(bf) < 1.0:
-        raise ParameterError("fR requires |beta| < 1 or beta = 1, got beta=%r" % (beta,))
-    return DensityId("fr", qf, beta=bf, trunc_eps=_check_eps(trunc_eps))
+    if beta == 1:
+        return fT(q, trunc_eps=trunc_eps)
+    return _density("fr", trunc_eps, q=q, beta=beta)
 
 
 def fU(q, trunc_eps=1e-14):
-    return DensityId("fu", _check_q(q), trunc_eps=_check_eps(trunc_eps))
+    return _density("fu", trunc_eps, q=q)
 
 
 def fT(q, trunc_eps=1e-14):
-    return DensityId("ft", _check_q(q), trunc_eps=_check_eps(trunc_eps))
+    return _density("ft", trunc_eps, q=q)
 
 
 def fK(y, rho, q, trunc_eps=1e-14):
-    qf = _check_q(q)
-    rf = float(rho)
-    if not abs(rf) < 1.0:
-        raise ParameterError("fK requires |rho| < 1, got rho=%r" % (rho,))
-    yf = float(y)
-    if not abs(yf) <= _edge(qf):
-        raise ParameterError("fK conditioning point must lie in S(q), got y=%r" % (y,))
-    return DensityId("fk", qf, y=yf, rho=rf, trunc_eps=_check_eps(trunc_eps))
+    return _density("fk", trunc_eps, q=q, rho=rho, y=y)
 
 
 def _as_array(x):
@@ -251,12 +242,14 @@ def density_eval(d, x):
     eps = d.trunc_eps
 
     if q == 1.0:
-        if d.tag == "fn":
-            return _ret(scalar, np.exp(-0.5 * xa * xa) / math.sqrt(TWO_PI))
-        if d.tag == "fcn":
-            var = 1.0 - d.rho * d.rho
-            z = xa - d.rho * d.y
-            return _ret(scalar, np.exp(-0.5 * z * z / var) / math.sqrt(TWO_PI * var))
+        # far out z^2 overflows to inf, and exp(-inf) = 0 is the density there
+        with np.errstate(over="ignore"):
+            if d.tag == "fn":
+                return _ret(scalar, np.exp(-0.5 * xa * xa) / math.sqrt(TWO_PI))
+            if d.tag == "fcn":
+                var = 1.0 - d.rho * d.rho
+                z = xa - d.rho * d.y
+                return _ret(scalar, np.exp(-0.5 * z * z / var) / math.sqrt(TWO_PI * var))
         raise ParameterError("q = 1 closed form exists only for fN and fCN")
 
     L = _edge(q)
@@ -318,7 +311,8 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
     A NaN point, or a point outside S(q), raises ParameterError: the ratio
     has no value there, and no NaN is returned in its place.
     """
-    _check_q(q)
+    d = _density("fcn", eps, rho=rho, q=q)
+    rho, q, eps = d.rho, d.q, d.trunc_eps
     x_scalar, xa = _support_points(x, q)
     y_scalar, ya = _support_points(y, q)
     const = q_pochhammer_inf(rho * rho, q, eps)
@@ -382,8 +376,6 @@ def normalize_check(d, tol=1e-8):
     """Quadrature check that d integrates to 1 over S(q); returns (passed, residual)."""
     from . import verify
 
-    if d.q == 1.0:
-        raise ParameterError("normalize_check runs on S(q) and needs q < 1")
     res = verify.integrate(lambda t: density_eval(d, t), d.q, tol=min(tol, 1e-9))
     residual = abs(res.value - 1.0)
     return residual <= tol, residual

@@ -4,8 +4,9 @@ Each registry id is one entry of the table ``_KERNELS``, a ``_Kernel`` whose
 fields say everything about that expansion:
 
 - ``coeff_params`` / ``params``: the parameters the coefficient rule needs,
-  and those the evaluated expansion needs; a missing one is a ParameterError,
-  and so is a rho, beta or gamma outside (-1, 1).
+  and those the evaluated expansion needs, checked by ``qcore.check_params``
+  with q = 1 allowed (a missing one, q outside (-1, 1], a rho, beta or gamma
+  outside (-1, 1) or a y that is not finite is a ParameterError).
 - ``coeff(p, Y)``: the coefficient rule, exact on rational parameters.  It
   builds what its coefficients read once per call (prefix rows of
   q-factorials and q-Pochhammer symbols, the q-binomial table) and returns
@@ -53,6 +54,8 @@ from .qcore import (
     ParameterError,
     TruncationError,  # re-exported as expand.TruncationError
     VerificationReport,
+    check_params,
+    check_tol,
     _factorials,
     _plain_sum,
     _pochhammers,
@@ -410,20 +413,6 @@ def _kernel(id):
     return _KERNELS[id]
 
 
-#: parameters of the Rogers (beta, gamma) and conditional (rho) densities,
-#: which exist only for |value| < 1
-_UNIT_DISC = ("rho", "beta", "gamma")
-
-
-def _require(id, params, names):
-    for name in names:
-        v = params.get(name)
-        if v is None:
-            raise ParameterError("expansion %r needs parameter %r" % (id, name))
-        if name in _UNIT_DISC and not abs(v) < 1:
-            raise ParameterError("expansion %r needs |%s| < 1, got %r" % (id, name, v))
-
-
 def _coeffs(kernel, p, Y):
     """c(n) for the kernel at p, with c_n = 0 for odd n when the kernel is even."""
     c = kernel.coeff(p, Y)
@@ -445,12 +434,21 @@ def _y_values(kernel, p):
 
 
 def expansion_coeff(id, n, **p):
-    """Coefficient c_n of the registry expansion; exact on rational parameters."""
+    """Coefficient c_n of the registry expansion; exact on rational parameters.
+
+    A float coefficient that overflows is a NonConvergenceError.
+    """
     kernel = _kernel(id)
     if n < 0:
         raise ParameterError("coefficient index must be >= 0, got %r" % (n,))
-    _require(id, p, kernel.coeff_params)
-    return _coeffs(kernel, p, _y_values(kernel, p))(n)
+    check_params("expansion %r" % (id,), p, kernel.coeff_params, unit_q=True)
+    try:
+        c = _coeffs(kernel, p, _y_values(kernel, p))(n)
+    except OverflowError:  # an int too large for a float, such as n! past 170
+        c = math.inf
+    if isinstance(c, float) and not math.isfinite(c):
+        raise NonConvergenceError("expansion %r coefficient c_%d overflowed" % (id, n))
+    return c
 
 
 def base_density(id, params, trunc_eps=1e-14):
@@ -502,7 +500,8 @@ def expansion_eval(spec, x, tol=1e-9):
     (overflowed terms, bounds or coefficients) raises NonConvergenceError.
     """
     kernel = _kernel(spec.id)
-    _require(spec.id, spec.params, kernel.params)
+    check_params("expansion %r" % (spec.id,), spec.params, kernel.params, unit_q=True)
+    check_tol("tol", tol)
     p = {k: float(v) for k, v in spec.params.items()}
     q = p.get("q", 1.0)
     xa = np.asarray(x, dtype=float)

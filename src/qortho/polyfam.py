@@ -1,7 +1,9 @@
 """Orthogonal polynomial families driven by one three-term recurrence engine.
 
-Every family is a frozen :class:`FamilyId` tag plus parameters; the engine
-computes p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} with family-specific
+Every family is a frozen :class:`FamilyId` tag plus parameters, checked at
+use time by :func:`validate`, which reads the family's parameter names and
+its q = 1 rule from one table and hands them to ``qcore.check_params``.  The
+engine computes p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} with family-specific
 coefficient functions.  Evaluation is duck-typed over the point, so the same
 code path serves floats, exact rationals, numpy arrays and
 :class:`RationalPoly` values (which is how exact coefficient vectors are
@@ -19,16 +21,19 @@ further, so a row read to degree n costs n steps however it grows.
 sup-norm bound rules of ``expand`` bound |H_n| and |R_n| on S(q).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
 from .qcore import (
     IrrationalParameterError,
+    NonConvergenceError,
     ParameterError,
     _brackets,
     _pochhammers,
     _Row,
+    check_params,
     div,
     ensure_exact,
 )
@@ -219,23 +224,22 @@ def KestenHat(y, rho, q):
     return FamilyId("kesten_hat", q=q, y=y, rho=rho)
 
 
-_UNIT_Q_OK = {"qhermite", "rogers", "asc", "bigb"}
+#: each family's parameters, and whether q = 1 (the Gaussian limit) is in its domain
+_DOMAINS = {
+    "qhermite": (("q",), True), "rogers": (("beta", "q"), True),
+    "asc": (("y", "rho", "q"), True), "bigb": (("q",), True),
+    "chebt": ((), False), "chebu": ((), False), "hermite": ((), False),
+    "chebt_hat": (("q",), False), "chebu_hat": (("q",), False),
+    "kesten": (("y", "rho"), False), "kesten_hat": (("y", "rho", "q"), False),
+}
 
 
 def validate(fam):
-    if fam.q is not None:
-        qf = float(fam.q)
-        if fam.tag in ("chebt_hat", "chebu_hat", "kesten_hat"):
-            if not -1.0 < qf < 1.0:
-                raise ParameterError(
-                    "%s requires -1 < q < 1, got q=%r" % (fam.tag, fam.q)
-                )
-        elif not (abs(qf) < 1.0 or (qf == 1.0 and fam.tag in _UNIT_Q_OK)):
-            raise ParameterError("%s requires |q| <= 1, got q=%r" % (fam.tag, fam.q))
-    if fam.beta is not None and not abs(float(fam.beta)) < 1.0:
-        raise ParameterError("%s requires |beta| < 1, got %r" % (fam.tag, fam.beta))
-    if fam.rho is not None and not abs(float(fam.rho)) < 1.0:
-        raise ParameterError("%s requires |rho| < 1, got %r" % (fam.tag, fam.rho))
+    """fam, once its parameters pass ``qcore.check_params``."""
+    if fam.tag not in _DOMAINS:
+        raise ParameterError("unknown family tag %r" % (fam.tag,))
+    names, unit_q = _DOMAINS[fam.tag]
+    check_params(fam.tag, vars(fam), names, unit_q)
     return fam
 
 
@@ -290,7 +294,6 @@ def _abc(fam):
             return (1, 0, c)
 
         return kest
-    raise ParameterError("unknown family tag %r" % (tag,))
 
 
 def _recurrence(fam, x):
@@ -312,10 +315,19 @@ def eval_all(fam, n_max, x):
 
 
 def eval(fam, n, x):
-    """p_n(x) for the given family."""
+    """p_n(x) for the given family.
+
+    A NaN or infinite float x is a ParameterError, and a float value that
+    overflowed (inf or NaN at a finite x) a NonConvergenceError.
+    """
     if n < 0:
         raise ParameterError("polynomial degree must be >= 0, got %r" % (n,))
-    return eval_all(fam, n, x)[n]
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ParameterError("polynomial point x must be finite, got %r" % (x,))
+    value = eval_all(fam, n, x)[n]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NonConvergenceError("%s p_%d(%r) overflowed" % (fam.label(), n, x))
+    return value
 
 
 def coeffs(fam, n):

@@ -30,6 +30,16 @@ independent check of the table.
 identity-battery series and the sampler envelope sum through it, with one
 stop rule, one cap and one overflow rule.  ``_plain_sum`` feeds it a series
 whose terms are their own bounds, such as ``_theta_series``.
+:func:`q_pochhammer_inf` is the ``_pochhammers`` row read at the truncation
+order K of :func:`truncation_order`.
+
+:func:`check_params` is the one parameter rule: -1 < q < 1 (q = 1 too for
+the Gaussian cases), |rho|, |beta|, |gamma| < 1 and a finite y.  Families,
+densities, expansions, connections, S(q) and the infinite products check the
+parameters they name through it, and :func:`check_tol` checks a tolerance.
+The rules left elsewhere are not about one parameter's domain: y in S(q)
+(``densities``), the q = 1 and rho^2 < 1/2 kernel rules (``expand``) and
+``trunc_eps``.
 """
 
 import math
@@ -63,6 +73,44 @@ class TruncationError(NonConvergenceError):
 #: eps = 1e-14; larger |q| raises NonConvergenceError instead of silently
 #: degrading.
 POCHHAMMER_KMAX = 400
+
+
+#: parameters whose domain is the open interval (-1, 1)
+_UNIT_DISC = frozenset(("rho", "beta", "gamma"))
+
+
+def check_params(owner, params, names, unit_q=False):
+    """The values of ``params`` under ``names``, in order, each in its domain.
+
+    q must lie in (-1, 1), or in (-1, 1] with ``unit_q``; rho, beta and gamma
+    in (-1, 1); any other name (the conditioning point y) must be finite.  A
+    missing (absent or None) or out-of-domain parameter raises ParameterError
+    naming ``owner`` and the parameter.  Values are compared as given, so an
+    exact rational is never rounded, and nothing outside ``names`` is read.
+    """
+    values = []
+    for name in names:
+        v = params.get(name)
+        if v is None:
+            raise ParameterError("%s needs parameter %r" % (owner, name))
+        if name == "q":
+            if not (-1 < v < 1 or unit_q and v == 1):
+                raise ParameterError("%s needs -1 < q %s 1, got q=%r"
+                                     % (owner, "<=" if unit_q else "<", v))
+        elif name in _UNIT_DISC:
+            if not -1 < v < 1:
+                raise ParameterError("%s needs |%s| < 1, got %r" % (owner, name, v))
+        elif not (isinstance(v, (int, Fraction)) or math.isfinite(v)):
+            raise ParameterError("%s needs a finite %s, got %r" % (owner, name, v))
+        values.append(v)
+    return values
+
+
+def check_tol(name, tol):
+    """tol, once it is positive and finite; ParameterError otherwise."""
+    if not 0 < tol < math.inf:
+        raise ParameterError("%s must be positive and finite, got %r" % (name, tol))
+    return tol
 
 
 def is_exact(*values):
@@ -259,9 +307,8 @@ def truncation_order(amplitude, q, eps):
     the log-tail is bounded by 2 amplitude |q|^K / (1-|q|) <= eps/2, so the
     truncated product carries a relative error below eps.
     """
+    check_params("infinite product", {"q": q}, ("q",))
     aq = abs(float(q))
-    if aq >= 1.0:
-        raise ParameterError("infinite products require |q| < 1, got q=%r" % (q,))
     thresh = eps * (1.0 - aq) / 4.0
     t = abs(float(amplitude))
     k = 0
@@ -286,16 +333,8 @@ def q_pochhammer_inf(a, q, eps=1e-14):
     af = float(a)
     if af == 0.0:
         return 1.0
-    if eps <= 0:
-        raise ParameterError("eps must be positive, got %r" % (eps,))
     qf = float(q)
-    K = truncation_order(af, qf, eps)
-    out = 1.0
-    p = 1.0
-    for _ in range(K):
-        out *= 1.0 - af * p
-        p *= qf
-    return out
+    return _nth(_pochhammers(af, qf), truncation_order(af, qf, check_tol("eps", eps)))
 
 
 @dataclass(frozen=True)
@@ -312,10 +351,8 @@ class SupportInterval:
 
 def support(q):
     """Support interval S(q); rejects q = 1 (support degenerates to the line)."""
-    qf = float(q)
-    if not -1.0 < qf < 1.0:
-        raise ParameterError("S(q) requires -1 < q < 1, got q=%r" % (q,))
-    half = 2.0 / math.sqrt(1.0 - qf)
+    check_params("S(q)", {"q": q}, ("q",))
+    half = 2.0 / math.sqrt(1.0 - float(q))
     return SupportInterval(-half, half)
 
 

@@ -47,11 +47,9 @@ _SLACK = 1e-9
 
 
 def _grid_sup(dens, grid_n):
-    """Largest target/fU ratio on grid_n points of S(q), after the target checks."""
+    """Largest target/fU ratio on grid_n points of S(q) (so q < 1) for fn or fcn."""
     if dens.tag not in ("fn", "fcn"):
         raise ParameterError("sampler supports fn and fcn targets, got %r" % dens.tag)
-    if not -1 < dens.q < 1:
-        raise ParameterError("sampler requires -1 < q < 1")
     L = support(dens.q).radius
     xg = np.linspace(-L, L, grid_n)
     return float(np.max(density_ratio(dens, fU(dens.q), xg)))

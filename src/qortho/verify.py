@@ -17,6 +17,7 @@ from .qcore import (
     NonConvergenceError,
     ParameterError,
     VerificationReport,
+    check_tol,
     q_factorial,
     q_pochhammer,
     support,
@@ -56,6 +57,7 @@ def _once(f, L, n):
 
 def integrate(f, q, tol=1e-10, n0=128, n_cap=1024):
     """integral of f over S(q); f must accept a numpy array of nodes."""
+    check_tol("tol", tol)
     L = support(q).radius
     prev = _once(f, L, n0)
     n = n0
@@ -239,11 +241,24 @@ def _family_density_pairs(q):
 
 
 def run_all(config=None):
-    """Run the default verification battery; returns (reports, all_passed)."""
+    """Run the default verification battery; returns (reports, all_passed).
+
+    An unknown config key or suite name, or a tolerance that is not positive
+    and finite, is a ParameterError.
+    """
     cfg = dict(DEFAULT_CONFIG)
     if config:
         cfg.update(config)
+    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
+    if unknown:
+        raise ParameterError("unknown run_all config key %r" % (unknown[0],))
     suites = cfg["suites"]
+    unknown = [name for name in suites if name not in DEFAULT_CONFIG["suites"]]
+    if unknown:
+        raise ParameterError("unknown suite %r; expected one of %s"
+                             % (unknown[0], ", ".join(DEFAULT_CONFIG["suites"])))
+    for name in ("tol", "tol_chapman", "tol_identity"):
+        check_tol(name, cfg[name])
     tol = cfg["tol"]
     reports = []
 

@@ -144,6 +144,14 @@ class TestClosedForms:
         with pytest.raises(ParameterError):
             connection("asc-from-h", 3, q=Q)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ParameterError, match="n_max must be >= 0"):
+            connection("t-from-u", -1)
+
+    def test_unused_parameters_are_not_checked(self):
+        m = connection("uhat-from-h", 2, q=Q, y=float("nan"), rho=5, beta=1, gamma=-3)
+        assert m.rows == connection("uhat-from-h", 2, q=Q).rows
+
 
 class TestMatrixContainer:
     def test_band(self):

@@ -1,6 +1,7 @@
 """Tests for the infinite-product densities and their ratios."""
 
 import math
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -58,6 +59,23 @@ class TestConstruction:
             fN(0.5, trunc_eps=0.0)
         with pytest.raises(ParameterError):
             fN(0.5, trunc_eps=2.0)
+
+    @pytest.mark.parametrize("build,err", [
+        (lambda: fN(math.nan), "fN needs -1 < q <= 1"),
+        (lambda: fU(1), "fU needs -1 < q < 1"),
+        (lambda: fCN(0.1, -1.0, 0.5), r"fCN needs \|rho\| < 1"),
+        (lambda: fCN(math.inf, 0.3, 1.0), "fCN needs a finite y"),
+        (lambda: fR(-1.0, 0.5), r"fR needs \|beta\| < 1"),
+        (lambda: fK(0.1, 0.2, None), "fK needs parameter 'q'"),
+        (lambda: fK(5.0, 0.2, 0.5), r"fK conditioning point must lie in S\(q\)"),
+        (lambda: fT(0.5, math.nan), r"trunc_eps must lie in \(0, 1\)"),
+    ])
+    def test_one_parameter_rule(self, build, err):
+        with pytest.raises(ParameterError, match="^" + err):
+            build()
+
+    def test_exact_parameters_give_float_fields(self):
+        assert fCN(Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)) == fCN(1 / 3, 0.25, 0.5)
 
 
 class TestEval:
@@ -185,6 +203,12 @@ class TestPmRatio:
         num = density_eval(fCN(y, rho, q), xs)
         den = density_eval(fN(q), xs)
         np.testing.assert_allclose(pm_ratio(xs, y, rho, q), num / den, rtol=1e-12)
+
+    @pytest.mark.parametrize("rho,q,eps", [(1.0, 0.5, 1e-14), (0.4, 1.0, 1e-14),
+                                           (0.4, 0.5, 0.0), (math.nan, 0.5, 1e-14)])
+    def test_parameters_checked(self, rho, q, eps):
+        with pytest.raises(ParameterError):
+            pm_ratio(0.1, 0.2, rho, q, eps)
 
     def test_rho_zero_is_one(self):
         np.testing.assert_allclose(

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qortho.qcore import ParameterError, q_bracket, q_factorial, q_pochhammer, support
+from qortho.qcore import (
+    NonConvergenceError, ParameterError, q_bracket, q_factorial, q_pochhammer, support,
+)
 from qortho.polyfam import ChebU, eval as fam_eval
 from qortho.densities import density_eval
 from qortho.expand import (
@@ -190,6 +192,29 @@ class TestEvaluation:
             expansion_coeff(eid, 3, **params)
         with pytest.raises(ParameterError, match=r"< 1"):
             expansion_eval(ExpansionSpec(eid, params), 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ParameterError, match="tol must be positive and finite"):
+            expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}), 0.3, tol=tol)
+
+    @pytest.mark.parametrize("eid,params", [
+        ("n_over_u", dict(q=2)),
+        ("n_over_u", dict(q=math.nan)),
+        ("pm_q0", dict(y=math.nan, rho=0.5)),
+        ("cn_over_k", dict(y=math.inf, rho=0.5, q=0.5)),
+    ])
+    def test_coefficient_parameters_checked(self, eid, params):
+        with pytest.raises(ParameterError, match="^expansion '%s' needs " % eid):
+            expansion_coeff(eid, 2, **params)
+
+    def test_unused_parameters_are_not_checked(self):
+        assert expansion_coeff("n_over_u", 2, q=F(1, 2), rho=5, y=math.nan) == F(-1, 2)
+
+    def test_overflowing_coefficient(self):
+        assert expansion_coeff("mehler_classical", 170, rho=0.9) > 0.0
+        with pytest.raises(NonConvergenceError, match="c_171 overflowed"):
+            expansion_coeff("mehler_classical", 171, rho=0.9)
 
     def test_nan_point_rejected(self):
         with pytest.raises(ParameterError, match="NaN"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qortho.qcore import (
     IrrationalParameterError,
+    NonConvergenceError,
     ParameterError,
     q_binomial,
     q_bracket,
@@ -153,6 +154,30 @@ class TestRecurrences:
             coeffs(ASC(F(1, 2), F(5, 4), F(1, 2)), 2)
         with pytest.raises(ParameterError):
             coeffs(KestenHat(F(1, 2), F(1, 4), F(3, 2)), 2)
+
+    @pytest.mark.parametrize("fam", [
+        ASC(math.nan, 0.2, 0.5), Kesten(math.inf, 0.2), KestenHat(0.1, 0.2, 1.0),
+        QHermite(math.nan), Rogers(-1, 0.5), ASC(None, 0.2, 0.5),
+    ])
+    def test_validate_uses_the_parameter_rule(self, fam):
+        with pytest.raises(ParameterError, match="^%s needs " % fam.tag):
+            fam_eval(fam, 2, 0.1)
+
+    def test_unknown_tag(self):
+        with pytest.raises(ParameterError, match="unknown family tag"):
+            fam_eval(polyfam.FamilyId("legendre"), 2, 0.1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_eval_refuses_a_non_finite_float_point(self, x):
+        with pytest.raises(ParameterError, match="must be finite"):
+            fam_eval(QHermite(0.5), 3, x)
+
+    def test_eval_overflow_is_nonconvergence(self):
+        assert not math.isfinite(eval_all(QHermite(0.9), 2000, 3.0)[-1])
+        with pytest.raises(NonConvergenceError, match="overflowed"):
+            fam_eval(QHermite(0.9), 2000, 3.0)
+        # exact values never overflow
+        assert fam_eval(QHermite(Fraction(9, 10)), 60, 3).denominator > 1
 
     def test_coeffs_requires_rational_parameters(self):
         with pytest.raises(IrrationalParameterError):

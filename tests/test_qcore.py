@@ -25,8 +25,11 @@ from qortho.qcore import (
     truncation_order,
     _factorials,
     _pochhammers,
+    check_params,
+    check_tol,
 )
 
+import product_reference
 import row_reference as ref
 from special_values import q_double_factorial_odd
 
@@ -203,6 +206,90 @@ class TestQPochhammerInf:
     def test_requires_contracting_q(self):
         with pytest.raises(ParameterError):
             q_pochhammer_inf(0.5, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(-3.0, 3.0),
+        q=st.floats(-0.95, 0.95),
+        eps=st.floats(1e-16, 0.5),
+    )
+    def test_prefix_row_matches_the_scalar_loop(self, a, q, eps):
+        # the value is the _pochhammers row at K = truncation_order(a, q, eps),
+        # bit for bit the loop it replaced
+        try:
+            want = product_reference.q_pochhammer_inf(a, q, eps)
+        except NonConvergenceError:
+            with pytest.raises(NonConvergenceError):
+                q_pochhammer_inf(a, q, eps)
+            return
+        assert q_pochhammer_inf(a, q, eps).hex() == want.hex()
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ParameterError, match="eps must be positive and finite"):
+            q_pochhammer_inf(0.5, 0.5, eps)
+
+
+class TestCheckParams:
+    def test_returns_the_named_values_in_order(self):
+        p = {"q": Fraction(1, 2), "y": 3, "rho": -0.5, "beta": 7}
+        assert check_params("f", p, ("rho", "q", "y")) == [-0.5, Fraction(1, 2), 3]
+
+    @pytest.mark.parametrize("params", [{}, {"q": None}])
+    def test_missing(self, params):
+        with pytest.raises(ParameterError, match="^f needs parameter 'q'$"):
+            check_params("f", params, ("q",))
+
+    @pytest.mark.parametrize("q,unit_q,ok", [
+        (0.999, False, True), (-0.999, False, True), (Fraction(-1, 3), False, True),
+        (1, False, False), (1.0, True, True), (Fraction(1), True, True),
+        (-1, True, False), (Fraction(3, 2), True, False), (math.nan, True, False),
+        (math.inf, True, False), (10 ** 400, True, False),
+    ])
+    def test_q_domain(self, q, unit_q, ok):
+        if ok:
+            assert check_params("f", {"q": q}, ("q",), unit_q) == [q]
+        else:
+            with pytest.raises(ParameterError, match="^f needs -1 < q <=? 1, got q="):
+                check_params("f", {"q": q}, ("q",), unit_q)
+
+    @pytest.mark.parametrize("name", ["rho", "beta", "gamma"])
+    @pytest.mark.parametrize("v,ok", [
+        (0.5, True), (Fraction(-9, 10), True), (1, False), (-1.0, False),
+        (math.nan, False), (-math.inf, False),
+    ])
+    def test_unit_disc(self, name, v, ok):
+        if ok:
+            assert check_params("f", {name: v}, (name,), unit_q=True) == [v]
+        else:
+            with pytest.raises(ParameterError, match=r"^f needs \|%s\| < 1" % name):
+                check_params("f", {name: v}, (name,), unit_q=True)
+
+    @pytest.mark.parametrize("v,ok", [
+        (1e300, True), (-7, True), (10 ** 400, True), (Fraction(5, 3), True),
+        (math.nan, False), (math.inf, False),
+    ])
+    def test_other_names_must_be_finite(self, v, ok):
+        if ok:
+            assert check_params("f", {"y": v}, ("y",)) == [v]
+        else:
+            with pytest.raises(ParameterError, match="^f needs a finite y"):
+                check_params("f", {"y": v}, ("y",))
+
+    def test_unnamed_parameters_are_not_read(self):
+        bad = {"q": 2.0, "rho": math.nan, "y": math.inf}
+        assert check_params("f", dict(bad, beta=0.5), ("beta",)) == [0.5]
+
+    @pytest.mark.parametrize("tol,ok", [
+        (1e-300, True), (2.0, True), (0.0, False), (-1.0, False), (math.nan, False),
+        (math.inf, False),
+    ])
+    def test_tolerance(self, tol, ok):
+        if ok:
+            assert check_tol("tol", tol) == tol
+        else:
+            with pytest.raises(ParameterError, match="^tol must be positive and finite"):
+                check_tol("tol", tol)
 
 
 class TestTruncationOrder:

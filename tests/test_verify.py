@@ -115,3 +115,22 @@ class TestRunAll:
         assert any(i.startswith("normalization") for i in ids)
         assert any(i.startswith("orthogonality") for i in ids)
         assert any(i.startswith("i1") for i in ids)
+
+    @pytest.mark.parametrize("config,err", [
+        ({"suites": ("orthogonallity",)}, "unknown suite 'orthogonallity'"),
+        ({"suites": ("identities", "bogus")}, "unknown suite 'bogus'"),
+        ({"q_gird": (0.3,)}, "unknown run_all config key 'q_gird'"),
+        ({"tol": math.nan}, "tol must be positive and finite"),
+        ({"tol_identity": -1.0}, "tol_identity must be positive and finite"),
+        ({"tol_chapman": 0.0}, "tol_chapman must be positive and finite"),
+    ])
+    def test_bad_config_is_refused_before_any_check(self, config, err):
+        with mock.patch.object(verify, "check_normalization") as check:
+            with pytest.raises(ParameterError, match="^" + err):
+                run_all(dict(config, q_grid=(0.3,)))
+        check.assert_not_called()
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, 0.0, math.inf])
+    def test_integrate_tolerance(self, tol):
+        with pytest.raises(ParameterError, match="tol must be positive and finite"):
+            integrate(lambda x: x, 0.5, tol=tol)
