@@ -13,20 +13,22 @@ int/Fraction inputs are exact.  The Kesten target is the rescaled family
 which keeps every entry rational; multiply row n by (1-q)^{n/2} to recover
 the unscaled coefficients.
 
-The closed forms live in one table, ``_PAIRS``: each pair names the
-parameters it needs, which :func:`connection` checks with
-``qcore.check_params`` (q = 1 only where both families allow it, so it
-refuses what the oracle's ``polyfam.validate`` refuses), a
-``rows(Y, *values)`` rule, and optionally the family of its y-row, the
-values Y_m = B_m(y) or H_m(y|q) that every row reads.  :func:`connection` builds that y-row once
-per call and calls ``rows`` once; the rule builds the q-series factors its
-entries read, also once per call (the q-Pascal table of q-binomials, the
-prefix rows of q-factorials and q-Pochhammer symbols, see
-:mod:`qortho.qcore`), and returns ``entries(n)``, which yields the (k, value)
-entries of row n.  One row loop then drops the zero entries.  The
-single-entry functions (:func:`d_hat_entry`, :func:`gamma_parts`, ...) take
-the same table as an optional ``B``, so a caller looping over k builds it
-once.
+The closed forms live in one table, ``_PAIRS``.  Its ``qcore.Alias`` ids run
+as a general pair at fixed values, whatever the caller passes for them:
+``rogers-from-h`` and ``h-from-rogers`` are ``rogers-from-rogers`` at beta = 0
+and gamma = 0, ``mehler`` is ``h-from-asc`` at q = 1.  The matrix keeps the
+caller's id and parameters.  Every other pair names the parameters it needs,
+which :func:`connection` checks with ``qcore.check_params`` (q = 1 only where
+both families allow it, so it refuses what the oracle's ``polyfam.validate``
+refuses), a ``rows(Y, *values)`` rule, and optionally the family of its y-row,
+the values Y_m = B_m(y) or H_m(y|q) that every row reads.  :func:`connection`
+builds that y-row once per call and calls ``rows`` once; the rule builds the
+q-series factors its entries read, also once per call (the q-Pascal table and
+the prefix rows of :mod:`qortho.qcore`), and returns ``entries(n)``, which
+yields the (k, value) entries of row n.  One row loop then drops the zero
+entries.  The single-entry functions (:func:`d_hat_entry`,
+:func:`gamma_parts`, ...) take the same table as an optional ``B``, so a
+caller looping over k builds it once.
 """
 
 import math
@@ -35,6 +37,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .qcore import (
+    Alias,
     IrrationalParameterError,
     NonConvergenceError,
     ParameterError,
@@ -46,6 +49,7 @@ from .qcore import (
     _pochhammers,
     _Row,
     check_params,
+    resolve,
 )
 from .polyfam import BigB, QHermite, RationalPoly, eval_all, validate
 
@@ -182,9 +186,17 @@ def beta_parts(k, y, rho, q, H=None, B=None):
 
 
 def _from_parts(parts, q):
-    """The value r (1-q)^{half/2} of a (rational, half) pair: r, or a float."""
+    """The value r (1-q)^{half/2} of a (rational, half) pair: exact when r and q
+    are and 1-q = s^2 for a rational s (q = 0, 3/4, 5/9, ...), else a float."""
     r, half = parts
-    return r if half == 0 else float(r) * math.sqrt(1.0 - float(q))
+    if half == 0:
+        return r
+    if is_exact(r, q):
+        omq = Fraction(1 - q)
+        s = Fraction(math.isqrt(omq.numerator), math.isqrt(omq.denominator))
+        if s * s == omq:
+            return r * s
+    return float(r) * math.sqrt(1.0 - float(q))
 
 
 def gamma_coeff(k, y, rho, q, H=None, B=None):
@@ -201,9 +213,8 @@ def beta_coeff(k, y, rho, q, H=None, B=None):
 # returns entries(n), which yields the (k, value) entries of row n.
 
 
-def _binomial(Y, y, rho, q=1):
-    # [n k]_q rho^{n-k} Y_{n-k}: B_m(y) for asc-from-h, H_m(y) for h-from-asc,
-    # and H_m(y|1), the q = 1 case, for mehler
+def _binomial(Y, y, rho, q):
+    # [n k]_q rho^{n-k} Y_{n-k}: B_m(y) for asc-from-h, H_m(y) for h-from-asc
     B = q_binomial_table(q)
     return lambda n: ((k, B(n, k) * rho ** (n - k) * Y[n - k]) for k in range(n + 1))
 
@@ -289,24 +300,20 @@ _PAIRS = {
     "uhat-from-h": _Pair(("q",), _uhat_from_h),
     "h-from-uhat": _Pair(("q",), _h_from_uhat),
     "rogers-from-rogers": _Pair(("beta", "gamma", "q"), _rogers, True),
-    "rogers-from-h": _Pair(
-        ("gamma", "q"), lambda Y, gamma, q: _rogers(Y, 0 * q, gamma, q), True
-    ),
-    "h-from-rogers": _Pair(
-        ("beta", "q"), lambda Y, beta, q: _rogers(Y, beta, 0 * q, q), True
-    ),
+    "rogers-from-h": Alias("rogers-from-rogers", {"beta": 0}),
+    "h-from-rogers": Alias("rogers-from-rogers", {"gamma": 0}),
     "uhat-from-asc": _Pair(("y", "rho", "q"), _from_asc(d_hat_entry), y_row=_h_row),
     "kesten-from-asc": _Pair(("y", "rho", "q"), _from_asc(c_hat_entry), y_row=_h_row),
     "t-from-u": _Pair((), _t_from_u),
     "u-from-t": _Pair((), _u_from_t),
-    "mehler": _Pair(("y", "rho"), _binomial, y_row=lambda p: QHermite(1)),
+    "mehler": Alias("h-from-asc", {"q": 1}),
 }
 
 PAIRS = tuple(_PAIRS)
 
 
 def connection(pair, n_max, **params):
-    """Closed-form connection matrix for one of :data:`PAIRS`.
+    """Closed-form connection matrix for one of :data:`PAIRS`, an alias resolved.
 
     The pair's parameters pass ``qcore.check_params``; n_max < 0 is a
     ParameterError, and a float entry that overflows a NonConvergenceError.
@@ -315,11 +322,11 @@ def connection(pair, n_max, **params):
         raise ParameterError("unknown pair %r; expected one of %s" % (pair, PAIRS))
     if n_max < 0:
         raise ParameterError("n_max must be >= 0, got %r" % (n_max,))
-    spec = _PAIRS[pair]
-    values = check_params("pair %r" % (pair,), params, spec.params, spec.unit_q)
+    spec, p = resolve(_PAIRS, pair, params)
+    values = check_params("pair %r" % (pair,), p, spec.params, spec.unit_q)
     Y = None
     if spec.y_row is not None:
-        Y = eval_all(spec.y_row(params), n_max, params["y"])
+        Y = eval_all(spec.y_row(p), n_max, p["y"])
     entries = spec.rows(Y, *values)
     rows = {}
     for n in range(n_max + 1):

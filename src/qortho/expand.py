@@ -1,7 +1,9 @@
 """Density-expansion kernels: target = base * sum_n c_n a_n, plus the identity suite.
 
-Each registry id is one entry of the table ``_KERNELS``, a ``_Kernel`` whose
-fields say everything about that expansion:
+Each registry id is one entry of the table ``_KERNELS``: a ``qcore.Alias``
+(``mehler_classical`` is ``cn_over_n`` at q = 1, ``pm_q0`` is ``cn_over_u``
+at q = 0, whatever q the caller passes), or a ``_Kernel`` whose fields say
+everything about that expansion:
 
 - ``coeff_params`` / ``params``: the parameters the coefficient rule needs,
   and those the evaluated expansion needs, checked by ``qcore.check_params``
@@ -16,30 +18,27 @@ fields say everything about that expansion:
 - ``family(p, x)``: the term family a_n and the point it is evaluated at,
   such as ChebU at x sqrt(1-q)/2 or QHermite(q) at x.
 - ``y_row(p)``: a family and a point in y whose values Y_n the coefficient
-  rule may read (cn_over_k, cn_over_u, pm_q0); with ``weighted`` set the
-  term carries Y_n as a separate weight, c_n Y_n a_n(x) (H_n(y), B_n(y) or
-  the classical Hermite He_n(y)).
+  rule may read (cn_over_k, cn_over_u); with ``weighted`` set the term
+  carries Y_n as a separate weight, c_n Y_n a_n(x) (H_n(y) or B_n(y)).
 - ``bound(p, Y)``: the sup-norm bound rule, giving ``rule(n, a)`` that
-  bounds |term_n| on S(q) from a = |c_n| (|c_n Y_n| when weighted), or
-  None for the pointwise rule of the q = 1 kernels (Gaussian case), whose
-  terms are unbounded: there the max of the evaluated term stands in for
-  the bound.
+  bounds |term_n| on S(q) from a = |c_n| (|c_n Y_n| when weighted).
+- ``gauss(p, x)``: at q = 1 (no S(q)), s and the largest |t| over the points
+  x with a_n(x) = s^n He_n(t), for Cramer's bound of the terms at x.
 - ``domain(p)``: an extra parameter check, or None.
 
 All c_0 = 1.  Coefficient rules are exact on rational parameters whenever
-the closed form is rational (the conditional kernels cn_over_u / cn_over_k
-pick up a sqrt(1-q) factor on odd indices and are returned as floats there).
+the closed form is rational (the sqrt(1-q) on odd indices of cn_over_u /
+cn_over_k too when 1-q is a rational square, such as q = 0 or 3/4).  A float
+q-factorial or q-Pochhammer row value past the float range is an overflow.
 
 :func:`expansion_eval` reconstructs the target density pointwise with either
 a fixed truncation K or an adaptive one driven by the bound rule.
 
 :func:`identity_suite` checks q-series identities, each side computed
-independently.  Where the series side is a registry expansion (fN/fU in
-Chebyshev U for i1, fU/fN in q-Hermite for i4 on the grid and at x = 0), it
-sums that kernel's ``_terms``, coefficient and bound rules included; the
-other series read their q-factorials and q-Pochhammer symbols from the
-``qcore`` prefix rows.
-Every series here, expansion or identity, sums through ``qcore._sum_series``.
+independently.  Where the series side is a registry expansion (n_over_u for
+i1, u_over_n for i4, n_over_cn for i8), it sums that kernel's ``_terms``;
+the other series read the ``qcore`` prefix rows.  Every series here,
+expansion or identity, sums through ``qcore._sum_series``.
 """
 
 import math
@@ -50,6 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .qcore import (
+    Alias,
     NonConvergenceError,
     ParameterError,
     TruncationError,  # re-exported as expand.TruncationError
@@ -65,14 +65,14 @@ from .qcore import (
     div,
     q_binomial_table,
     q_pochhammer_inf,
+    resolve,
     support,
 )
 from .polyfam import (
     ASC,
     BigB,
     ChebU,
-    ClassicalHermite,
-    Kesten,
+    KestenHat,
     QHermite,
     Rogers,
     _recurrence,
@@ -124,11 +124,20 @@ class _Kernel:
     even: bool = False
     y_row: Optional[Callable] = None
     weighted: bool = False
+    gauss: Optional[Callable] = None
     domain: Optional[Callable] = None
 
 
 # -- coefficient rules ------------------------------------------------------
 # Each rule(p, Y) returns c(n); the rows it reads are built once per call.
+
+
+def _finite(v):
+    """v, or an OverflowError for a float past the float range: a q-factorial or
+    q-Pochhammer row value, read by a coefficient rule where rho^n / inf is 0."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise OverflowError("q-series row value %r" % (v,))
+    return v
 
 
 def _c_n_over_u(p, Y):
@@ -146,31 +155,31 @@ def _c_u_over_n(p, Y):
     # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1}), 0/0 at q = 1
     _below_unit_q(p)
     q = p["q"]
-    qq = _Row(_pochhammers(q, q))
+    qq = _Row(map(_finite, _pochhammers(q, q)))
     return lambda k: div(q ** k * (1 - q) ** (k + 1), qq[k] * qq[k + 1])
 
 
 def _c_cn_over_n(p, Y):
     # c_n = rho^n / [n]_q!
     rho = p["rho"]
-    fact = _Row(_factorials(p["q"]))
+    fact = _Row(map(_finite, _factorials(p["q"])))
     return lambda n: div(rho ** n, fact[n])
 
 
 def _c_r_over_n(p, Y):
     # c_{2k} = beta^k / ([k]_q! (beta q;q)_k)
     beta, q = p["beta"], p["q"]
-    fact = _Row(_factorials(q))
-    bq = _Row(_pochhammers(beta * q, q))
+    fact = _Row(map(_finite, _factorials(q)))
+    bq = _Row(map(_finite, _pochhammers(beta * q, q)))
     return lambda k: div(beta ** k, fact[k] * bq[k])
 
 
 def _c_n_over_r(p, Y):
     # c_{2k} = (-g)^k q^{k(k-1)/2} (g;q)_k (1 - g q^{2k}) / ((1-g) [k]_q! (g^2;q)_{2k})
     g, q = p["gamma"], p["q"]
-    fact = _Row(_factorials(q))
-    gp = _Row(_pochhammers(g, q))
-    g2 = _Row(_pochhammers(g * g, q))
+    fact = _Row(map(_finite, _factorials(q)))
+    gp = _Row(map(_finite, _pochhammers(g, q)))
+    g2 = _Row(map(_finite, _pochhammers(g * g, q)))
 
     def c(k):
         num = (-g) ** k * q ** (k * (k - 1) // 2) * gp[k] * (1 - g * q ** (2 * k))
@@ -182,8 +191,8 @@ def _c_n_over_r(p, Y):
 def _c_n_over_cn(p, Y):
     # c_n = rho^n / ((rho^2;q)_n [n]_q!)
     rho, q = p["rho"], p["q"]
-    fact = _Row(_factorials(q))
-    r2 = _Row(_pochhammers(rho * rho, q))
+    fact = _Row(map(_finite, _factorials(q)))
+    r2 = _Row(map(_finite, _pochhammers(rho * rho, q)))
     return lambda n: div(rho ** n, r2[n] * fact[n])
 
 
@@ -197,18 +206,17 @@ def _c_from_parts(coeff):
     return rule
 
 
-# -- sup-norm bound rules ---------------------------------------------------
+# -- bound rules ------------------------------------------------------------
 # |U_n| <= n+1 on [-1,1]; max |H_n| = W_n / (1-q)^{n/2} on S(q); the V-sum
 # bound for Rogers (a heuristic outside 0 <= q < 1, where it is unproven);
-# |k_n(u|v,r)| <= (n+1) + |r v| n + r^2 (n-1) on [-2,2].
+# |k_n(u|v,r)| <= (n+1) + |r v| n + r^2 (n-1) on [-2,2]; at q = 1, Cramer's
+# |He_n(t)| <= 1.086435 sqrt(n!) e^{t^2/4}.
 
 
-def _pointwise(p, Y):
-    return None
-
-
-def _pointwise_at_unit_q(rule):
-    return lambda p, Y: None if p["q"] == 1.0 else rule(p, Y)
+def _cramer(s, t):
+    """rule(n, a) = a s^n 1.086435 sqrt(n!) e^{t^2/4}, bounding a |s^n He_n| on [-t, t]."""
+    e = 1.086435 * math.exp(t * t / 4.0)
+    return lambda n, a: a * s ** n * e * math.sqrt(math.factorial(n))
 
 
 def _chebu_bound(p, Y):
@@ -257,11 +265,15 @@ def _kesten_bound(p, Y):
     return lambda n, a: a * ((n + 1) + abs(rho * v) * n + rho * rho * max(n - 1, 0))
 
 
+def _asc_gauss(p, x):
+    # P_n(x|y,rho,1) = s^n He_n((x - rho y)/s) with s = sqrt(1-rho^2)
+    s = math.sqrt(1.0 - p["rho"] ** 2)
+    return s, _maxabs(x - p["rho"] * p["y"]) / s
+
+
 def _reciprocal_gaussian_domain(p):
     if p["q"] == 1.0 and not p["rho"] ** 2 < 0.5:
-        raise ParameterError(
-            "reciprocal Gaussian kernel converges only for rho^2 < 1/2"
-        )
+        raise ParameterError("reciprocal Gaussian kernel converges only for rho^2 < 1/2")
 
 
 # -- the registry -----------------------------------------------------------
@@ -293,124 +305,85 @@ def _qhermite_y(p):
 
 _KERNELS = {
     "n_over_u": _Kernel(
-        coeff_params=("q",),
-        params=("q",),
-        coeff=_c_n_over_u,
-        even=True,
-        base=_fU,
-        target=_fN,
+        coeff_params=("q",), params=("q",),
+        coeff=_c_n_over_u, even=True,
+        base=_fU, target=_fN,
         family=_chebu_half,
         bound=_chebu_bound,
     ),
     "u_over_n": _Kernel(
-        coeff_params=("q",),
-        params=("q",),
-        coeff=_c_u_over_n,
-        even=True,
-        base=_fN,
-        target=_fU,
+        coeff_params=("q",), params=("q",),
+        coeff=_c_u_over_n, even=True,
+        base=_fN, target=_fU,
         family=_qhermite,
         bound=_hermite_bound,
         domain=_below_unit_q,
     ),
     "cn_over_n": _Kernel(
-        coeff_params=("rho", "q"),
-        params=("y", "rho", "q"),
+        coeff_params=("rho", "q"), params=("y", "rho", "q"),
         coeff=_c_cn_over_n,
-        base=_fN,
-        target=_fCN,
+        base=_fN, target=_fCN,
         family=_qhermite,
-        y_row=_qhermite_y,
-        weighted=True,
-        bound=_pointwise_at_unit_q(_hermite_bound),
+        y_row=_qhermite_y, weighted=True,
+        bound=_hermite_bound,
+        gauss=lambda p, x: (1.0, _maxabs(x)),
     ),
     "n_over_cn": _Kernel(
-        coeff_params=("rho", "q"),
-        params=("y", "rho", "q"),
+        coeff_params=("rho", "q"), params=("y", "rho", "q"),
         coeff=_c_n_over_cn,
-        base=_fCN,
-        target=_fN,
+        base=_fCN, target=_fN,
         family=lambda p, x: (ASC(p["y"], p["rho"], p["q"]), x),
-        y_row=lambda p: (BigB(p["q"]), p["y"]),
-        weighted=True,
-        bound=_pointwise_at_unit_q(_asc_bound),
+        y_row=lambda p: (BigB(p["q"]), p["y"]), weighted=True,
+        bound=_asc_bound,
+        gauss=_asc_gauss,
         domain=_reciprocal_gaussian_domain,
     ),
     "r_over_n": _Kernel(
-        coeff_params=("beta", "q"),
-        params=("beta", "q"),
-        coeff=_c_r_over_n,
-        even=True,
-        base=_fN,
-        target=lambda p, eps: fR(p["beta"], p["q"], eps),
+        coeff_params=("beta", "q"), params=("beta", "q"),
+        coeff=_c_r_over_n, even=True,
+        base=_fN, target=lambda p, eps: fR(p["beta"], p["q"], eps),
         family=_qhermite,
         bound=_hermite_bound,
         domain=_below_unit_q,
     ),
     "n_over_r": _Kernel(
-        coeff_params=("gamma", "q"),
-        params=("gamma", "q"),
-        coeff=_c_n_over_r,
-        even=True,
-        base=lambda p, eps: fR(p["gamma"], p["q"], eps),
-        target=_fN,
+        coeff_params=("gamma", "q"), params=("gamma", "q"),
+        coeff=_c_n_over_r, even=True,
+        base=lambda p, eps: fR(p["gamma"], p["q"], eps), target=_fN,
         family=lambda p, x: (Rogers(p["gamma"], p["q"]), x),
         bound=_rogers_bound,
     ),
     "cn_over_k": _Kernel(
-        coeff_params=("y", "rho", "q"),
-        params=("y", "rho", "q"),
+        coeff_params=("y", "rho", "q"), params=("y", "rho", "q"),
         coeff=_c_from_parts(beta_coeff),
-        base=lambda p, eps: fK(p["y"], p["rho"], p["q"], eps),
-        target=_fCN,
-        family=lambda p, x: (
-            Kesten(p["y"] * math.sqrt(1.0 - p["q"]), p["rho"]),
+        base=lambda p, eps: fK(p["y"], p["rho"], p["q"], eps), target=_fCN,
+        family=lambda p, x: (  # Kesten; a float q = 0 keeps its recurrence in floats
+            KestenHat(p["y"] * math.sqrt(1.0 - p["q"]), p["rho"], 0.0),
             x * math.sqrt(1.0 - p["q"]),
         ),
         y_row=_qhermite_y,
         bound=_kesten_bound,
     ),
     "cn_over_u": _Kernel(
-        coeff_params=("y", "rho", "q"),
-        params=("y", "rho", "q"),
+        coeff_params=("y", "rho", "q"), params=("y", "rho", "q"),
         coeff=_c_from_parts(gamma_coeff),
-        base=_fU,
-        target=_fCN,
+        base=_fU, target=_fCN,
         family=_chebu_half,
         y_row=_qhermite_y,
         bound=_chebu_bound,
     ),
-    "mehler_classical": _Kernel(
-        coeff_params=("rho",),
-        params=("y", "rho"),
-        coeff=lambda p, Y: lambda n: div(p["rho"] ** n, math.factorial(n)),
-        base=lambda p, eps: fN(1.0, eps),
-        target=lambda p, eps: fCN(p["y"], p["rho"], 1.0, eps),
-        family=lambda p, x: (ClassicalHermite(), x),
-        y_row=lambda p: (ClassicalHermite(), p["y"]),
-        weighted=True,
-        bound=_pointwise,
-    ),
-    "pm_q0": _Kernel(
-        # c_n = rho^n U_n(y/2)
-        coeff_params=("y", "rho"),
-        params=("y", "rho"),
-        coeff=lambda p, Y: lambda n: p["rho"] ** n * Y[n],
-        base=lambda p, eps: fU(0.0, eps),
-        target=lambda p, eps: fCN(p["y"], p["rho"], 0.0, eps),
-        family=lambda p, x: (ChebU(), x / 2.0),
-        y_row=lambda p: (ChebU(), div(p["y"], 2)),
-        bound=_chebu_bound,
-    ),
+    "mehler_classical": Alias("cn_over_n", {"q": 1}),
+    "pm_q0": Alias("cn_over_u", {"q": 0}),
 }
 
 EXPANSION_IDS = tuple(_KERNELS)
 
 
-def _kernel(id):
+def _kernel(id, params):
+    """(kernel, parameters) of the registry id, an alias resolved."""
     if id not in _KERNELS:
         raise ParameterError("unknown expansion id %r" % (id,))
-    return _KERNELS[id]
+    return resolve(_KERNELS, id, params)
 
 
 def _coeffs(kernel, p, Y):
@@ -438,7 +411,7 @@ def expansion_coeff(id, n, **p):
 
     A float coefficient that overflows is a NonConvergenceError.
     """
-    kernel = _kernel(id)
+    kernel, p = _kernel(id, p)
     if n < 0:
         raise ParameterError("coefficient index must be >= 0, got %r" % (n,))
     check_params("expansion %r" % (id,), p, kernel.coeff_params, unit_q=True)
@@ -451,12 +424,9 @@ def expansion_coeff(id, n, **p):
     return c
 
 
-def base_density(id, params, trunc_eps=1e-14):
-    return _kernel(id).base(params, trunc_eps)
-
-
 def target_density(id, params, trunc_eps=1e-14):
-    return _kernel(id).target(params, trunc_eps)
+    kernel, p = _kernel(id, params)
+    return kernel.target(p, trunc_eps)
 
 
 def _maxabs(a):
@@ -471,11 +441,11 @@ def _mixed(lhs, rhs):
 
 
 def _terms(kernel, p, x):
-    """Generator of (c_n a_n(x), bound of that term on S(q)) for n = 0, 1, ..."""
+    """Generator of (c_n a_n(x), bound of that term on S(q), at q = 1 on x), n >= 0."""
     A = _Row(_recurrence(*kernel.family(p, x)))
     Y = _y_values(kernel, p)
     coeff = _coeffs(kernel, p, Y)
-    rule = kernel.bound(p, Y)
+    rule = kernel.bound(p, Y) if p["q"] < 1 else _cramer(*kernel.gauss(p, x))
     zero = x * 0.0
     for n in count():
         if kernel.even and n % 2:
@@ -485,36 +455,34 @@ def _terms(kernel, p, x):
             if kernel.weighted:
                 c = c * Y[n]
             term = c * A[n]
-            yield term, _maxabs(term) if rule is None else rule(n, abs(c))
+            yield term, rule(n, abs(c))
 
 
 def expansion_eval(spec, x, tol=1e-9):
     """Evaluate the expansion at x; returns ExpansionResult(value, tail, n_terms).
 
     With spec.K set, exactly K+1 terms are summed.  Otherwise the sum stops at
-    the second sup-norm bound in a row <= tol, capped at K_CAP (TruncationError
-    past it).  For the four even kernels (n_over_u, u_over_n, r_over_n,
-    n_over_r) the zero odd term counts as one of the two, so the sum stops at
-    the first even term under tol and the tail holds one nonzero bound.  A y
-    outside S(q) is a ParameterError; a value or tail that is not finite
-    (overflowed terms, bounds or coefficients) raises NonConvergenceError.
+    the second term bound in a row <= tol (on S(q), or at q = 1 on the points
+    x), capped at K_CAP (TruncationError past it).  For the four even kernels
+    (n_over_u, u_over_n, r_over_n, n_over_r) the zero odd term counts as one
+    of the two, so the sum stops at the first even term under tol and the tail
+    holds one nonzero bound.  A y outside S(q) is a ParameterError; a value or
+    tail that is not finite (overflowed terms, bounds or coefficients, or a
+    q-factorial row past the float range) raises NonConvergenceError.
     """
-    kernel = _kernel(spec.id)
-    check_params("expansion %r" % (spec.id,), spec.params, kernel.params, unit_q=True)
+    kernel, params = _kernel(spec.id, spec.params)
+    check_params("expansion %r" % (spec.id,), params, kernel.params, unit_q=True)
     check_tol("tol", tol)
-    p = {k: float(v) for k, v in spec.params.items()}
-    q = p.get("q", 1.0)
+    p = {k: float(v) for k, v in params.items()}
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    if q < 1.0:
-        L = support(q).radius
-        if np.any(np.abs(xa) > L):
-            raise ParameterError("expansion evaluated outside S(q)")
+    if p["q"] < 1.0 and np.any(np.abs(xa) > support(p["q"]).radius):
+        raise ParameterError("expansion evaluated outside S(q)")
     if kernel.domain is not None:
         kernel.domain(p)
-    base = density_eval(base_density(spec.id, p), xa)
-    target_density(spec.id, p)  # its constructor checks the conditioning point y
+    base = density_eval(kernel.base(p, 1e-14), xa)
+    kernel.target(p, 1e-14)  # its constructor checks the conditioning point y
     fixed = spec.K is not None
     if fixed and spec.K < 0:
         raise ParameterError("K must be >= 0")
@@ -532,8 +500,7 @@ def expansion_eval(spec, x, tol=1e-9):
         tail = np.abs(base) * tail_series
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(tail))):
         raise NonConvergenceError(
-            "expansion %r overflowed within %d terms" % (spec.id, n_terms)
-        )
+            "expansion %r overflowed within %d terms" % (spec.id, n_terms))
     if scalar:
         return ExpansionResult(float(value[0]), float(tail[0]), n_terms)
     return ExpansionResult(value, tail, n_terms)
@@ -696,18 +663,17 @@ def _i7_cube(q, eps):
 
 
 def _i8(q, rho, eps):
+    # pm_ratio = fCN/fN times fN/fCN = sum_n c_n B_n(y) P_n(x|y,rho,q), the
+    # n_over_cn kernel, is 1 on the grid
     L = support(q).radius
     xs = L * np.asarray([-0.8, -0.35, 0.05, 0.4, 0.75])
+    msg = "expansion 'n_over_cn' did not reach tol=1e-13 within %d terms" % K_CAP
     worst = 0.0
     for yf in (-0.7, -0.2, 0.1, 0.5, 0.8):
         y = L * yf
-        lhs = pm_ratio(xs, y, rho, q, eps)
-        spec = ExpansionSpec("n_over_cn", {"q": q, "rho": rho, "y": y})
-        # series part of fN over fCN = (value / base)
-        base = density_eval(base_density("n_over_cn", {"q": q, "rho": rho, "y": y}), xs)
-        res = expansion_eval(spec, xs, tol=1e-13)
-        series = res.value / base
-        worst = max(worst, _maxabs(lhs * series - 1.0))
+        terms = _terms(_KERNELS["n_over_cn"], {"q": q, "rho": rho, "y": y}, xs)
+        series = _sum_series(terms, 1e-13, cap=K_CAP, message=msg)[0]
+        worst = max(worst, _maxabs(pm_ratio(xs, y, rho, q, eps) * series - 1.0))
     return worst
 
 

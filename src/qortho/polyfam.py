@@ -2,12 +2,14 @@
 
 Every family is a frozen :class:`FamilyId` tag plus parameters, checked at
 use time by :func:`validate`, which reads the family's parameter names and
-its q = 1 rule from one table and hands them to ``qcore.check_params``.  The
-engine computes p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} with family-specific
-coefficient functions.  Evaluation is duck-typed over the point, so the same
-code path serves floats, exact rationals, numpy arrays and
-:class:`RationalPoly` values (which is how exact coefficient vectors are
-obtained).
+its q = 1 rule from one table and hands them to ``qcore.check_params``.  A
+special case is its general family's constructor at the fixed value, not a
+tag: :func:`ClassicalHermite` is ``QHermite(1)`` and :func:`Kesten` is
+``KestenHat(y, rho, 0)``.  The engine computes
+p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} with family-specific coefficient
+functions.  Evaluation is duck-typed over the point, so the same code path
+serves floats, exact rationals, numpy arrays and :class:`RationalPoly`
+values (which is how exact coefficient vectors are obtained).
 
 Rows are built once.  ``_recurrence(fam, x)`` is the only place the step
 runs: an endless generator of p_0(x), p_1(x), ..., and ``eval_all`` is its
@@ -212,11 +214,13 @@ def ChebU_hat(q):
 
 
 def ClassicalHermite():
-    return FamilyId("hermite")
+    """He_n, the q-Hermite family at q = 1."""
+    return QHermite(1)
 
 
 def Kesten(y, rho):
-    return FamilyId("kesten", y=y, rho=rho)
+    """Kesten--McKay k_n(x|y, rho), the rescaled Kesten family at q = 0."""
+    return KestenHat(y, rho, 0)
 
 
 def KestenHat(y, rho, q):
@@ -228,9 +232,9 @@ def KestenHat(y, rho, q):
 _DOMAINS = {
     "qhermite": (("q",), True), "rogers": (("beta", "q"), True),
     "asc": (("y", "rho", "q"), True), "bigb": (("q",), True),
-    "chebt": ((), False), "chebu": ((), False), "hermite": ((), False),
+    "chebt": ((), False), "chebu": ((), False),
     "chebt_hat": (("q",), False), "chebu_hat": (("q",), False),
-    "kesten": (("y", "rho"), False), "kesten_hat": (("y", "rho", "q"), False),
+    "kesten_hat": (("y", "rho", "q"), False),
 }
 
 
@@ -279,21 +283,10 @@ def _abc(fam):
         a0 = Fraction(1, 2) if tag == "chebt_hat" else 1
         c = div(1, 1 - fam.q)
         return lambda n: (a0, 0, 0) if n == 0 else (1, 0, c)
-    if tag == "hermite":
-        return lambda n: (1, 0, n)
-    if tag in ("kesten", "kesten_hat"):
-        # kesten_hat rescales C_n by 1/(1-q) for n >= 1
-        y, r = fam.y, fam.rho
-        c = 1 if tag == "kesten" else div(1, 1 - fam.q)
-
-        def kest(n):
-            if n == 0:
-                return (1, -r * y, 0)
-            if n == 1:
-                return (1, 0, (1 - r * r) * c)
-            return (1, 0, c)
-
-        return kest
+    if tag == "kesten_hat":
+        # the Kesten recurrence with C_n rescaled by 1/(1-q) for n >= 1
+        y, r, c = fam.y, fam.rho, div(1, 1 - fam.q)
+        return lambda n: (1, -r * y, 0) if n == 0 else (1, 0, (1 - r * r) * c if n == 1 else c)
 
 
 def _recurrence(fam, x):

@@ -40,6 +40,9 @@ parameters they name through it, and :func:`check_tol` checks a tolerance.
 The rules left elsewhere are not about one parameter's domain: y in S(q)
 (``densities``), the q = 1 and rho^2 < 1/2 kernel rules (``expand``) and
 ``trunc_eps``.
+
+:func:`resolve` is the one alias rule: an id that is a special case of a
+general kernel or pair is an :class:`Alias` of it at fixed exact parameters.
 """
 
 import math
@@ -104,6 +107,23 @@ def check_params(owner, params, names, unit_q=False):
             raise ParameterError("%s needs a finite %s, got %r" % (owner, name, v))
         values.append(v)
     return values
+
+
+@dataclass(frozen=True)
+class Alias:
+    """A registry id that runs as the entry ``of`` at the ``fixed`` parameters."""
+
+    of: str
+    fixed: dict
+
+
+def resolve(table, id, params):
+    """(entry, params) of table[id]; an Alias gives its general entry, with its
+    fixed values over any the caller passed for them."""
+    entry = table[id]
+    if isinstance(entry, Alias):
+        return table[entry.of], {**params, **entry.fixed}
+    return entry, params
 
 
 def check_tol(name, tol):

@@ -52,11 +52,15 @@ def _rule(n):
 def _once(f, L, n):
     theta, w = _rule(n)
     x = L * np.cos(theta)
-    return float(np.sum(w * f(x) * L * np.sin(theta)))
+    value = float(np.sum(w * f(x) * L * np.sin(theta)))
+    if not math.isfinite(value):
+        raise NonConvergenceError("quadrature integrand is not finite on %d nodes" % n)
+    return value
 
 
 def integrate(f, q, tol=1e-10, n0=128, n_cap=1024):
-    """integral of f over S(q); f must accept a numpy array of nodes."""
+    """integral of f over S(q); f must accept a numpy array of nodes.  An estimate
+    that is not finite is a NonConvergenceError at once."""
     check_tol("tol", tol)
     L = support(q).radius
     prev = _once(f, L, n0)

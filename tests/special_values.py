@@ -30,8 +30,9 @@ def q_double_factorial_odd(k, q):
 def special_values(fam, n, point):
     """Closed-form value p_n(point) for the tabulated (family, point) pairs.
 
-    Supported: chebu at 0, 1, -1, 1/2; qhermite at 0 and "edge"; kesten at 0
-    and 1; bigb at 0; rogers at 0.  Exact on rational parameters.
+    Supported: chebu at 0, 1, -1, 1/2; qhermite at 0 and "edge"; kesten_hat
+    at q = 0 (the Kesten family) at 0 and 1; bigb at 0; rogers at 0.  Exact on
+    rational parameters.
     """
     validate(fam)
     if n < 0:
@@ -61,7 +62,7 @@ def special_values(fam, n, point):
             if is_exact(q) and n % 2 == 0:
                 return w / (1 - Fraction(q)) ** (n // 2)
             return float(w) / (1.0 - float(q)) ** (n / 2.0)
-    elif tag == "kesten":
+    elif tag == "kesten_hat" and fam.q == 0:
         y, r = fam.y, fam.rho
         if point == 0:
             if n == 0:

@@ -262,6 +262,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "qortho: expansion 'mehler_classical' overflowed within 172 terms\n"
 
+    @pytest.mark.parametrize("argv,passed_q", [
+        # cn_over_n at q = 1: --q 0.5 put x = 3 outside S(0.5), exit 3
+        (["--id", "mehler_classical", "--y", "0", "--rho", "0.5", "--x", "3"], "0.5"),
+        # cn_over_u at q = 0: --q -0.5 put x = 1.8 outside S(-0.5), exit 3
+        (["--id", "pm_q0", "--y", "0", "--rho", "0.5", "--x", "1.8"], "-0.5"),
+    ])
+    def test_alias_ignores_the_q_it_fixes(self, capsys, argv, passed_q):
+        code, out = run(capsys, "expand", *argv, "--q", passed_q)
+        code_without, out_without = run(capsys, "expand", *argv)
+        assert (code, code_without) == (0, 0)
+        assert out.splitlines()[1:] == out_without.splitlines()[1:]
+
+    def test_pm_q0_point_outside_its_support(self, capsys):
+        # S(0) = [-2, 2]; without --q this printed 0.0 and exited 0
+        code = main(["expand", "--id", "pm_q0", "--y", "0", "--rho", "0.5", "--x", "2.5"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (3, "", "qortho: expansion evaluated outside S(q)\n")
+
     @pytest.mark.parametrize("argv", [
         ["--pair", "asc-from-h", "--n", "2", "--y", "1/3", "--rho", "3/2", "--q", "1/2"],
         ["--pair", "mehler", "--n", "3", "--y", "1", "--rho", "5"],

@@ -11,12 +11,11 @@ from qortho.qcore import (
     NonConvergenceError, ParameterError, q_bracket, q_factorial, q_pochhammer, support,
 )
 from qortho.polyfam import ChebU, eval as fam_eval
-from qortho.densities import density_eval
+from qortho.densities import density_eval, fN, fR
 from qortho.expand import (
     EXPANSION_IDS,
     ExpansionSpec,
     TruncationError,
-    base_density,
     expansion_coeff,
     expansion_eval,
     identity_suite,
@@ -76,8 +75,8 @@ class TestCoefficients:
         xs = L * np.linspace(-0.9, 0.9, 7)
         fwd = expansion_eval(ExpansionSpec("r_over_n", {"beta": beta, "q": q}), xs)
         bwd = expansion_eval(ExpansionSpec("n_over_r", {"gamma": beta, "q": q}), xs)
-        fn = density_eval(base_density("r_over_n", {"beta": beta, "q": q}), xs)
-        fr = density_eval(base_density("n_over_r", {"gamma": beta, "q": q}), xs)
+        fn = density_eval(fN(q), xs)
+        fr = density_eval(fR(beta, q), xs)
         np.testing.assert_allclose(
             (fwd.value / fn) * (bwd.value / fr), 1.0, atol=1e-10
         )
@@ -118,7 +117,7 @@ class TestEvaluation:
         ("cn_over_k", dict(y=0.4, rho=0.45, q=0.3)),
         ("cn_over_u", dict(y=0.4, rho=0.45, q=0.3)),
         ("mehler_classical", dict(y=0.4, rho=0.45)),
-        ("pm_q0", dict(y=0.4, rho=0.45)),
+        ("pm_q0", dict(y=0.4, rho=0.45, q=0.0)),  # the q it fixes, for the grid
     ])
     def test_series_reaches_target_density(self, eid, params):
         q = params.get("q", 1.0)
@@ -128,6 +127,18 @@ class TestEvaluation:
         res = expansion_eval(spec, xs, tol=1e-10)
         tgt = density_eval(target_density(eid, params), xs)
         np.testing.assert_allclose(res.value, tgt, atol=5e-10)
+
+    @pytest.mark.parametrize("eid,params,x", [
+        ("mehler_classical", dict(y=0.0, rho=0.8), 1.0),
+        ("n_over_cn", dict(y=0.0, rho=0.5, q=1.0), math.sqrt(0.75)),
+    ])
+    def test_unit_q_sum_runs_past_zero_terms(self, eid, params, x):
+        # terms 1 and 2 are 0 at these points (He_1(0) = He_2(1) = 0); a stop
+        # rule on |term| ended the sum there, 0.0762 and 0.0052 off target
+        res = expansion_eval(ExpansionSpec(eid, params), x)
+        tgt = density_eval(target_density(eid, params), x)
+        assert res.n_terms > 3
+        assert abs(res.value - tgt) <= 1e-9
 
     def test_tail_reported(self):
         res = expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}), 0.7, tol=1e-9)
@@ -276,7 +287,10 @@ class TestIdentitySuite:
 # parameters are the exact ones times 1.1; evaluation points are listed
 # explicitly.  Four float-row entries of cn_over_k and cn_over_u were
 # re-recorded when their q-binomials came from the q-Pascal table (each
-# checked against mpmath at the float-rounded parameters).
+# checked against mpmath at the float-rounded parameters).  The q = 1 rows
+# (cn_over_n, n_over_cn, mehler_classical) were re-recorded when Cramer's
+# bound replaced the pointwise stop rule; test_unit_q_eval_is_gaussian checks
+# each against the Gaussian density at 30 digits.
 
 GOLDEN_EXACT_PARAMS = {
     'n_over_u': dict(q=F('1/3')),
@@ -344,11 +358,11 @@ GOLDEN_EVAL = [
         ('0x1.e990cdad55ed2p+0', '0x1.a34a9e67025f9p-4', '0x1.4cc6041f9ea4cp-36', 33),
     ]),
     ('cn_over_n', {'y': 0.7, 'rho': 0.45, 'q': 1.0}, None, [
-        ('-0x1.599999999999ap+1', '0x1.8826a3d3086c1p-10', '0x1.75f7b6cfd5dc7p-39', 27),
-        ('-0x1.3333333333334p+0', '0x1.b1f5b2fe0bfb6p-4', '0x1.0c4752dc05715p-37', 27),
-        ('0x0.0p+0', '0x1.addc33ebed24cp-2', '0x1.098b0f1e8eb76p-34', 25),
-        ('0x1.cccccccccccccp-1', '0x1.711d7f9243911p-2', '0x1.c0f1fdf17c6fcp-35', 25),
-        ('0x1.3333333333334p+1', '0x1.df7dc772ca3cbp-6', '0x1.9a7c6833059e8p-39', 27),
+        ('-0x1.599999999999ap+1', '0x1.8826a3deb829ep-10', '0x1.6303361df2b16p-39', 29),
+        ('-0x1.3333333333334p+0', '0x1.b1f5b2fe0bfb6p-4', '0x1.bbd746ab83871p-35', 27),
+        ('0x0.0p+0', '0x1.addc33eae399bp-2', '0x1.3e15cab83f1b0p-34', 27),
+        ('0x1.cccccccccccccp-1', '0x1.711d7f93240a1p-2', '0x1.03c69c3ce4f46p-34', 27),
+        ('0x1.3333333333334p+1', '0x1.df7dc7722a924p-6', '0x1.0436e39284a5ap-38', 29),
     ]),
     ('n_over_cn', {'y': -0.6, 'rho': 0.4, 'q': 0.35}, None, [
         ('-0x1.1dc6a9cda880ap+1', '0x1.0bcaf87bc44a9p-5', '0x1.1a86e9af6a37ap-52', 11),
@@ -358,11 +372,11 @@ GOLDEN_EVAL = [
         ('0x1.fc0bd88a0f1d8p+0', '0x1.1ccb2597ba2f0p-4', '0x1.e4930fa2c7b45p-53', 11),
     ]),
     ('n_over_cn', {'y': 0.3, 'rho': 0.5, 'q': 1.0}, None, [
-        ('-0x1.599999999999ap+1', '0x1.5579231c37bf5p-7', '0x1.6925e059c458dp-40', 42),
-        ('-0x1.3333333333334p+0', '0x1.8db16b1c4c1eap-3', '0x1.8525dd51e814ep-35', 39),
-        ('0x0.0p+0', '0x1.9884533f4be6ap-2', '0x1.5b61c6f48d99ap-33', 38),
-        ('0x1.cccccccccccccp-1', '0x1.1078a6dad26f9p-2', '0x1.33c868faa0ac0p-33', 38),
-        ('0x1.3333333333334p+1', '0x1.6ee977cd2b0a6p-6', '0x1.b3371e4dbcac1p-38', 41),
+        ('-0x1.599999999999ap+1', '0x1.5579231c4d65bp-7', '0x1.9bb22b1313d83p-41', 46),
+        ('-0x1.3333333333334p+0', '0x1.8db16b1b9eaa7p-3', '0x1.ba6a36725285ap-35', 42),
+        ('0x0.0p+0', '0x1.9884533d03386p-2', '0x1.534455e46f2f4p-33', 41),
+        ('0x1.cccccccccccccp-1', '0x1.1078a6d8fc612p-2', '0x1.1b612b2c9078fp-33', 41),
+        ('0x1.3333333333334p+1', '0x1.6ee977ce56802p-6', '0x1.9e42520a488d5p-38', 44),
     ]),
     ('r_over_n', {'beta': 0.35, 'q': 0.5}, None, [
         ('-0x1.45d5b5c3f4f6bp+1', '0x1.c2e476941d7f5p-5', '0x1.bfb111e7ea5eep-40', 55),
@@ -393,11 +407,11 @@ GOLDEN_EVAL = [
         ('0x1.d8f7208e6b82fp+0', '0x1.f19c4d864a467p-6', '0x1.a52f8ee9551f7p-35', 43),
     ]),
     ('mehler_classical', {'y': 0.4, 'rho': 0.45}, None, [
-        ('-0x1.599999999999ap+1', '0x1.42ef3a847499cp-9', '0x1.c4e826555316dp-41', 28),
-        ('-0x1.3333333333334p+0', '0x1.153a104c45c7cp-3', '0x1.64621627fe982p-36', 26),
-        ('0x0.0p+0', '0x1.c0409eb53ee70p-2', '0x1.ff389b005c20ep-36', 25),
-        ('0x1.cccccccccccccp-1', '0x1.4a84085a4d010p-2', '0x1.782b0b056fe9ap-36', 26),
-        ('0x1.3333333333334p+1', '0x1.4d11ed54ea2c4p-6', '0x1.f5e8cec015b75p-38', 26),
+        ('-0x1.599999999999ap+1', '0x1.42ef3a8342903p-9', '0x1.22e88c9736772p-40', 30),
+        ('-0x1.3333333333334p+0', '0x1.153a104b94a06p-3', '0x1.78d0d33e9c9d2p-36', 28),
+        ('0x0.0p+0', '0x1.c0409eb53ee70p-2', '0x1.4157893406bd2p-33', 26),
+        ('0x1.cccccccccccccp-1', '0x1.4a84085a00afcp-2', '0x1.b917de4072ca1p-36', 28),
+        ('0x1.3333333333334p+1', '0x1.4d11ed52f4437p-6', '0x1.ffdc1790433bdp-38', 28),
     ]),
     ('pm_q0', {'y': 0.9, 'rho': 0.5}, None, [
         ('-0x1.ccccccccccccdp+0', '0x1.4974ce11962e6p-5', '0x1.591f19c93b128p-36', 38),
@@ -447,3 +461,20 @@ class TestGolden:
             res = expansion_eval(ExpansionSpec(eid, params, K), float.fromhex(xh))
             assert (res.value.hex(), res.n_terms) == (value, n_terms), xh
             assert res.tail == pytest.approx(float.fromhex(tail), rel=1e-12, abs=0.0), xh
+
+    @pytest.mark.parametrize("eid,params,rows", [
+        (eid, params, rows) for eid, params, K, rows in GOLDEN_EVAL
+        if eid == "mehler_classical" or params.get("q") == 1.0
+    ])
+    def test_unit_q_eval_is_gaussian(self, eid, params, rows):
+        # fN(x|1) is N(0, 1) and fCN(x|y,rho,1) is N(rho y, 1 - rho^2)
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 30
+        mean, var = mp.mpf(0), mp.mpf(1)
+        if eid != "n_over_cn":
+            rho = mp.mpf(params["rho"])
+            mean, var = rho * mp.mpf(params["y"]), 1 - rho ** 2
+        for xh, value, tail, _ in rows:
+            x = mp.mpf(float.fromhex(xh))
+            exact = mp.exp(-(x - mean) ** 2 / (2 * var)) / mp.sqrt(2 * mp.pi * var)
+            assert abs(float.fromhex(value) - exact) <= float.fromhex(tail), xh

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 import series_reference as ref
 from qortho import connect, expand, sampler
-from qortho.densities import density_eval, fCN
+from qortho.densities import density_eval, fCN, fU
 from qortho.qcore import NonConvergenceError, TruncationError, _sum_series
 
 
@@ -123,7 +123,7 @@ class TestExpansionLoop:
             pairs = ((np.array([a, b]), bound) for a, b, bound in chain(first, prefix))
             return chain(pairs, ((np.full(2, t), b) for t, b in TAILS[tail]()))
 
-        base = density_eval(expand.base_density("n_over_u", self.P), self.XS)
+        base = density_eval(fU(self.P["q"]), self.XS)
         try:
             acc, tail_series, n = ref.expansion_loop(
                 seq(), np.zeros_like(self.XS), K, tol, name="n_over_u")

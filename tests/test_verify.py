@@ -37,6 +37,18 @@ class TestIntegrate:
         with pytest.raises(NonConvergenceError):
             integrate(lambda x: np.abs(x - 0.37), 0.5, tol=1e-14)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_integrand_stops_at_the_first_estimate(self, value):
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return np.full_like(x, value)
+
+        with pytest.raises(NonConvergenceError, match="integrand is not finite on 128 nodes"):
+            integrate(f, 0.5)
+        assert calls == [128]
+
 
 class TestOrthogonality:
     @pytest.mark.parametrize("q", [-0.5, 0.0, 0.3, 0.7])
