@@ -26,9 +26,17 @@ builds that y-row once per call and calls ``rows`` once; the rule builds the
 q-series factors its entries read, also once per call (the q-Pascal table and
 the prefix rows of :mod:`qortho.qcore`), and returns ``entries(n)``, which
 yields the (k, value) entries of row n.  One row loop then drops the zero
-entries.  The single-entry functions (:func:`d_hat_entry`,
-:func:`gamma_parts`, ...) take the same table as an optional ``B``, so a
-caller looping over k builds it once.
+entries; a float entry that overflows (or a float power past the float
+range) ends it with the pair and row named.
+
+The ASC pairs ``uhat-from-asc`` and ``kesten-from-asc`` are one scaled sum
+each, (1-q)^{(n-k)/2} times the entry as a (rational, half) pair, which
+:func:`d_hat_entry` and :func:`c_hat_entry` divide by (1-q)^{(n-k)//2}.
+Column 0 is the paper's density-ratio rule c_n ||a_n||^2 = gamma_{n,0}:
+:func:`gamma_coeff` (fCN/fU) is column 0 of ``uhat-from-asc``, and
+:func:`beta_coeff` (fCN/fK) column 0 of ``kesten-from-asc`` over the Kesten
+norm's factor 1 - rho^2.  These take the H_m(y|q) row and the q-binomial
+table as optional ``H`` and ``B``, so a caller looping over k builds them once.
 """
 
 import math
@@ -82,107 +90,61 @@ def _tables(q, y, m, H, B):
     return H, B
 
 
+def _scaled_sum(k, n, rho, q, H, coeff, first=0):
+    """sum over j >= first and m = n-k-2j >= 0 of coeff(j, m) rho^m (1-q)^{m/2}
+    H_m(y|q) as (rational, half): every term has the half-power parity of n-k,
+    so the value is r for even n-k and r sqrt(1-q) for odd."""
+    omq = 1 - q
+    total = 0 * q
+    for j in range(first, (n - k) // 2 + 1):
+        m = n - k - 2 * j
+        total = total + coeff(j, m) * rho ** m * omq ** (m // 2) * H[m]
+    return total, (n - k) % 2
+
+
+def _d_scaled(k, n, rho, q, H, B):
+    """(1-q)^{(n-k)/2} D_{k,n}, D_{k,n} the uhat-from-asc entry, as (rational, half)."""
+    return _scaled_sum(k, n, rho, q, H, lambda j, m: (
+        (-1) ** j * q ** (j * (j + 1) // 2) * B(n - j, n - k - j) * B(n - k - j, m)))
+
+
+def _c_scaled(k, n, rho, q, H, B):
+    """(1-q)^{(n-k)/2} C_{k,n}, C_{k,n} the kesten-from-asc entry, n >= 1, as
+    (rational, half).  In column 0 the j = 0 term has the factor
+    [n-1 choose n]_q = 0; it is left out, so that an H_n(y|q) past the float
+    range does not make it 0 * inf."""
+    r2qk = rho * rho * q ** k
+    # n-k >= 2j makes n-k + j(j-3)/2 >= j(j+1)/2 >= 0, so plain powers suffice
+    return _scaled_sum(k, n, rho, q, H, lambda j, m: (
+        (-1) ** j * q ** (n - k + j * (j - 3) // 2) * B(n - 1 - j, m)
+        * (B(j + k, k) - r2qk * B(j + k - 1, k))), first=1 if k == 0 else 0)
+
+
+def _entry(scaled, k, n, y, rho, q, H, B):
+    """Entry (k, n) of a scaled sum: r / (1-q)^{(n-k)//2}, inf once a float
+    power underflows to 0 (large n-k, q near 1)."""
+    if not 0 <= k <= n:
+        return 0 * q
+    H, B = _tables(q, y, n - k, H, B)
+    r, _ = scaled(k, n, rho, q, H, B)
+    den = (1 - q) ** ((n - k) // 2)
+    return div(r, den) if den else math.inf
+
+
 def d_hat_entry(k, n, y, rho, q, H=None, B=None):
     """Coefficient of P_k in (1-q)^{-n/2} U_n(x sqrt(1-q)/2) over the ASC family.
 
     H may supply precomputed H_m(y|q) values, m <= n-k, and B the table
     ``qcore.q_binomial_table(q)``.
     """
-    if not 0 <= k <= n:
-        return 0 * q
-    c = div(1, 1 - q)
-    H, B = _tables(q, y, n - k, H, B)
-    total = 0 * q
-    for j in range((n - k) // 2 + 1):
-        m = n - k - 2 * j
-        term = (
-            (-1) ** j
-            * c ** j
-            * q ** (j * (j + 1) // 2)
-            * B(n - j, n - k - j)
-            * B(n - k - j, m)
-            * rho ** m
-            * H[m]
-        )
-        total = total + term
-    return total
+    return _entry(_d_scaled, k, n, y, rho, q, H, B)
 
 
 def c_hat_entry(k, n, y, rho, q, H=None, B=None):
     """Coefficient of P_k in KestenHat_n over the ASC family; H, B as in d_hat_entry."""
-    if not 0 <= k <= n:
-        return 0 * q
-    if n == 0:
+    if n == 0 == k:
         return 1 + 0 * q
-    c = div(1, 1 - q)
-    H, B = _tables(q, y, n - k, H, B)
-    total = 0 * q
-    for j in range((n - k) // 2 + 1):
-        m = n - k - 2 * j
-        # n-k >= 2j makes n-k + j(j-3)/2 >= j(j+1)/2 >= 0, so plain powers suffice
-        expo = n - k + j * (j - 3) // 2
-        term = (
-            (-1) ** j
-            * c ** j
-            * q ** expo
-            * B(n - 1 - j, m)
-            * (B(j + k, k) - rho * rho * q ** k * B(j + k - 1, k))
-            * rho ** m
-            * H[m]
-        )
-        total = total + term
-    return total
-
-
-def gamma_parts(k, y, rho, q, H=None, B=None):
-    """CN-over-U coefficient gamma_k as (rational, half) with value r (1-q)^{half/2}.
-
-    gamma_k = sum_j (-1)^j q^{j(j+1)/2} [k-j choose k-2j]_q rho^{k-2j}
-              (1-q)^{(k-2j)/2} H_{k-2j}(y|q); every term carries the same
-    parity in the half-power, so the result is r for even k and
-    r sqrt(1-q) for odd k.  H and B are as in :func:`d_hat_entry`.
-    """
-    H, B = _tables(q, y, k, H, B)
-    total = 0 * q
-    omq = 1 - q
-    for j in range(k // 2 + 1):
-        m = k - 2 * j
-        term = (
-            (-1) ** j
-            * q ** (j * (j + 1) // 2)
-            * B(k - j, m)
-            * rho ** m
-            * omq ** (m // 2)
-            * H[m]
-        )
-        total = total + term
-    return total, k % 2
-
-
-def beta_parts(k, y, rho, q, H=None, B=None):
-    """CN-over-K coefficient beta_k as (rational, half); beta_0 = 1, beta_1 = 0.
-
-    beta_k = sum_{j>=1} (-1)^j q^{k+j(j-3)/2} [k-1-j choose k-2j]_q rho^{k-2j}
-             (1-q)^{(k-2j)/2} H_{k-2j}(y|q)  ( = C_{0,k} / ((1-rho^2) (1-q)^{k/2}) ).
-    """
-    if k == 0:
-        return 1 + 0 * q, 0
-    H, B = _tables(q, y, k, H, B)
-    total = 0 * q
-    omq = 1 - q
-    for j in range(1, k // 2 + 1):
-        m = k - 2 * j
-        expo = k + j * (j - 3) // 2  # >= j(j+1)/2 >= 1 since k >= 2j
-        term = (
-            (-1) ** j
-            * q ** expo
-            * B(k - 1 - j, m)
-            * rho ** m
-            * omq ** (m // 2)
-            * H[m]
-        )
-        total = total + term
-    return total, k % 2
+    return _entry(_c_scaled, k, n, y, rho, q, H, B)
 
 
 def _from_parts(parts, q):
@@ -200,11 +162,17 @@ def _from_parts(parts, q):
 
 
 def gamma_coeff(k, y, rho, q, H=None, B=None):
-    return _from_parts(gamma_parts(k, y, rho, q, H, B), q)
+    """CN-over-U coefficient gamma_k = (1-q)^{k/2} D_{0,k}: column 0 of uhat-from-asc."""
+    return _from_parts(_d_scaled(0, k, rho, q, *_tables(q, y, k, H, B)), q)
 
 
 def beta_coeff(k, y, rho, q, H=None, B=None):
-    return _from_parts(beta_parts(k, y, rho, q, H, B), q)
+    """CN-over-K coefficient beta_k = (1-q)^{k/2} C_{0,k} / (1-rho^2) for k >= 1,
+    column 0 of kesten-from-asc over the Kesten norm's factor; beta_0 = 1."""
+    if k == 0:
+        return 1 + 0 * q
+    r, half = _c_scaled(0, k, rho, q, *_tables(q, y, k, H, B))
+    return _from_parts((div(r, 1 - rho * rho), half), q)
 
 
 # -- the pair table -----------------------------------------------------------
@@ -330,8 +298,12 @@ def connection(pair, n_max, **params):
     entries = spec.rows(Y, *values)
     rows = {}
     for n in range(n_max + 1):
-        rows[n] = {k: v for k, v in entries(n) if v != 0}
-        if any(isinstance(v, float) and not math.isfinite(v) for v in rows[n].values()):
+        try:
+            rows[n] = {k: v for k, v in entries(n) if v != 0}
+            finite = all(math.isfinite(v) for v in rows[n].values() if isinstance(v, float))
+        except OverflowError:  # a float power past the float range
+            finite = False
+        if not finite:
             raise NonConvergenceError("pair %r row %d overflowed" % (pair, n))
     return ConnectionMatrix(pair, n_max, dict(params), rows)
 

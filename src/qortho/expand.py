@@ -7,8 +7,9 @@ everything about that expansion:
 
 - ``coeff_params`` / ``params``: the parameters the coefficient rule needs,
   and those the evaluated expansion needs, checked by ``qcore.check_params``
-  with q = 1 allowed (a missing one, q outside (-1, 1], a rho, beta or gamma
-  outside (-1, 1) or a y that is not finite is a ParameterError).
+  with q = 1 allowed by ``unit_q``, set where both densities exist there
+  (cn_over_n, n_over_cn).  A missing one, q outside (-1, 1), a rho, beta or
+  gamma outside (-1, 1) or a y that is not finite is a ParameterError.
 - ``coeff(p, Y)``: the coefficient rule, exact on rational parameters.  It
   builds what its coefficients read once per call (prefix rows of
   q-factorials and q-Pochhammer symbols, the q-binomial table) and returns
@@ -30,6 +31,10 @@ All c_0 = 1.  Coefficient rules are exact on rational parameters whenever
 the closed form is rational (the sqrt(1-q) on odd indices of cn_over_u /
 cn_over_k too when 1-q is a rational square, such as q = 0 or 3/4).  A float
 q-factorial or q-Pochhammer row value past the float range is an overflow.
+cn_over_u and cn_over_k read column 0 of ``uhat-from-asc`` and
+``kesten-from-asc``; the other six are O(1) closed forms of the same rule
+c_n = gamma_{n,0} / ||a_n||^2, where a column 0 costs O(n) per coefficient.
+``_coeff_rule`` builds a rule once for a whole listing c_0..c_K.
 
 :func:`expansion_eval` reconstructs the target density pointwise with either
 a fixed truncation K or an adaptive one driven by the bound rule.
@@ -124,6 +129,7 @@ class _Kernel:
     even: bool = False
     y_row: Optional[Callable] = None
     weighted: bool = False
+    unit_q: bool = False
     gauss: Optional[Callable] = None
     domain: Optional[Callable] = None
 
@@ -146,14 +152,8 @@ def _c_n_over_u(p, Y):
     return lambda k: (-1) ** k * q ** (k * (k + 1) // 2)
 
 
-def _below_unit_q(p):
-    if p["q"] == 1.0:
-        raise ParameterError("the target density does not exist at q = 1")
-
-
 def _c_u_over_n(p, Y):
-    # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1}), 0/0 at q = 1
-    _below_unit_q(p)
+    # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1})
     q = p["q"]
     qq = _Row(map(_finite, _pochhammers(q, q)))
     return lambda k: div(q ** k * (1 - q) ** (k + 1), qq[k] * qq[k + 1])
@@ -317,7 +317,6 @@ _KERNELS = {
         base=_fN, target=_fU,
         family=_qhermite,
         bound=_hermite_bound,
-        domain=_below_unit_q,
     ),
     "cn_over_n": _Kernel(
         coeff_params=("rho", "q"), params=("y", "rho", "q"),
@@ -326,7 +325,7 @@ _KERNELS = {
         family=_qhermite,
         y_row=_qhermite_y, weighted=True,
         bound=_hermite_bound,
-        gauss=lambda p, x: (1.0, _maxabs(x)),
+        unit_q=True, gauss=lambda p, x: (1.0, _maxabs(x)),
     ),
     "n_over_cn": _Kernel(
         coeff_params=("rho", "q"), params=("y", "rho", "q"),
@@ -335,7 +334,7 @@ _KERNELS = {
         family=lambda p, x: (ASC(p["y"], p["rho"], p["q"]), x),
         y_row=lambda p: (BigB(p["q"]), p["y"]), weighted=True,
         bound=_asc_bound,
-        gauss=_asc_gauss,
+        unit_q=True, gauss=_asc_gauss,
         domain=_reciprocal_gaussian_domain,
     ),
     "r_over_n": _Kernel(
@@ -344,7 +343,6 @@ _KERNELS = {
         base=_fN, target=lambda p, eps: fR(p["beta"], p["q"], eps),
         family=_qhermite,
         bound=_hermite_bound,
-        domain=_below_unit_q,
     ),
     "n_over_r": _Kernel(
         coeff_params=("gamma", "q"), params=("gamma", "q"),
@@ -406,22 +404,36 @@ def _y_values(kernel, p):
     return _Row(values())
 
 
+def _coeff_rule(id, n_max, p):
+    """c(n) = c_n, 0 <= n <= n_max, of the registry id at p, its rows built once.
+
+    The alias, the index n_max and the parameters are checked here; a float
+    c_n that overflows is a NonConvergenceError naming it.
+    """
+    kernel, p = _kernel(id, p)
+    if n_max < 0:
+        raise ParameterError("coefficient index must be >= 0, got %r" % (n_max,))
+    check_params("expansion %r" % (id,), p, kernel.coeff_params, kernel.unit_q)
+    coeff = _coeffs(kernel, p, _y_values(kernel, p))
+
+    def c(n):
+        try:
+            v = coeff(n)
+        except OverflowError:  # an int too large for a float, such as n! past 170
+            v = math.inf
+        if isinstance(v, float) and not math.isfinite(v):
+            raise NonConvergenceError("expansion %r coefficient c_%d overflowed" % (id, n))
+        return v
+
+    return c
+
+
 def expansion_coeff(id, n, **p):
     """Coefficient c_n of the registry expansion; exact on rational parameters.
 
     A float coefficient that overflows is a NonConvergenceError.
     """
-    kernel, p = _kernel(id, p)
-    if n < 0:
-        raise ParameterError("coefficient index must be >= 0, got %r" % (n,))
-    check_params("expansion %r" % (id,), p, kernel.coeff_params, unit_q=True)
-    try:
-        c = _coeffs(kernel, p, _y_values(kernel, p))(n)
-    except OverflowError:  # an int too large for a float, such as n! past 170
-        c = math.inf
-    if isinstance(c, float) and not math.isfinite(c):
-        raise NonConvergenceError("expansion %r coefficient c_%d overflowed" % (id, n))
-    return c
+    return _coeff_rule(id, n, p)(n)
 
 
 def target_density(id, params, trunc_eps=1e-14):
@@ -471,7 +483,7 @@ def expansion_eval(spec, x, tol=1e-9):
     q-factorial row past the float range) raises NonConvergenceError.
     """
     kernel, params = _kernel(spec.id, spec.params)
-    check_params("expansion %r" % (spec.id,), params, kernel.params, unit_q=True)
+    check_params("expansion %r" % (spec.id,), params, kernel.params, kernel.unit_q)
     check_tol("tol", tol)
     p = {k: float(v) for k, v in params.items()}
     xa = np.asarray(x, dtype=float)

@@ -21,6 +21,9 @@ further, so a row read to degree n costs n steps however it grows.
 
 ``_w_terms`` and ``_v_terms`` are the rows W_n and V_n from which the
 sup-norm bound rules of ``expand`` bound |H_n| and |R_n| on S(q).
+
+``_NORMS`` holds the exact squared norms ||p_n||^2 of the six families
+orthogonal under a density of ``densities``.
 """
 
 import math
@@ -38,6 +41,9 @@ from .qcore import (
     check_params,
     div,
     ensure_exact,
+    is_exact,
+    q_factorial,
+    q_pochhammer,
 )
 
 
@@ -235,6 +241,27 @@ _DOMAINS = {
     "chebt": ((), False), "chebu": ((), False),
     "chebt_hat": (("q",), False), "chebu_hat": (("q",), False),
     "kesten_hat": (("y", "rho", "q"), False),
+}
+
+
+def _exact_power(v, n):
+    """v ** n, a Fraction when v is rational, so a negative n stays exact."""
+    return (Fraction(v) if is_exact(v) else v) ** n
+
+
+#: family tag -> (density tag, rule): ||p_n||^2 = rule(p, n), reading only
+#: p.q, p.rho and p.beta, so p is the family or its density
+_NORMS = {
+    "qhermite": ("fn", lambda p, n: q_factorial(n, p.q)),
+    "asc": ("fcn", lambda p, n: q_pochhammer(p.rho * p.rho, p.q, n) * q_factorial(n, p.q)),
+    "rogers": ("fr", lambda p, n: div(
+        (1 - p.beta) * q_pochhammer(p.beta * p.beta, p.q, n) * q_factorial(n, p.q),
+        1 - p.beta * p.q ** n)),
+    "chebu_hat": ("fu", lambda p, n: _exact_power(1 - p.q, -n)),
+    "chebt_hat": ("ft", lambda p, n: (1 if n == 0 else Fraction(1, 2))
+                  * _exact_power(1 - p.q, -n)),
+    "kesten_hat": ("fk", lambda p, n: (1 if n == 0 else 1 - p.rho ** 2)
+                   * _exact_power(1 - p.q, -n)),
 }
 
 

@@ -6,7 +6,8 @@ from one generator spawned per batch from the seed's ``SeedSequence``.
 
 The ratio r(x) = target(x)/fU(x) is bounded: for fN by the alternating-series
 envelope M = sum (2k+1)|q|^{k(k+1)/2}, for fCN by sum (k+1)|gamma_k| over the
-Chebyshev expansion coefficients (gamma_0 = 1), both summed by
+Chebyshev expansion coefficients (gamma_0 = 1; ``connect.gamma_coeff``, column 0
+of the ``uhat-from-asc`` connection sum), both summed by
 ``qcore._sum_series``; an fCN series that has not settled after 400 terms
 falls back to 1.05 times the grid supremum.  r is evaluated once per call on a
 dense grid, whose supremum both floors M and checks it before any sampling;

@@ -5,6 +5,8 @@ square-root edge behaviour of every density here and leaves an analytic
 integrand in theta; Gauss-Legendre in theta then converges spectrally.
 Convergence is certified by doubling the rule and comparing (Richardson
 difference), with NonConvergenceError past the node cap.
+The orthogonality and d-integral checks read ``float()`` of the exact
+squared norms in ``polyfam._NORMS``.
 """
 
 import functools
@@ -18,8 +20,6 @@ from .qcore import (
     ParameterError,
     VerificationReport,
     check_tol,
-    q_factorial,
-    q_pochhammer,
     support,
 )
 from . import connect, densities, expand, polyfam
@@ -31,6 +31,7 @@ from .polyfam import (
     KestenHat,
     QHermite,
     Rogers,
+    _NORMS,
     eval_all,
 )
 
@@ -77,34 +78,17 @@ def integrate(f, q, tol=1e-10, n0=128, n_cap=1024):
     )
 
 
-#: closed-form squared norm rule(dens, n) of fam_n under dens, keyed by
-#: (family tag, density tag)
-_NORMS = {
-    ("qhermite", "fn"): lambda d, n: float(q_factorial(n, d.q)),
-    ("asc", "fcn"): lambda d, n: float(
-        q_pochhammer(d.rho * d.rho, d.q, n) * q_factorial(n, d.q)
-    ),
-    ("rogers", "fr"): lambda d, n: float(
-        (1 - d.beta) * q_pochhammer(d.beta * d.beta, d.q, n) * q_factorial(n, d.q)
-        / (1 - d.beta * d.q ** n)
-    ),
-    ("chebu_hat", "fu"): lambda d, n: (1.0 - d.q) ** (-n),
-    ("chebt_hat", "ft"): lambda d, n: 1.0 if n == 0 else 0.5 * (1.0 - d.q) ** (-n),
-    ("kesten_hat", "fk"): lambda d, n: (
-        1.0 if n == 0 else (1.0 - d.rho ** 2) * (1.0 - d.q) ** (-n)
-    ),
-}
-
-
 def _norm_rule(fam, dens):
-    """The pair's norm rule, once its family parameters match the density's."""
+    """The family's ``polyfam._NORMS`` rule, once its density is dens and its
+    parameters match the density's."""
     pair = (fam.tag, dens.tag)
-    if pair not in _NORMS:
+    weight, rule = _NORMS.get(fam.tag, (None, None))
+    if weight != dens.tag:
         raise ParameterError("no closed-form norm for pair %r" % (pair,))
     for name, v in fam.params().items():
         if getattr(dens, name) != v:
             raise ParameterError("%s/%s parameter mismatch in %s" % (*pair, name))
-    return _NORMS[pair]
+    return rule
 
 
 @functools.lru_cache(maxsize=64)
@@ -128,7 +112,7 @@ def check_orthogonality(fam, dens, n, m, tol=1e-8):
     """Compare the (n, m) inner product against the closed-form norm."""
     norm = _norm_rule(fam, dens)
     G, quad_err = _gram(fam, dens, max(n, m))
-    expected = norm(dens, n) if n == m else 0.0
+    expected = float(norm(dens, n)) if n == m else 0.0
     residual = abs(float(G[n, m]) - expected)
     return VerificationReport(
         "orthogonality:%s/%s" % (fam.tag, dens.tag),
@@ -181,20 +165,17 @@ def check_chapman(x, z, rho1, rho2, q, tol=1e-6):
 def check_D_integral(k, n, y, rho, q, tol=1e-8):
     """integral U_n(x sqrt(1-q)/2) P_k(x) fCN dx = D_{k,n} (rho^2;q)_k [k]_q!."""
     dens = fCN(y, rho, q)
+    asc = ASC(y, rho, q)
     s = math.sqrt(1.0 - q)
 
     def f(x):
         u = eval_all(polyfam.ChebU(), n, x * s / 2.0)[n]
-        p = eval_all(ASC(y, rho, q), k, x)[k]
+        p = eval_all(asc, k, x)[k]
         return u * p * density_eval(dens, x)
 
     res = integrate(f, q, tol=min(tol * 1e-2, 1e-9))
     d_hat = float(connect.d_hat_entry(k, n, y, rho, q))
-    expected = (
-        d_hat
-        * (1.0 - q) ** (n / 2.0)
-        * float(q_pochhammer(rho * rho, q, k) * q_factorial(k, q))
-    )
+    expected = d_hat * (1.0 - q) ** (n / 2.0) * float(_NORMS["asc"][1](asc, k))
     residual = abs(res.value - expected)
     return VerificationReport(
         "d-integral:u/asc",

@@ -9,12 +9,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qortho
+from qortho import connect, expand
 from qortho.cli import main
+from qortho.qcore import q_binomial_table
 
 
 def run(capsys, *argv):
@@ -101,6 +104,25 @@ class TestExpand:
         assert float(row[1]) == pytest.approx(0.3284551948255895, abs=1e-12)
         assert float(row[2]) < 1e-9  # reported tail bound
 
+    @pytest.mark.parametrize("argv", [
+        ["--id", "cn_over_u", "--q", "1/2", "--y", "1/3", "--rho", "1/2"],
+        ["--id", "cn_over_k", "--q", "0.5", "--y", "0.3", "--rho", "0.5"],
+        ["--id", "pm_q0", "--y", "1/3", "--rho", "1/2"],
+    ])
+    def test_listing_builds_its_rows_once(self, capsys, argv):
+        # one q-binomial table for all 31 coefficients, not one per coefficient
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return q_binomial_table(q)
+
+        with mock.patch.object(expand, "q_binomial_table", counted), \
+                mock.patch.object(connect, "q_binomial_table", counted):
+            code, out = run(capsys, "expand", *argv, "--k-max", "30")
+        assert code == 0 and len(out.splitlines()) == 33
+        assert len(calls) == 1
+
 
 class TestVerify:
     def test_normalization_suite(self, capsys):
@@ -180,12 +202,19 @@ class TestExitCodes:
         ["--id", "u_over_n", "--q", "1", "--x", "0"],
         ["--id", "r_over_n", "--q", "1", "--beta", "0.3", "--x", "0"],
         ["--id", "u_over_n", "--q", "1"],
+        # these coefficient listings exited 0, though no density exists at q = 1
+        ["--id", "n_over_u", "--q", "1", "--k-max", "4"],
+        ["--id", "r_over_n", "--q", "1", "--beta", "0.5", "--k-max", "4"],
+        ["--id", "n_over_r", "--q", "1", "--gamma", "0.5", "--k-max", "4"],
+        ["--id", "cn_over_u", "--q", "1", "--y", "0.3", "--rho", "0.5", "--k-max", "4"],
+        ["--id", "cn_over_k", "--q", "1", "--y", "0.3", "--rho", "0.5", "--k-max", "4"],
     ])
     def test_expansion_target_missing_at_unit_q(self, capsys, argv):
+        # only cn_over_n and n_over_cn (and mehler_classical) admit q = 1
         code = main(["expand"] + argv)
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "does not exist at q = 1" in err
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "qortho: expansion %r needs -1 < q < 1, got q=1\n" % (argv[1],)
 
     @pytest.mark.parametrize("argv", [
         ["--id", "r_over_n", "--q", "1/2", "--beta", "2", "--k-max", "3"],
@@ -280,6 +309,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert (code, out, err) == (3, "", "qortho: expansion evaluated outside S(q)\n")
 
+    @pytest.mark.parametrize("pair,row", [
+        ("uhat-from-asc", 52), ("kesten-from-asc", 52), ("uhat-from-h", 52),
+        ("h-from-uhat", 50),
+    ])
+    def test_overflowing_connection_row(self, capsys, pair, row):
+        # a float power past the float range (c^j with c = 1/(1-q)), or a
+        # (1-q)^{(n-k)//2} that underflows to 0, names the pair and its row
+        code = main(["connect", "--pair", pair, "--n", "60", "--q", "0.999999999999",
+                     "--y", "0.1", "--rho", "0.5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err == "qortho: pair %r row %d overflowed\n" % (pair, row)
+
     @pytest.mark.parametrize("argv", [
         ["--pair", "asc-from-h", "--n", "2", "--y", "1/3", "--rho", "3/2", "--q", "1/2"],
         ["--pair", "mehler", "--n", "3", "--y", "1", "--rho", "5"],
@@ -313,9 +355,9 @@ class TestExitCodes:
         (["connect", "--pair", "asc-from-h", "--n", "3", "--y", "nan", "--rho", "0.2",
           "--q", "0.5"], "pair 'asc-from-h' needs a finite y, got nan"),
         (["expand", "--id", "n_over_u", "--q", "2", "--k-max", "3"],
-         "expansion 'n_over_u' needs -1 < q <= 1, got q=2"),
+         "expansion 'n_over_u' needs -1 < q < 1, got q=2"),
         (["expand", "--id", "n_over_u", "--q", "nan", "--k-max", "3"],
-         "expansion 'n_over_u' needs -1 < q <= 1, got q=nan"),
+         "expansion 'n_over_u' needs -1 < q < 1, got q=nan"),
         (["expand", "--id", "pm_q0", "--y", "nan", "--rho", "0.5", "--k-max", "2"],
          "expansion 'pm_q0' needs a finite y, got nan"),
         (["density", "--density", "fu", "--q", "0.5", "--x", "0", "--trunc-eps", "2"],

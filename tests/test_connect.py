@@ -1,15 +1,21 @@
 """Tests for connection coefficients: closed forms vs the elimination oracle."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import connect_reference as ref
 
 from qortho.qcore import (
     IrrationalParameterError,
     ParameterError,
+    q_binomial_table,
     q_pochhammer,
 )
 from qortho.polyfam import (
@@ -29,13 +35,12 @@ from qortho.polyfam import (
 )
 from qortho.connect import (
     PAIRS,
+    _from_parts,
     beta_coeff,
-    beta_parts,
     c_hat_entry,
     connection,
     d_hat_entry,
     gamma_coeff,
-    gamma_parts,
     oracle_connection,
     ratio_connection,
 )
@@ -180,14 +185,14 @@ class TestHatEntries:
         # beta_k = Chat_{0,k} (1-q)^{k/2} / (1-rho^2) for k >= 1; both sides
         # rational after the parity split, so compare exactly.
         for k in range(1, 9):
-            r, half = beta_parts(k, Y, RHO, Q)
+            r, half = ref.beta_parts(k, Y, RHO, Q)
             ch = c_hat_entry(0, k, Y, RHO, Q)
             expect = ch * (1 - Q) ** ((k - half) // 2) / (1 - RHO ** 2)
             assert r == expect, k
 
     def test_gamma_parity_split(self):
         for k in range(9):
-            r, half = gamma_parts(k, Y, RHO, Q)
+            r, half = ref.gamma_parts(k, Y, RHO, Q)
             assert half == k % 2
             v = gamma_coeff(k, Y, RHO, Q)
             if half:
@@ -196,10 +201,42 @@ class TestHatEntries:
                 assert v == r
 
     def test_gamma_k1(self):
-        import math
-
         v = gamma_coeff(1, 0.4, 0.3, 0.5)
         assert v == pytest.approx(math.sqrt(0.5) * 0.3 * 0.4, rel=1e-15)
+
+
+def _rational(bound=1, max_den=9):
+    """Fractions n/d strictly inside (-bound, bound), 2 <= d <= max_den."""
+    return st.integers(2, max_den).flatmap(
+        lambda d: st.integers(1 - bound * d, bound * d - 1).map(lambda n: F(n, d)))
+
+
+class TestColumnZeroReference:
+    """gamma_coeff / beta_coeff, now column 0 of the scaled ASC sums, against
+    the loops they replaced (tests/connect_reference.py)."""
+
+    @given(q=st.floats(-0.95, 0.95), yf=st.floats(-1.0, 1.0),
+           rho=st.floats(-0.999, 0.999))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_gamma_float_bits(self, q, yf, rho):
+        y = yf * 2.0 / math.sqrt(1.0 - q)
+        H = eval_all(QHermite(q), 60, y)
+        B = q_binomial_table(q)
+        for k in range(61):
+            want = _from_parts(ref.gamma_parts(k, y, rho, q, H, B), q)
+            got = gamma_coeff(k, y, rho, q, H, B)
+            assert type(got) is type(want)
+            assert got.hex() == want.hex(), k
+
+    @given(q=_rational(), y=_rational(3), rho=_rational())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_beta_fractions(self, q, y, rho):
+        H = eval_all(QHermite(q), 16, y)
+        B = q_binomial_table(q)
+        for k in range(17):
+            want = _from_parts(ref.beta_parts(k, y, rho, q, H, B), q)
+            got = beta_coeff(k, y, rho, q, H, B)
+            assert type(got) is type(want) and got == want, k
 
 
 class TestOracle:
