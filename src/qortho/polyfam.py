@@ -63,7 +63,7 @@ class RationalPoly:
                 raise IrrationalParameterError(
                     "RationalPoly coefficients must be rational, got %r" % (c,)
                 )
-            out.append(Fraction(c))
+            out.append(c if type(c) is Fraction else Fraction(c))
         while out and out[-1] == 0:
             out.pop()
         self.coeffs = tuple(out)

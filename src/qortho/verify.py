@@ -5,12 +5,12 @@ square-root edge behaviour of every density here and leaves an integrand in
 theta that is smooth and periodic once extended evenly; the midpoint rule in
 theta then converges geometrically, and its nodes never reach the edges.
 ``integrate`` and the Gram matrix run it through one doubling loop,
-``_quadrature``, which stops at the first two levels within tol.
-The orthogonality and d-integral checks read ``float()`` of the exact
-squared norms in ``polyfam._NORMS``.
+``_quadrature``, which stops at the first two levels within tol.  The
+orthogonality, projection and d-integral suites read, through ``_moments``, one
+Gram matrix G[n, m] = integral of a_n b_m dens per (family pair, q), against
+``float()`` of exact closed forms (``polyfam._NORMS``, ``connect.d_hat_entry``).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +23,7 @@ from .qcore import (
     check_tol,
     support,
 )
-from . import connect, densities, expand, polyfam
+from . import connect, densities, expand
 from .densities import density_eval, fCN, fK, fN, fR, fT, fU, pm_ratio
 from .polyfam import (
     ASC,
@@ -88,16 +88,30 @@ def _norm_rule(fam, dens):
     return rule
 
 
-@functools.lru_cache(maxsize=64)
-def _gram(fam, dens, n_max, tol):
-    """Gram matrix of fam_0..fam_{n_max} under dens, and its quadrature difference."""
+def _gram(a, b, dens, n_max, tol):
+    """G[n, m] = integral of a_n b_m dens over S(q), n, m <= n_max, from one
+    quadrature, and its difference; the rows are evaluated once when b == a."""
 
     def estimate(x, w):
-        V = np.array(eval_all(fam, n_max, x), dtype=float)
-        return (V * (density_eval(dens, x) * w)) @ V.T
+        A = np.array(eval_all(a, n_max, x), dtype=float)
+        B = A if b == a else np.array(eval_all(b, n_max, x), dtype=float)
+        return (A * (density_eval(dens, x) * w)) @ B.T
 
     G, quad_err, _ = _quadrature(estimate, dens.q, tol)
     return G, quad_err
+
+
+def _moments(check_id, a, b, dens, entries, tol, qtol):
+    """One report per entry (params, n, m, expected), all read from one Gram
+    matrix of a against b under dens; each passes when |G[n, m] - expected|
+    <= tol and the quadrature difference quad_err <= qtol."""
+    G, quad_err = _gram(a, b, dens, max(max(n, m) for _, n, m, _ in entries), qtol)
+    reports = []
+    for params, n, m, expected in entries:
+        residual = abs(float(G[n, m]) - expected)
+        reports.append(VerificationReport(check_id, dict(params, quad_err=quad_err), residual,
+                                          tol, residual <= tol and quad_err <= qtol))
+    return reports
 
 
 def _check_indices(**indices):
@@ -106,40 +120,42 @@ def _check_indices(**indices):
             raise ParameterError("index %s must be >= 0, got %r" % (name, v))
 
 
+def _orthogonality(fam, dens, nms, tol):
+    norm = _norm_rule(fam, dens)
+    return _moments("orthogonality:%s/%s" % (fam.tag, dens.tag), fam, fam, dens, [
+        ({"n": n, "m": m, "q": dens.q}, n, m, float(norm(dens, n)) if n == m else 0.0)
+        for n, m in nms], tol, tol)
+
+
+def _projection(ns, y, rho, q, tol):
+    # column 0 of the Gram matrix, since H_0 = 1
+    H = QHermite(q)
+    Hy = eval_all(H, max(ns), y)
+    return _moments("projection:h/fcn", H, H, fCN(y, rho, q), [
+        ({"n": n, "y": y, "rho": rho, "q": q}, n, 0, rho ** n * float(Hy[n])) for n in ns
+    ], tol, min(tol * 1e-2, 1e-9))
+
+
+def _d_integral(kns, y, rho, q, tol):
+    # U_n(x sqrt(1-q)/2) = (1-q)^{n/2} Uhat_n(x), so entry (n, k) is Dhat_{k,n} ||P_k||^2
+    asc, dens = ASC(y, rho, q), fCN(y, rho, q)
+    norm = _norm_rule(asc, dens)
+    return _moments("d-integral:u/asc", ChebU_hat(q), asc, dens, [
+        ({"k": k, "n": n, "y": y, "rho": rho, "q": q}, n, k,
+         float(connect.d_hat_entry(k, n, y, rho, q)) * float(norm(asc, k))) for k, n in kns
+    ], tol, min(tol * 1e-2, 1e-9))
+
+
 def check_orthogonality(fam, dens, n, m, tol=1e-8):
     """Compare the (n, m) inner product against the closed-form norm."""
     _check_indices(n=n, m=m)
-    norm = _norm_rule(fam, dens)
-    G, quad_err = _gram(fam, dens, max(n, m), tol)
-    expected = float(norm(dens, n)) if n == m else 0.0
-    residual = abs(float(G[n, m]) - expected)
-    return VerificationReport(
-        "orthogonality:%s/%s" % (fam.tag, dens.tag),
-        {"n": n, "m": m, "q": dens.q, "quad_err": quad_err},
-        residual,
-        tol,
-        residual <= tol and quad_err <= tol,
-    )
+    return _orthogonality(fam, dens, [(n, m)], tol)[0]
 
 
 def check_projection(n, y, rho, q, tol=1e-8):
     """integral of H_n(x|q) fCN(x|y,rho,q) dx = rho^n H_n(y|q)."""
     _check_indices(n=n)
-    dens = fCN(y, rho, q)
-
-    def f(x):
-        return eval_all(QHermite(q), n, x)[n] * density_eval(dens, x)
-
-    res = integrate(f, q, tol=min(tol * 1e-2, 1e-9))
-    expected = rho ** n * float(polyfam.eval(QHermite(q), n, y))
-    residual = abs(res.value - expected)
-    return VerificationReport(
-        "projection:h/fcn",
-        {"n": n, "y": y, "rho": rho, "q": q},
-        residual,
-        tol,
-        residual <= tol,
-    )
+    return _projection([n], y, rho, q, tol)[0]
 
 
 def check_chapman(x, z, rho1, rho2, q, tol=1e-6):
@@ -163,28 +179,10 @@ def check_chapman(x, z, rho1, rho2, q, tol=1e-6):
 
 
 def check_D_integral(k, n, y, rho, q, tol=1e-8):
-    """integral U_n(x sqrt(1-q)/2) P_k(x) fCN dx = D_{k,n} (rho^2;q)_k [k]_q!."""
+    """integral Uhat_n(x|q) P_k(x) fCN dx = Dhat_{k,n} (rho^2;q)_k [k]_q!, where
+    Uhat_n(x|q) = (1-q)^{-n/2} U_n(x sqrt(1-q)/2) and Dhat = connect.d_hat_entry."""
     _check_indices(k=k, n=n)
-    dens = fCN(y, rho, q)
-    asc = ASC(y, rho, q)
-    s = math.sqrt(1.0 - q)
-
-    def f(x):
-        u = eval_all(polyfam.ChebU(), n, x * s / 2.0)[n]
-        p = eval_all(asc, k, x)[k]
-        return u * p * density_eval(dens, x)
-
-    res = integrate(f, q, tol=min(tol * 1e-2, 1e-9))
-    d_hat = float(connect.d_hat_entry(k, n, y, rho, q))
-    expected = d_hat * (1.0 - q) ** (n / 2.0) * float(_NORMS["asc"][1](asc, k))
-    residual = abs(res.value - expected)
-    return VerificationReport(
-        "d-integral:u/asc",
-        {"k": k, "n": n, "y": y, "rho": rho, "q": q},
-        residual,
-        tol,
-        residual <= tol,
-    )
+    return _d_integral([(k, n)], y, rho, q, tol)[0]
 
 
 def check_normalization(dens, tol=1e-8):
@@ -229,8 +227,9 @@ def _family_density_pairs(q):
 def run_all(config=None):
     """Run the default verification battery; returns (reports, all_passed).
 
-    An unknown config key or suite name, or a tolerance that is not positive
-    and finite, is a ParameterError.
+    An unknown config key or suite name, suites given as one string, an n_max
+    that is not an integer >= 0, or a tolerance that is not positive and
+    finite, is a ParameterError.
     """
     cfg = dict(DEFAULT_CONFIG)
     if config:
@@ -239,12 +238,16 @@ def run_all(config=None):
     if unknown:
         raise ParameterError("unknown run_all config key %r" % (unknown[0],))
     suites = cfg["suites"]
+    if isinstance(suites, str):
+        raise ParameterError("suites must be a sequence of suite names, got %r" % (suites,))
     unknown = [name for name in suites if name not in DEFAULT_CONFIG["suites"]]
     if unknown:
         raise ParameterError("unknown suite %r; expected one of %s"
                              % (unknown[0], ", ".join(DEFAULT_CONFIG["suites"])))
     for name in ("tol", "tol_chapman", "tol_identity"):
         check_tol(name, cfg[name])
+    if type(cfg["n_max"]) is not int or cfg["n_max"] < 0:
+        raise ParameterError("n_max must be an integer >= 0, got %r" % (cfg["n_max"],))
     tol = cfg["tol"]
     reports = []
 
@@ -254,17 +257,14 @@ def run_all(config=None):
                 reports.append(check_normalization(dens, tol))
 
     if "orthogonality" in suites:
+        nms = [(n, m) for n in range(cfg["n_max"] + 1) for m in range(n + 1)]
         for q in cfg["q_grid"]:
             for fam, dens in _family_density_pairs(q):
-                for n in range(cfg["n_max"] + 1):
-                    for m in range(n + 1):
-                        reports.append(check_orthogonality(fam, dens, n, m, tol))
+                reports.extend(_orthogonality(fam, dens, nms, tol))
 
     if "projection" in suites:
         for q in cfg["q_grid"]:
-            L = support(q).radius
-            for n in (0, 1, 3, 6):
-                reports.append(check_projection(n, 0.3 * L, 0.5, q, tol))
+            reports.extend(_projection((0, 1, 3, 6), 0.3 * support(q).radius, 0.5, q, tol))
 
     if "chapman" in suites:
         for q in cfg["q_grid"]:
@@ -275,9 +275,8 @@ def run_all(config=None):
 
     if "d-integral" in suites:
         for q in cfg["q_grid"]:
-            L = support(q).radius
-            for k, n in ((0, 0), (0, 2), (1, 3), (2, 4), (3, 3)):
-                reports.append(check_D_integral(k, n, 0.3 * L, 0.5, q, tol))
+            reports.extend(_d_integral(((0, 0), (0, 2), (1, 3), (2, 4), (3, 3)),
+                                       0.3 * support(q).radius, 0.5, q, tol))
 
     if "identities" in suites:
         reports.extend(expand.identity_suite(

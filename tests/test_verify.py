@@ -8,7 +8,7 @@ import pytest
 
 from qortho.qcore import NonConvergenceError, ParameterError, q_factorial, support
 from qortho.densities import density_eval, fCN, fN, fR, fT, fU
-from qortho.polyfam import ASC, ChebT_hat, QHermite, Rogers, eval_all
+from qortho.polyfam import ASC, ChebT_hat, ChebU_hat, QHermite, Rogers, eval_all
 from qortho import verify
 from qortho.verify import (
     check_chapman,
@@ -95,7 +95,7 @@ class TestOrthogonality:
         # one rule: the Gram matrix entry and integrate agree within tol
         fam, dens = verify._family_density_pairs(0.7)[k]
         n, m, tol = 5, 3, 1e-10
-        G, quad_err = verify._gram(fam, dens, n, tol)
+        G, quad_err = verify._gram(fam, fam, dens, n, tol)
 
         def f(x):
             rows = eval_all(fam, n, x)
@@ -104,6 +104,17 @@ class TestOrthogonality:
         res = integrate(f, dens.q, tol)
         assert quad_err <= tol
         assert abs(G[n, m] - res.value) <= tol
+
+    def test_cross_gram_entry_is_the_integral(self):
+        # two families: entry (4, 2) of the (ChebU_hat, ASC) matrix under fCN
+        q, tol = 0.7, 1e-10
+        y, rho = 0.3 * support(q).radius, 0.5
+        uhat, asc, dens = ChebU_hat(q), ASC(y, rho, q), fCN(y, rho, q)
+        G, quad_err = verify._gram(uhat, asc, dens, 4, tol)
+        res = integrate(lambda x: eval_all(uhat, 4, x)[4] * eval_all(asc, 2, x)[2]
+                        * density_eval(dens, x), q, tol)
+        assert quad_err <= tol
+        assert abs(G[4, 2] - res.value) <= tol
 
     def test_chebt_hat_constant_norm(self):
         q = 0.4
@@ -132,6 +143,15 @@ class TestProjection:
         for n in (0, 1, 4):
             rep = check_projection(n, 0.25 * L, 0.5, q)
             assert rep.passed, (n, rep.residual)
+
+    def test_unsettled_quadrature_is_a_failing_report(self):
+        # rho near 1 peaks fCN too sharply for 1024 nodes: the residual is
+        # within tol, but the quadrature difference is not within its own tol
+        q, tol = 0.5, 1e-8
+        rep = check_projection(0, 0.3 * support(q).radius, 0.99, q, tol)
+        assert rep.residual <= tol
+        assert rep.params["quad_err"] > min(tol * 1e-2, 1e-9)
+        assert not rep.passed
 
 
 class TestChapman:
@@ -172,12 +192,25 @@ class TestRunAll:
         ({"tol": math.nan}, "tol must be positive and finite"),
         ({"tol_identity": -1.0}, "tol_identity must be positive and finite"),
         ({"tol_chapman": 0.0}, "tol_chapman must be positive and finite"),
+        ({"suites": ("orthogonality",), "n_max": -1}, "n_max must be an integer >= 0"),
+        ({"suites": ("orthogonality",), "n_max": 2.5}, "n_max must be an integer >= 0"),
+        ({"suites": "orthogonality"}, "suites must be a sequence of suite names"),
     ])
     def test_bad_config_is_refused_before_any_check(self, config, err):
         with mock.patch.object(verify, "check_normalization") as check:
             with pytest.raises(ParameterError, match="^" + err):
                 run_all(dict(config, q_grid=(0.3,)))
         check.assert_not_called()
+
+    @pytest.mark.parametrize("suite,calls", [
+        ("orthogonality", 6), ("projection", 1), ("d-integral", 1),
+    ])
+    def test_one_quadrature_per_pair_and_q(self, suite, calls):
+        # every entry of a suite's sweep is read from one Gram matrix
+        with mock.patch.object(verify, "_quadrature", wraps=verify._quadrature) as quad:
+            reports, ok = run_all({"suites": (suite,), "q_grid": (0.3,)})
+        assert ok and reports
+        assert quad.call_count == calls
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-10, 0.0, math.inf])
     def test_integrate_tolerance(self, tol):
