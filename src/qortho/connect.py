@@ -3,7 +3,7 @@
 A connection matrix stores gamma[n][k] with target_n(x) = sum_k gamma[n][k]
 source_k(x).  Closed forms are available for the pairs listed in
 :data:`PAIRS`; :func:`oracle_connection` computes the same matrices
-independently by exact triangular elimination on coefficient vectors, and
+independently from the two families' three-term recurrences alone, and
 :func:`ratio_connection` runs the moment-based construction for measures with
 polynomial density ratio.
 
@@ -49,6 +49,7 @@ from .qcore import (
     IrrationalParameterError,
     NonConvergenceError,
     ParameterError,
+    check_degree,
     div,
     ensure_exact,
     is_exact,
@@ -59,7 +60,7 @@ from .qcore import (
     check_params,
     resolve,
 )
-from .polyfam import BigB, QHermite, RationalPoly, eval_all, validate
+from .polyfam import BigB, QHermite, _abc, eval_all, validate
 
 
 @dataclass(frozen=True)
@@ -283,13 +284,13 @@ PAIRS = tuple(_PAIRS)
 def connection(pair, n_max, **params):
     """Closed-form connection matrix for one of :data:`PAIRS`, an alias resolved.
 
-    The pair's parameters pass ``qcore.check_params``; n_max < 0 is a
-    ParameterError, and a float entry that overflows a NonConvergenceError.
+    The pair's parameters pass ``qcore.check_params``; an n_max that is not an
+    int >= 0 is a ParameterError, and a float entry that overflows a
+    NonConvergenceError.
     """
     if pair not in _PAIRS:
         raise ParameterError("unknown pair %r; expected one of %s" % (pair, PAIRS))
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0, got %r" % (n_max,))
+    check_degree(n_max)
     spec, p = resolve(_PAIRS, pair, params)
     values = check_params("pair %r" % (pair,), p, spec.params, spec.unit_q)
     Y = None
@@ -309,38 +310,45 @@ def connection(pair, n_max, **params):
 
 
 def oracle_connection(target_fam, source_fam, n_max):
-    """Exact connection matrix by triangular elimination on coefficient vectors.
+    """Exact connection matrix from the two families' recurrences alone.
 
-    Both families must admit exact coefficients (rational parameters).  The
-    result expresses target_n as a combination of source_0..source_n.
+    The source recurrence S_{k+1} = (A_k x + B_k) S_k - C_k S_{k-1} gives
+    x S_k = (S_{k+1} - B_k S_k + C_k S_{k-1}) / A_k, so the target recurrence
+    runs on coordinate vectors over the source family, O(n) exact operations a
+    row (Ronveaux, Zarzo & Godoy, J. Comput. Appl. Math. 62, 1995).  Both
+    families need rational parameters; a zero A_k, k < n_max, is refused.
     """
+    check_degree(n_max)
     for fam in (target_fam, source_fam):
         ensure_exact(**validate(fam).params())
-    T, S = (eval_all(fam, n_max, RationalPoly.x()) for fam in (target_fam, source_fam))
-    for k, s in enumerate(S):
-        if s.degree != k:
-            raise ParameterError(
-                "source family degenerates at degree %d; cannot invert" % (k,)
-            )
-    rows = {}
-    for n in range(n_max + 1):
-        residual = list(T[n].coeffs) + [Fraction(0)] * (n + 1 - len(T[n].coeffs))
-        row = {}
-        for k in range(n, -1, -1):
-            g = residual[k] / S[k].lead()
+    src, tgt = _abc(source_fam), _abc(target_fam)
+    S = []  # (1/A_k, B_k, C_k)
+    for k in range(n_max):
+        A, B, C = src(k)
+        if A == 0:
+            raise ParameterError("source family degenerates at degree %d; "
+                                 "cannot invert" % (k + 1,))
+        S.append((1 / Fraction(A), B, C))
+    prev, cur = [], [Fraction(1)]  # target_{n-1}, target_n over source_0..source_n
+    rows = {0: {0: cur[0]}}
+    for n in range(n_max):
+        a, b, c = tgt(n)
+        nxt = [b * g for g in cur] + [Fraction(0)] if b else [Fraction(0)] * (n + 2)
+        for k, g in enumerate(prev):
+            nxt[k] -= c * g
+        for k, g in enumerate(cur):
             if g:
-                row[k] = g
-                for i, c in enumerate(S[k].coeffs):
-                    residual[i] -= g * c
-        if any(residual):
-            raise ParameterError("triangular elimination failed; bad family pair")
-        rows[n] = row
-    return ConnectionMatrix(
-        "oracle:%s<-%s" % (target_fam.label(), source_fam.label()),
-        n_max,
-        {},
-        rows,
-    )
+                inv, B, C = S[k]
+                u = a * g * inv  # a_n g x S_k = u (S_{k+1} - B_k S_k + C_k S_{k-1})
+                nxt[k + 1] += u
+                if B:
+                    nxt[k] -= u * B
+                if k and C:
+                    nxt[k - 1] += u * C
+        prev, cur = cur, nxt
+        rows[n + 1] = {k: cur[k] for k in range(n + 1, -1, -1) if cur[k]}
+    label = "oracle:%s<-%s" % (target_fam.label(), source_fam.label())
+    return ConnectionMatrix(label, n_max, {}, rows)
 
 
 @dataclass(frozen=True)
@@ -376,6 +384,7 @@ class RatioConnection:
 
 
 def ratio_connection(w, n_max):
+    check_degree(n_max)
     if not w or w.get(0) != 1:
         raise ParameterError("moment mapping must satisfy w_0 = 1")
     clean = {}

@@ -38,6 +38,7 @@ from .qcore import (
     _brackets,
     _pochhammers,
     _Row,
+    check_degree,
     check_params,
     div,
     ensure_exact,
@@ -337,11 +338,11 @@ def eval_all(fam, n_max, x):
 def eval(fam, n, x):
     """p_n(x) for the given family.
 
-    A NaN or infinite float x is a ParameterError, and a float value that
-    overflowed (inf or NaN at a finite x) a NonConvergenceError.
+    A degree n that is not an int >= 0, or a NaN or infinite float x, is a
+    ParameterError, and a float value that overflowed (inf or NaN at a finite
+    x) a NonConvergenceError.
     """
-    if n < 0:
-        raise ParameterError("polynomial degree must be >= 0, got %r" % (n,))
+    check_degree(n, "polynomial degree")
     if isinstance(x, float) and not math.isfinite(x):
         raise ParameterError("polynomial point x must be finite, got %r" % (x,))
     value = eval_all(fam, n, x)[n]

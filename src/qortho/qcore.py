@@ -36,7 +36,8 @@ order K of :func:`truncation_order`.
 :func:`check_params` is the one parameter rule: -1 < q < 1 (q = 1 too for
 the Gaussian cases), |rho|, |beta|, |gamma| < 1 and a finite y.  Families,
 densities, expansions, connections, S(q) and the infinite products check the
-parameters they name through it, and :func:`check_tol` checks a tolerance.
+parameters they name through it, :func:`check_tol` checks a tolerance and
+:func:`check_degree` a degree or order n_max.
 The rules left elsewhere are not about one parameter's domain: y in S(q)
 (``densities``), the q = 1 and rho^2 < 1/2 kernel rules (``expand``) and
 ``trunc_eps``.
@@ -131,6 +132,13 @@ def check_tol(name, tol):
     if not 0 < tol < math.inf:
         raise ParameterError("%s must be positive and finite, got %r" % (name, tol))
     return tol
+
+
+def check_degree(n, name="n_max"):
+    """n, once it is an int >= 0 (a bool is not); ParameterError otherwise."""
+    if type(n) is not int or n < 0:
+        raise ParameterError("%s must be an integer >= 0, got %r" % (name, n))
+    return n
 
 
 def is_exact(*values):

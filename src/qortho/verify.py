@@ -20,6 +20,7 @@ from .qcore import (
     NonConvergenceError,
     ParameterError,
     VerificationReport,
+    check_degree,
     check_tol,
     support,
 )
@@ -246,8 +247,7 @@ def run_all(config=None):
                              % (unknown[0], ", ".join(DEFAULT_CONFIG["suites"])))
     for name in ("tol", "tol_chapman", "tol_identity"):
         check_tol(name, cfg[name])
-    if type(cfg["n_max"]) is not int or cfg["n_max"] < 0:
-        raise ParameterError("n_max must be an integer >= 0, got %r" % (cfg["n_max"],))
+    check_degree(cfg["n_max"])
     tol = cfg["tol"]
     reports = []
 

@@ -1,4 +1,4 @@
-"""The two column-0 loops that the scaled ASC sums of ``qortho.connect`` replaced.
+"""Loops of ``qortho.connect`` as they were before they were replaced.
 
 ``gamma_parts`` and ``beta_parts`` are the CN-over-U and CN-over-K
 coefficient loops as they were written before ``connect.gamma_coeff`` and
@@ -7,10 +7,20 @@ coefficient loops as they were written before ``connect.gamma_coeff`` and
 r (1-q)^{half/2}; ``connect._from_parts`` turns it into the coefficient.
 Tests compare the new functions with these: ``gamma_coeff`` bit for bit in
 floats, ``beta_coeff`` on Fractions.
+
+``oracle_by_elimination`` is ``connect.oracle_connection`` as it was before
+it ran the connection-coefficient recurrence: both families expanded into
+``RationalPoly`` monomials by their recurrences, then target_n reduced over
+source_n, ..., source_0 by triangular elimination, O(n^3) per triangle.
+Tests compare the recurrence with it entry for entry and by ``repr``, and
+compare the errors both raise.
 """
 
-from qortho.polyfam import QHermite, eval_all
-from qortho.qcore import q_binomial_table
+from fractions import Fraction
+
+from qortho.connect import ConnectionMatrix
+from qortho.polyfam import QHermite, RationalPoly, eval_all, validate
+from qortho.qcore import ParameterError, ensure_exact, q_binomial_table
 
 
 def _tables(q, y, m, H, B):
@@ -62,3 +72,38 @@ def beta_parts(k, y, rho, q, H=None, B=None):
         )
         total = total + term
     return total, k % 2
+
+
+def oracle_by_elimination(target_fam, source_fam, n_max):
+    """Exact connection matrix by triangular elimination on coefficient vectors.
+
+    Both families must admit exact coefficients (rational parameters).  The
+    result expresses target_n as a combination of source_0..source_n.
+    """
+    for fam in (target_fam, source_fam):
+        ensure_exact(**validate(fam).params())
+    T, S = (eval_all(fam, n_max, RationalPoly.x()) for fam in (target_fam, source_fam))
+    for k, s in enumerate(S):
+        if s.degree != k:
+            raise ParameterError(
+                "source family degenerates at degree %d; cannot invert" % (k,)
+            )
+    rows = {}
+    for n in range(n_max + 1):
+        residual = list(T[n].coeffs) + [Fraction(0)] * (n + 1 - len(T[n].coeffs))
+        row = {}
+        for k in range(n, -1, -1):
+            g = residual[k] / S[k].lead()
+            if g:
+                row[k] = g
+                for i, c in enumerate(S[k].coeffs):
+                    residual[i] -= g * c
+        if any(residual):
+            raise ParameterError("triangular elimination failed; bad family pair")
+        rows[n] = row
+    return ConnectionMatrix(
+        "oracle:%s<-%s" % (target_fam.label(), source_fam.label()),
+        n_max,
+        {},
+        rows,
+    )

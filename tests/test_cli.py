@@ -374,7 +374,8 @@ class TestExitCodes:
          "tol must be positive and finite, got -1.0"),
         (["verify", "--suite", "normalization", "--q-grid", "0.3", "--tol", "nan"],
          "tol must be positive and finite, got nan"),
-        (["connect", "--pair", "t-from-u", "--n", "-1"], "n_max must be >= 0, got -1"),
+        (["connect", "--pair", "t-from-u", "--n", "-1"],
+         "n_max must be an integer >= 0, got -1"),
         (["expand", "--id", "n_over_u", "--q", "0.5", "--k-max", "-2"],
          "--k-max must be >= 0, got -2"),
         (["density", "--density", "fn", "--x", "0"], "density 'fn' requires --q"),

@@ -1,4 +1,5 @@
-"""Tests for connection coefficients: closed forms vs the elimination oracle."""
+"""Tests for connection coefficients: closed forms vs the recurrence oracle, and
+the oracle vs the triangular elimination it replaced."""
 
 import json
 import math
@@ -20,6 +21,7 @@ from qortho.qcore import (
 )
 from qortho.polyfam import (
     ASC,
+    BigB,
     ChebT,
     ChebU,
     ChebT_hat,
@@ -27,9 +29,11 @@ from qortho.polyfam import (
     ClassicalHermite,
     Kesten,
     KestenHat,
+    FamilyId,
     QHermite,
     RationalPoly,
     Rogers,
+    _DOMAINS,
     coeffs,
     eval_all,
 )
@@ -81,7 +85,7 @@ class TestClosedForms:
             for k in range(n + 1):
                 assert closed.coeff(n, k) == oracle.coeff(n, k), (pair, n, k)
 
-    @pytest.mark.parametrize("pair", ["kesten-from-asc", "rogers-from-rogers"])
+    @pytest.mark.parametrize("pair", PAIRS)
     def test_matches_oracle_at_degree_24(self, pair):
         # deep rows read the q-binomial table and the prefix rows far from
         # their first entries
@@ -150,8 +154,18 @@ class TestClosedForms:
             connection("asc-from-h", 3, q=Q)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ParameterError, match="n_max must be >= 0"):
+        with pytest.raises(ParameterError, match="n_max must be an integer >= 0"):
             connection("t-from-u", -1)
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, True])
+    def test_order_must_be_a_non_negative_int(self, n_max):
+        # -1 used to give an empty oracle matrix and f = (1,) from
+        # ratio_connection, 2.5 a raw ValueError, True a matrix
+        for build in (lambda: connection("t-from-u", n_max),
+                      lambda: oracle_connection(QHermite(Q), ChebU_hat(Q), n_max),
+                      lambda: ratio_connection({0: 1, 1: F(1, 2)}, n_max)):
+            with pytest.raises(ParameterError, match="^n_max must be an integer >= 0, got "):
+                build()
 
     def test_unused_parameters_are_not_checked(self):
         m = connection("uhat-from-h", 2, q=Q, y=float("nan"), rho=5, beta=1, gamma=-3)
@@ -254,6 +268,69 @@ class TestOracle:
     def test_rejects_irrational(self):
         with pytest.raises(IrrationalParameterError):
             oracle_connection(QHermite(0.5), ChebU_hat(0.5), 3)
+
+    @pytest.mark.parametrize("target,source", [
+        (ASC(F(-5, 9), F(2, 7), F(4, 7)), ChebU_hat(F(4, 7))),
+        (Rogers(BETA, Q), ChebU_hat(Q)),
+        (QHermite(Q), ChebT_hat(Q)),
+    ], ids=["asc-chebu_hat", "rogers-chebu_hat", "qhermite-chebt_hat"])
+    def test_vice_versa_round_trip(self, target, source):
+        # the paper's "vice versa" directions that PAIRS lacks: the T<-S and
+        # S<-T triangles are exact inverses of each other
+        there = oracle_connection(target, source, 16)
+        back = oracle_connection(source, target, 16)
+        for a, b in ((there, back), (back, there)):
+            for n in range(17):
+                for m in range(n + 1):
+                    total = sum(a.coeff(n, k) * b.coeff(k, m) for k in range(m, n + 1))
+                    assert total == (1 if n == m else 0), (a.pair, n, m)
+
+
+def _family(tag):
+    """A family with tag ``tag`` at exact parameters: q, rho and beta in
+    (-1, 1), q = 1 too where the family allows it, and |y| < 3."""
+    names, unit_q = _DOMAINS[tag]
+
+    def value(name):
+        if name == "q" and unit_q:
+            return st.one_of(_rational(), st.just(1))
+        return _rational(3 if name == "y" else 1)
+
+    return st.fixed_dictionaries({n: value(n) for n in names}).map(
+        lambda p: FamilyId(tag, **p))
+
+
+def _outcome(build):
+    """(label, n_max, repr of rows), or (error type, message) when build raises."""
+    try:
+        m = build()
+    except ParameterError as e:
+        return type(e), str(e)
+    return m.pair, m.n_max, repr(m.rows)
+
+
+class TestOracleReference:
+    """The connection-coefficient recurrence against the triangular
+    elimination it replaced (tests/connect_reference.py)."""
+
+    @pytest.mark.parametrize("target,source", [(t, s) for t in _DOMAINS for s in _DOMAINS])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_recurrence_is_elimination(self, target, source, data):
+        t, s = data.draw(_family(target)), data.draw(_family(source))
+        n = data.draw(st.integers(0, 12))
+        assert _outcome(lambda: oracle_connection(t, s, n)) == _outcome(
+            lambda: ref.oracle_by_elimination(t, s, n))
+
+    @pytest.mark.parametrize("target,source,err", [
+        (QHermite(Q), BigB(0), "^source family degenerates at degree 2; cannot invert$"),
+        (QHermite(Q), ChebU_hat(0.5), "^exact path requires rational q, got 0.5$"),
+        (ASC(Y, 0.25, Q), QHermite(Q), "^exact path requires rational rho, got 0.25$"),
+    ])
+    def test_same_refusal(self, target, source, err):
+        for build in (oracle_connection, ref.oracle_by_elimination):
+            with pytest.raises(ParameterError, match=err):
+                build(target, source, 4)
 
 
 class TestRatioConnection:

@@ -172,6 +172,15 @@ class TestRecurrences:
         with pytest.raises(ParameterError, match="must be finite"):
             fam_eval(QHermite(0.5), 3, x)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_degree_must_be_a_non_negative_int(self, n):
+        # 2.5 used to raise a raw ValueError from islice
+        for build in (lambda: fam_eval(QHermite(Fraction(1, 3)), n, Fraction(1, 2)),
+                      lambda: coeffs(QHermite(Fraction(1, 3)), n)):
+            with pytest.raises(ParameterError,
+                               match="^polynomial degree must be an integer >= 0, got "):
+                build()
+
     def test_eval_overflow_is_nonconvergence(self):
         assert not math.isfinite(eval_all(QHermite(0.9), 2000, 3.0)[-1])
         with pytest.raises(NonConvergenceError, match="overflowed"):

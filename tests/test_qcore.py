@@ -25,6 +25,7 @@ from qortho.qcore import (
     truncation_order,
     _factorials,
     _pochhammers,
+    check_degree,
     check_params,
     check_tol,
 )
@@ -290,6 +291,18 @@ class TestCheckParams:
         else:
             with pytest.raises(ParameterError, match="^tol must be positive and finite"):
                 check_tol("tol", tol)
+
+    @pytest.mark.parametrize("n,ok", [
+        (0, True), (7, True), (-1, False), (2.5, False), (2.0, False), (True, False),
+        (np.int64(3), False), (None, False),
+    ])
+    def test_degree(self, n, ok):
+        # an int >= 0 passes as it is; a bool, a float or a numpy integer does not
+        if ok:
+            assert check_degree(n) is n
+        else:
+            with pytest.raises(ParameterError, match="^n_max must be an integer >= 0, got "):
+                check_degree(n)
 
 
 class TestTruncationOrder:
