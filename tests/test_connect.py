@@ -27,9 +27,9 @@ from qortho.polyfam import (
     ChebT_hat,
     ChebU_hat,
     ClassicalHermite,
+    FamilyId,
     Kesten,
     KestenHat,
-    FamilyId,
     QHermite,
     RationalPoly,
     Rogers,
