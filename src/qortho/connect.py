@@ -60,7 +60,7 @@ from .qcore import (
     check_params,
     resolve,
 )
-from .polyfam import BigB, QHermite, _abc, eval_all, validate
+from .polyfam import BigB, QHermite, _abc, _coordinates, eval_all, validate
 
 
 @dataclass(frozen=True)
@@ -312,41 +312,23 @@ def connection(pair, n_max, **params):
 def oracle_connection(target_fam, source_fam, n_max):
     """Exact connection matrix from the two families' recurrences alone.
 
-    The source recurrence S_{k+1} = (A_k x + B_k) S_k - C_k S_{k-1} gives
-    x S_k = (S_{k+1} - B_k S_k + C_k S_{k-1}) / A_k, so the target recurrence
-    runs on coordinate vectors over the source family, O(n) exact operations a
-    row (Ronveaux, Zarzo & Godoy, J. Comput. Appl. Math. 62, 1995).  Both
-    families need rational parameters; a zero A_k, k < n_max, is refused.
+    The target recurrence runs on coordinate vectors over the source family
+    (``polyfam._coordinates``), O(n) exact operations a row.  Both families
+    need rational parameters; a zero A_k, k < n_max, is refused.
     """
     check_degree(n_max)
     for fam in (target_fam, source_fam):
         ensure_exact(**validate(fam).params())
-    src, tgt = _abc(source_fam), _abc(target_fam)
-    S = []  # (1/A_k, B_k, C_k)
+    src = _abc(source_fam)
+    steps = []  # (1/A_k, B_k, C_k)
     for k in range(n_max):
         A, B, C = src(k)
         if A == 0:
             raise ParameterError("source family degenerates at degree %d; "
                                  "cannot invert" % (k + 1,))
-        S.append((1 / Fraction(A), B, C))
-    prev, cur = [], [Fraction(1)]  # target_{n-1}, target_n over source_0..source_n
-    rows = {0: {0: cur[0]}}
-    for n in range(n_max):
-        a, b, c = tgt(n)
-        nxt = [b * g for g in cur] + [Fraction(0)] if b else [Fraction(0)] * (n + 2)
-        for k, g in enumerate(prev):
-            nxt[k] -= c * g
-        for k, g in enumerate(cur):
-            if g:
-                inv, B, C = S[k]
-                u = a * g * inv  # a_n g x S_k = u (S_{k+1} - B_k S_k + C_k S_{k-1})
-                nxt[k + 1] += u
-                if B:
-                    nxt[k] -= u * B
-                if k and C:
-                    nxt[k - 1] += u * C
-        prev, cur = cur, nxt
-        rows[n + 1] = {k: cur[k] for k in range(n + 1, -1, -1) if cur[k]}
+        steps.append((1 / Fraction(A), B, C))
+    rows = {n: {k: cur[k] for k in range(n, -1, -1) if cur[k]}
+            for n, cur in enumerate(_coordinates(target_fam, steps, n_max))}
     label = "oracle:%s<-%s" % (target_fam.label(), source_fam.label())
     return ConnectionMatrix(label, n_max, {}, rows)
 

@@ -59,6 +59,7 @@ from .qcore import (
     ParameterError,
     TruncationError,  # re-exported as expand.TruncationError
     VerificationReport,
+    check_degree,
     check_params,
     check_tol,
     _factorials,
@@ -411,8 +412,7 @@ def _coeff_rule(id, n_max, p):
     c_n that overflows is a NonConvergenceError naming it.
     """
     kernel, p = _kernel(id, p)
-    if n_max < 0:
-        raise ParameterError("coefficient index must be >= 0, got %r" % (n_max,))
+    check_degree(n_max, "coefficient index")
     check_params("expansion %r" % (id,), p, kernel.coeff_params, kernel.unit_q)
     coeff = _coeffs(kernel, p, _y_values(kernel, p))
 
@@ -694,6 +694,8 @@ def identity_suite(q_grid=(0.2, 0.5, 0.8), rho_grid=(0.3, 0.6), tol=1e-10, eps=1
 
     Residuals are mixed absolute/relative: |lhs - rhs| / max(1, |lhs|).
     """
+    check_tol("tol", tol)
+    check_tol("eps", eps)
     reports = []
 
     def add(check_id, params, residual):

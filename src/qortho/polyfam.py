@@ -8,16 +8,20 @@ tag: :func:`ClassicalHermite` is ``QHermite(1)`` and :func:`Kesten` is
 ``KestenHat(y, rho, 0)``.  The engine computes
 p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} with family-specific coefficient
 functions.  Evaluation is duck-typed over the point, so the same code path
-serves floats, exact rationals, numpy arrays and :class:`RationalPoly`
-values (which is how exact coefficient vectors are obtained).
+serves floats, exact rationals and numpy arrays.
 
-Rows are built once.  ``_recurrence(fam, x)`` is the only place the step
-runs: an endless generator of p_0(x), p_1(x), ..., and ``eval_all`` is its
-first n_max+1 values.  The q-bracket factors [n]_q of the C_n come from one
-``qcore._brackets`` row per call, so each step costs O(1) operations.
-Callers that read a row by index wrap the generator in ``qcore._Row``, a lazy
-list that takes each value once, in order, up to the index asked for and no
-further, so a row read to degree n costs n steps however it grows.
+Exact coefficients come from ``_coordinates``, the connection-coefficient
+recurrence on coordinate vectors over a source family, which
+``connect.oracle_connection`` also runs: :func:`coeffs` takes the monomials,
+the family with A_k = 1 and B_k = C_k = 0, as the source.
+
+Rows are built once.  ``_recurrence(fam, x)`` is the only place the step runs
+at a point: an endless generator of p_0(x), p_1(x), ..., and ``eval_all`` is
+its first n_max+1 values.  The q-bracket factors [n]_q of the C_n come from
+one ``qcore._brackets`` row per call, so each step costs O(1) operations.
+Callers that read a row by index wrap the generator in ``qcore._Row``, a
+lazy list that takes each value once, in order, up to the index asked for
+and no further, so a row read to degree n costs n steps however it grows.
 
 ``_w_terms`` and ``_v_terms`` are the rows W_n and V_n from which the
 sup-norm bound rules of ``expand`` bound |H_n| and |R_n| on S(q).
@@ -36,6 +40,7 @@ from .qcore import (
     NonConvergenceError,
     ParameterError,
     _brackets,
+    _nth,
     _pochhammers,
     _Row,
     check_degree,
@@ -52,7 +57,7 @@ class RationalPoly:
     """Dense univariate polynomial with exact rational coefficients.
 
     coeffs[i] is the x^i coefficient; the zero polynomial has no coefficients.
-    Arithmetic stays exact; evaluation accepts rational or float scalars.
+    An exact value with no arithmetic; evaluation accepts rational or float points.
     """
 
     __slots__ = ("coeffs",)
@@ -68,10 +73,6 @@ class RationalPoly:
         while out and out[-1] == 0:
             out.pop()
         self.coeffs = tuple(out)
-
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
 
     @property
     def degree(self):
@@ -95,71 +96,6 @@ class RationalPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly((other,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPoly):
-            if not self.coeffs or not other.coeffs:
-                return RationalPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return RationalPoly(out)
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(tuple(c / Fraction(other) for c in self.coeffs))
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = RationalPoly((Fraction(1),))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def lead(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __repr__(self):
         return "RationalPoly(%r)" % (self.coeffs,)
@@ -331,7 +267,8 @@ def _recurrence(fam, x):
 
 
 def eval_all(fam, n_max, x):
-    """[p_0(x), ..., p_{n_max}(x)]; x may be scalar, Fraction, numpy array or RationalPoly."""
+    """[p_0(x), ..., p_{n_max}(x)], n_max an int >= 0; x a float, Fraction or ndarray."""
+    check_degree(n_max)
     return list(islice(_recurrence(fam, x), n_max + 1))
 
 
@@ -351,10 +288,38 @@ def eval(fam, n, x):
     return value
 
 
+def _coordinates(target, steps, n_max):
+    """Coordinates of target_0..target_{n_max} over a source with inverted steps
+    steps[k] = (1/A_k, B_k, C_k): x S_k = (S_{k+1} - B_k S_k + C_k S_{k-1}) / A_k
+    runs the target recurrence in O(n) exact operations a row (Ronveaux, Zarzo
+    & Godoy, J. Comput. Appl. Math. 62, 1995)."""
+    tgt = _abc(target)
+    prev, cur = [], [Fraction(1)]  # target_{n-1}, target_n over source_0..source_n
+    yield cur
+    for n in range(n_max):
+        a, b, c = tgt(n)
+        nxt = [b * g for g in cur] + [Fraction(0)] if b else [Fraction(0)] * (n + 2)
+        for k, g in enumerate(prev):
+            nxt[k] -= c * g
+        for k, g in enumerate(cur):
+            if g:
+                inv, B, C = steps[k]
+                u = a * g * inv  # a_n g x S_k = u (S_{k+1} - B_k S_k + C_k S_{k-1})
+                nxt[k + 1] += u
+                if B:
+                    nxt[k] -= u * B
+                if k and C:
+                    nxt[k - 1] += u * C
+        prev, cur = cur, nxt
+        yield cur
+
+
 def coeffs(fam, n):
-    """Exact coefficient vector of p_n as a RationalPoly; parameters must be rational."""
+    """Exact coefficient vector of p_n as a RationalPoly, its coordinates over the
+    monomials (steps (1, 0, 0)); parameters must be rational, n an int >= 0."""
     ensure_exact(**validate(fam).params())
-    return eval(fam, n, RationalPoly.x())
+    check_degree(n, "polynomial degree")
+    return RationalPoly(_nth(_coordinates(fam, [(1, 0, 0)] * n, n), n))
 
 
 def _w_terms(q):

@@ -200,9 +200,7 @@ def _brackets(q):
 
 def q_bracket(n, q):
     """[n]_q = 1 + q + ... + q^{n-1}; [0]_q = 0."""
-    if n < 0:
-        raise ParameterError("q_bracket needs n >= 0, got %r" % (n,))
-    return _nth(_brackets(q), n)
+    return _nth(_brackets(q), check_degree(n, "q_bracket n"))
 
 
 def _factorials(q):
@@ -215,13 +213,14 @@ def _factorials(q):
 
 def q_factorial(n, q):
     """[n]_q! = prod_{i=1}^{n} [i]_q; [0]_q! = 1."""
-    if n < 0:
-        raise ParameterError("q_factorial needs n >= 0, got %r" % (n,))
-    return _nth(_factorials(q), n)
+    return _nth(_factorials(q), check_degree(n, "q_factorial n"))
 
 
 def q_binomial(n, k, q):
-    """Gaussian binomial coefficient [n k]_q; 0 when k < 0 or k > n."""
+    """Gaussian binomial coefficient [n k]_q; 0 when the int k < 0 or k > n."""
+    check_degree(n, "q_binomial n")
+    if type(k) is not int:
+        raise ParameterError("q_binomial k must be an integer, got %r" % (k,))
     if k < 0 or k > n:
         return _zero(q)
     k = min(k, n - k)
@@ -281,13 +280,12 @@ def _pochhammers(a, q):
 
 def q_pochhammer(a, q, n):
     """(a;q)_n; `a` may be a sequence, meaning the product of the symbols."""
+    check_degree(n, "q_pochhammer n")
     if isinstance(a, (tuple, list)):
         out = _one(q)
         for ai in a:
             out = out * q_pochhammer(ai, q, n)
         return out
-    if n < 0:
-        raise ParameterError("q_pochhammer needs n >= 0, got %r" % (n,))
     return _nth(_pochhammers(a, q), n)
 
 
@@ -333,12 +331,15 @@ def truncation_order(amplitude, q, eps):
 
     This is the shared stopping rule for all infinite products: past index K
     the log-tail is bounded by 2 amplitude |q|^K / (1-|q|) <= eps/2, so the
-    truncated product carries a relative error below eps.
+    truncated product carries a relative error below eps.  A NaN amplitude
+    is a ParameterError.
     """
     check_params("infinite product", {"q": q}, ("q",))
     aq = abs(float(q))
     thresh = eps * (1.0 - aq) / 4.0
     t = abs(float(amplitude))
+    if math.isnan(t):
+        raise ParameterError("infinite product amplitude must not be NaN")
     k = 0
     while t > thresh:
         t *= aq

@@ -10,8 +10,10 @@ floats, ``beta_coeff`` on Fractions.
 
 ``oracle_by_elimination`` is ``connect.oracle_connection`` as it was before
 it ran the connection-coefficient recurrence: both families expanded into
-``RationalPoly`` monomials by their recurrences, then target_n reduced over
-source_n, ..., source_0 by triangular elimination, O(n^3) per triangle.
+monomials by evaluating their recurrences at the polynomial x
+(``poly_reference.Poly``, the arithmetic ``RationalPoly`` had), then
+target_n reduced over source_n, ..., source_0 by triangular elimination,
+O(n^3) per triangle.
 Tests compare the recurrence with it entry for entry and by ``repr``, and
 compare the errors both raise.
 """
@@ -19,8 +21,10 @@ compare the errors both raise.
 from fractions import Fraction
 
 from qortho.connect import ConnectionMatrix
-from qortho.polyfam import QHermite, RationalPoly, eval_all, validate
+from qortho.polyfam import QHermite, eval_all, validate
 from qortho.qcore import ParameterError, ensure_exact, q_binomial_table
+
+from poly_reference import Poly
 
 
 def _tables(q, y, m, H, B):
@@ -82,7 +86,7 @@ def oracle_by_elimination(target_fam, source_fam, n_max):
     """
     for fam in (target_fam, source_fam):
         ensure_exact(**validate(fam).params())
-    T, S = (eval_all(fam, n_max, RationalPoly.x()) for fam in (target_fam, source_fam))
+    T, S = (eval_all(fam, n_max, Poly.x()) for fam in (target_fam, source_fam))
     for k, s in enumerate(S):
         if s.degree != k:
             raise ParameterError(

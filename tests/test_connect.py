@@ -1,5 +1,7 @@
 """Tests for connection coefficients: closed forms vs the recurrence oracle, and
-the oracle vs the triangular elimination it replaced."""
+the coordinate recurrence vs the references it replaced: the oracle vs
+triangular elimination, and ``coeffs`` (the monomials as the source) vs
+evaluation at the polynomial x."""
 
 import json
 import math
@@ -12,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import connect_reference as ref
+import poly_reference
+from poly_reference import Poly
 
 from qortho.qcore import (
     IrrationalParameterError,
@@ -31,7 +35,6 @@ from qortho.polyfam import (
     Kesten,
     KestenHat,
     QHermite,
-    RationalPoly,
     Rogers,
     _DOMAINS,
     coeffs,
@@ -333,6 +336,35 @@ class TestOracleReference:
                 build(target, source, 4)
 
 
+class TestCoeffsReference:
+    """coeffs, the coordinate recurrence onto the monomials, against the
+    family evaluated at the polynomial x (tests/poly_reference.py)."""
+
+    @pytest.mark.parametrize("tag", list(_DOMAINS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_coordinates_are_evaluation(self, tag, data):
+        fam = data.draw(_family(tag))
+        for n in range(17):
+            assert repr(coeffs(fam, n)) == repr(poly_reference.coeffs(fam, n)), n
+
+    @pytest.mark.parametrize("fam", [
+        BigB(0), QHermite(1), Rogers(BETA, 1), ASC(Y, RHO, 1), BigB(1),
+    ], ids=["bigb-q0", "qhermite-q1", "rogers-q1", "asc-q1", "bigb-q1"])
+    def test_zero_and_unit_q(self, fam):
+        for n in range(17):
+            assert repr(coeffs(fam, n)) == repr(poly_reference.coeffs(fam, n)), n
+
+
+def _monic_chebyshev():
+    """Monic T_0..T_10 and U_0..U_10 as Poly values."""
+    monic_t = [Poly(coeffs(ChebT(), 0).coeffs)] + [
+        Poly(coeffs(ChebT(), n).coeffs) / 2 ** (n - 1) for n in range(1, 11)
+    ]
+    monic_u = [Poly(coeffs(ChebU(), n).coeffs) / 2 ** n for n in range(11)]
+    return monic_t, monic_u
+
+
 class TestRatioConnection:
     def test_worked_instance(self):
         # w expresses monic T in monic U on [-1,1]; its formal reciprocal f
@@ -353,12 +385,9 @@ class TestRatioConnection:
 
     def test_phi_rows_rebuild_monic_chebu(self):
         rc = ratio_connection({0: F(1), 2: F(-1, 4)}, 10)
-        monic_t = [coeffs(ChebT(), 0)] + [
-            coeffs(ChebT(), n) / 2 ** (n - 1) for n in range(1, 11)
-        ]
-        monic_u = [coeffs(ChebU(), n) / 2 ** n for n in range(11)]
+        monic_t, monic_u = _monic_chebyshev()
         for n in range(11):
-            phi = RationalPoly(())
+            phi = Poly(())
             for i, c in rc.phi_row(n).items():
                 phi = phi + monic_t[i] * c
             assert phi == monic_u[n], n
@@ -366,12 +395,9 @@ class TestRatioConnection:
 
     def test_reconstruction_rows_recover_monic_chebt(self):
         rc = ratio_connection({0: F(1), 2: F(-1, 4)}, 10)
-        monic_t = [coeffs(ChebT(), 0)] + [
-            coeffs(ChebT(), n) / 2 ** (n - 1) for n in range(1, 11)
-        ]
-        monic_u = [coeffs(ChebU(), n) / 2 ** n for n in range(11)]
+        monic_t, monic_u = _monic_chebyshev()
         for n in range(11):
-            rebuilt = RationalPoly(())
+            rebuilt = Poly(())
             for i, c in rc.reconstruction_row(n).items():
                 rebuilt = rebuilt + monic_u[i] * c
             assert rebuilt == monic_t[n], n

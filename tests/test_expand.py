@@ -219,6 +219,13 @@ class TestEvaluation:
         with pytest.raises(ParameterError, match="^expansion '%s' needs " % eid):
             expansion_coeff(eid, 2, **params)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_coefficient_index_rule(self, n):
+        # 2.5 and True used to give Fraction(0)
+        with pytest.raises(ParameterError,
+                           match="^coefficient index must be an integer >= 0, got "):
+            expansion_coeff("n_over_u", n, q=F(1, 3))
+
     def test_unused_parameters_are_not_checked(self):
         assert expansion_coeff("n_over_u", 2, q=F(1, 2), rho=5, y=math.nan) == F(-1, 2)
 
@@ -267,6 +274,14 @@ class TestIdentitySuite:
             reports = identity_suite(q_grid=(0.824,))
         assert len(reports) == 22
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("kw", [
+        dict(tol=-1), dict(tol=math.nan), dict(tol=0.0), dict(eps=math.inf), dict(eps=-1e-15),
+    ])
+    def test_tolerances_are_checked(self, kw):
+        # tol = -1 or NaN used to run the battery and fail every report
+        with pytest.raises(ParameterError, match="^(tol|eps) must be positive and finite"):
+            identity_suite(q_grid=(0.5,), **kw)
 
     def test_report_fields(self):
         reports = identity_suite(q_grid=(0.3,), rho_grid=(0.3,))

@@ -42,6 +42,7 @@ from qortho.polyfam import (
     _w_terms,
 )
 import row_reference as ref
+from poly_reference import Poly
 from special_values import q_double_factorial_odd, special_values
 
 F = Fraction
@@ -68,6 +69,9 @@ q_rationals = st.fractions(
 
 
 class TestRationalPoly:
+    """RationalPoly is an exact value; the arithmetic tests read the test-side
+    Poly, which carries the arithmetic RationalPoly had."""
+
     def test_construction_drops_trailing_zeros(self):
         p = RationalPoly((F(1), F(0), F(0)))
         assert p.coeffs == (F(1),)
@@ -77,8 +81,15 @@ class TestRationalPoly:
         with pytest.raises(IrrationalParameterError):
             RationalPoly((0.5,))
 
+    def test_equals_an_int_and_has_no_arithmetic(self):
+        assert RationalPoly((F(3),)) == 3 and RationalPoly(()) == 0
+        assert RationalPoly((F(1), F(2))) != 1
+        with pytest.raises(TypeError):
+            RationalPoly((F(1), F(2))) + 1
+        assert not hasattr(RationalPoly, "x") and not hasattr(RationalPoly, "lead")
+
     def test_arithmetic(self):
-        x = RationalPoly.x()
+        x = Poly.x()
         p = (x + 1) * (x - 1)
         assert p.coeffs == (F(-1), F(0), F(1))
         assert (p - p).coeffs == ()
@@ -90,7 +101,7 @@ class TestRationalPoly:
         assert p(1.0) == 0.0  # float argument stays float
 
     def test_deflate(self):
-        x = RationalPoly.x()
+        x = Poly.x()
         p = (x - 2) * (x + 3)
         quot, rem = deflate(p, F(2))
         assert rem == 0
@@ -99,7 +110,7 @@ class TestRationalPoly:
         assert rem2 == (1 - 2) * (1 + 3)
 
     def test_lead(self):
-        p = 3 * RationalPoly.x() ** 2
+        p = 3 * Poly.x() ** 2
         assert p.lead() == 3
         assert p.degree == 2
 
@@ -120,10 +131,10 @@ class TestRecurrences:
         for fam in (QHermite(q), ASC(y, rho, q), ChebU_hat(q),
                     ClassicalHermite(), Kesten(y, rho), KestenHat(y, rho, q)):
             for n in range(7):
-                assert coeffs(fam, n).lead() == 1, fam.tag
+                assert coeffs(fam, n).coeffs[-1] == 1, fam.tag
         # non-monic families: B_n leads with (-1)^n q^{...}, That_n with 1/2
-        assert coeffs(BigB(q), 1).lead() == -1
-        assert coeffs(ChebT_hat(q), 3).lead() == F(1, 2)
+        assert coeffs(BigB(q), 1).coeffs[-1] == -1
+        assert coeffs(ChebT_hat(q), 3).coeffs[-1] == F(1, 2)
 
     def test_chebyshev_classical_values(self):
         # U_n(cos t) = sin((n+1)t)/sin(t) sanity on a numeric grid
@@ -196,7 +207,6 @@ class TestRecurrences:
 class TestDegenerations:
     def test_qhermite_q0_is_chebu_halved(self):
         # H_n(x|0) = U_n(x/2)
-        x = RationalPoly.x()
         for n in range(11):
             lhs = coeffs(QHermite(F(0)), n)
             rhs_vals = [fam_eval(ChebU(), n, F(t, 7) / 2) for t in range(-3, 4)]
@@ -227,10 +237,10 @@ class TestDegenerations:
         # rational because i and n share parity.
         y, rho = F(2, 5), F(1, 4)
         s2 = 1 - rho * rho
-        x = RationalPoly.x()
+        x = Poly.x()
         for n in range(11):
             he = coeffs(ClassicalHermite(), n)
-            rhs = RationalPoly(())
+            rhs = Poly(())
             for i, h in enumerate(he.coeffs):
                 if h == 0:
                     continue
@@ -250,7 +260,7 @@ class TestDegenerations:
     def test_bigb_q0_terminates(self):
         # B_0 = 1, B_1 = -x, B_2 = 1, B_n = 0 beyond
         got = [coeffs(BigB(0), n) for n in range(7)]
-        x = RationalPoly.x()
+        x = Poly.x()
         assert got[0] == RationalPoly((F(1),))
         assert got[1] == -1 * x
         assert got[2] == RationalPoly((F(1),))
@@ -262,15 +272,15 @@ class TestDegenerations:
         # running the recurrence over polynomials in beta and deflating the
         # simple zero at beta = 1.
         q, x0 = F(1, 2), F(1, 3)
-        b = RationalPoly.x()  # beta as the polynomial variable
-        prev, cur = RationalPoly(()), RationalPoly((F(1),))
+        b = Poly.x()  # beta as the polynomial variable
+        prev, cur = Poly(()), Poly((F(1),))
         polys = [cur]
         for n in range(8):
-            a_n = x0 * (RationalPoly((F(1),)) - b * q ** n)
+            a_n = x0 * (Poly((F(1),)) - b * q ** n)
             c_n = (
-                RationalPoly(())
+                Poly(())
                 if n == 0
-                else q_bracket(n, q) * (RationalPoly((F(1),)) - b * b * q ** (n - 1))
+                else q_bracket(n, q) * (Poly((F(1),)) - b * b * q ** (n - 1))
             )
             nxt = a_n * cur - c_n * prev
             prev, cur = cur, nxt
@@ -389,6 +399,12 @@ class TestEvalAll:
     def test_length(self):
         assert len(eval_all(ChebU(), 0, 0.3)) == 1
         assert len(eval_all(ChebU(), 5, 0.3)) == 6
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, True])
+    def test_degree_rule(self, n_max):
+        # -1 used to return [], 2.5 to raise a raw ValueError from islice
+        with pytest.raises(ParameterError, match="^n_max must be an integer >= 0, got "):
+            eval_all(QHermite(0.5), n_max, 0.3)
 
 
 class TestRows:

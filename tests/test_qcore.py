@@ -305,9 +305,43 @@ class TestCheckParams:
                 check_degree(n)
 
 
+class TestPrimitiveDegrees:
+    """n of each scalar primitive passes the degree rule; q_binomial's k is an int."""
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True, np.int64(3)])
+    @pytest.mark.parametrize("name,call", [
+        ("q_bracket", lambda n: q_bracket(n, Fraction(1, 3))),
+        ("q_factorial", lambda n: q_factorial(n, Fraction(1, 3))),
+        ("q_pochhammer", lambda n: q_pochhammer(Fraction(1, 2), Fraction(1, 3), n)),
+        ("q_pochhammer", lambda n: q_pochhammer((), Fraction(1, 3), n)),
+        ("q_binomial", lambda n: q_binomial(n, 1, Fraction(1, 3))),
+    ])
+    def test_degree_rule(self, name, call, n):
+        # 2.5 used to give a float binomial at a rational q, or a raw ValueError
+        # from islice; True a q-factorial of 1
+        with pytest.raises(ParameterError, match="^%s n must be an integer >= 0, got " % name):
+            call(n)
+
+    @pytest.mark.parametrize("k", [1.0, 2.5, True, None])
+    def test_binomial_k_is_an_int(self, k):
+        with pytest.raises(ParameterError, match="^q_binomial k must be an integer, got "):
+            q_binomial(3, k, Fraction(1, 3))
+
+
 class TestTruncationOrder:
     def test_zero_amplitude(self):
         assert truncation_order(0.0, 0.5, 1e-14) == 0
+
+    def test_nan_amplitude_is_refused(self):
+        # a NaN amplitude used to give K = 0, so (nan; q)_inf read 1.0
+        with pytest.raises(ParameterError, match="^infinite product amplitude must not be NaN$"):
+            truncation_order(math.nan, 0.5, 1e-14)
+        with pytest.raises(ParameterError, match="^infinite product amplitude must not be NaN$"):
+            q_pochhammer_inf(math.nan, 0.5)
+
+    def test_infinite_amplitude_hits_the_cap(self):
+        with pytest.raises(NonConvergenceError, match="more than 400 factors"):
+            q_pochhammer_inf(math.inf, 0.5)
 
     def test_monotone_in_eps(self):
         k_loose = truncation_order(7.0, 0.6, 1e-6)
