@@ -371,8 +371,7 @@ def ratio_connection(w, n_max):
         raise ParameterError("moment mapping must satisfy w_0 = 1")
     clean = {}
     for i, v in w.items():
-        if i < 0:
-            raise ParameterError("moment indices must be >= 0, got %r" % (i,))
+        check_degree(i, "moment index")
         if not is_exact(v):
             raise IrrationalParameterError(
                 "ratio_connection is exact-only; got %r at index %d" % (v, i)

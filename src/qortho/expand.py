@@ -2,30 +2,31 @@
 
 Each registry id is one entry of the table ``_KERNELS``: a ``qcore.Alias``
 (``mehler_classical`` is ``cn_over_n`` at q = 1, ``pm_q0`` is ``cn_over_u``
-at q = 0, whatever q the caller passes), or a ``_Kernel`` whose fields say
-everything about that expansion:
+at q = 0, whatever q the caller passes), or a ``_Kernel`` whose ten fields
+say everything about that expansion:
 
 - ``coeff_params`` / ``params``: the parameters the coefficient rule needs,
   and those the evaluated expansion needs, checked by ``qcore.check_params``
-  with q = 1 allowed by ``unit_q``, set where both densities exist there
-  (cn_over_n, n_over_cn).  A missing one, q outside (-1, 1), a rho, beta or
-  gamma outside (-1, 1) or a y that is not finite is a ParameterError.
-- ``coeff(p, Y)``: the coefficient rule, exact on rational parameters.  It
+  with q = 1 allowed where the kernel has a ``gauss`` rule, as both densities
+  exist there (cn_over_n, n_over_cn).  A missing one, q outside (-1, 1), a
+  rho, beta or gamma outside (-1, 1) or a y that is not finite is a
+  ParameterError.
+- ``coeff(p)``: the coefficient rule, exact on rational parameters.  It
   builds what its coefficients read once per call (prefix rows of
-  q-factorials and q-Pochhammer symbols, the q-binomial table) and returns
-  c(n), the coefficient c_n.  With ``even`` set, c_n = 0 for odd n and c is
-  called with k = n/2 to give c_{2k}.
+  q-factorials and q-Pochhammer symbols, the q-binomial table, the H_m(y|q)
+  row of cn_over_k and cn_over_u) and returns c(n), the coefficient c_n.
+  With ``even`` set, c_n = 0 for odd n and c is called with k = n/2 to give
+  c_{2k}.
 - ``base`` / ``target``: the density constructors, ``(p, trunc_eps)``.
 - ``family(p, x)``: the term family a_n and the point it is evaluated at,
   such as ChebU at x sqrt(1-q)/2 or QHermite(q) at x.
-- ``y_row(p)``: a family and a point in y whose values Y_n the coefficient
-  rule may read (cn_over_k, cn_over_u); with ``weighted`` set the term
-  carries Y_n as a separate weight, c_n Y_n a_n(x) (H_n(y) or B_n(y)).
+- ``y_row(p)``: a family and a point in y whose values Y_n weight each term,
+  c_n Y_n a_n(x) (H_n(y) for cn_over_n, B_n(y) for n_over_cn), or None.
 - ``bound(p, Y)``: the sup-norm bound rule, giving ``rule(n, a)`` that
-  bounds |term_n| on S(q) from a = |c_n| (|c_n Y_n| when weighted).
+  bounds |term_n| on S(q) from a = |c_n| (|c_n Y_n| with a ``y_row``).
 - ``gauss(p, x)``: at q = 1 (no S(q)), s and the largest |t| over the points
-  x with a_n(x) = s^n He_n(t), for Cramer's bound of the terms at x.
-- ``domain(p)``: an extra parameter check, or None.
+  x with a_n(x) = s^n He_n(t), for Cramer's bound of the terms at x; n_over_cn's
+  refuses rho^2 >= 1/2, where its series diverges.
 
 All c_0 = 1.  Coefficient rules are exact on rational parameters whenever
 the closed form is rational (the sqrt(1-q) on odd indices of cn_over_u /
@@ -37,7 +38,9 @@ c_n = gamma_{n,0} / ||a_n||^2, where a column 0 costs O(n) per coefficient.
 ``_coeff_rule`` builds a rule once for a whole listing c_0..c_K.
 
 :func:`expansion_eval` reconstructs the target density pointwise with either
-a fixed truncation K or an adaptive one driven by the bound rule.
+a fixed truncation K or an adaptive one driven by the bound rule.  ``_terms``
+yields a kernel's nonzero terms (degrees 0, 2, 4, ... for an even kernel), so
+every sum here stops by one rule: two small bounds in a row.
 
 :func:`identity_suite` checks q-series identities, each side computed
 independently.  Where the series side is a registry expansion (n_over_u for
@@ -112,8 +115,8 @@ class ExpansionSpec:
 @dataclass(frozen=True)
 class ExpansionResult:
     value: object  # reconstructed target density, same shape as x
-    tail: object  # |base| * the next two term bounds; for an even kernel one is 0
-    n_terms: int  # number of terms summed
+    tail: object  # |base| * the next two nonzero term bounds
+    n_terms: int  # one past the highest degree covered
 
 
 @dataclass(frozen=True)
@@ -129,14 +132,16 @@ class _Kernel:
     bound: Callable
     even: bool = False
     y_row: Optional[Callable] = None
-    weighted: bool = False
-    unit_q: bool = False
     gauss: Optional[Callable] = None
-    domain: Optional[Callable] = None
+
+    @property
+    def step(self):
+        """The degree step of the nonzero terms: 2 for an even kernel."""
+        return 2 if self.even else 1
 
 
 # -- coefficient rules ------------------------------------------------------
-# Each rule(p, Y) returns c(n); the rows it reads are built once per call.
+# Each rule(p) returns c(n); the rows it reads are built once per call.
 
 
 def _finite(v):
@@ -147,27 +152,27 @@ def _finite(v):
     return v
 
 
-def _c_n_over_u(p, Y):
+def _c_n_over_u(p):
     # c_{2k} = (-1)^k q^{k(k+1)/2}
     q = p["q"]
     return lambda k: (-1) ** k * q ** (k * (k + 1) // 2)
 
 
-def _c_u_over_n(p, Y):
+def _c_u_over_n(p):
     # c_{2k} = q^k (1-q)^{k+1} / ((q;q)_k (q;q)_{k+1})
     q = p["q"]
     qq = _Row(map(_finite, _pochhammers(q, q)))
     return lambda k: div(q ** k * (1 - q) ** (k + 1), qq[k] * qq[k + 1])
 
 
-def _c_cn_over_n(p, Y):
+def _c_cn_over_n(p):
     # c_n = rho^n / [n]_q!
     rho = p["rho"]
     fact = _Row(map(_finite, _factorials(p["q"])))
     return lambda n: div(rho ** n, fact[n])
 
 
-def _c_r_over_n(p, Y):
+def _c_r_over_n(p):
     # c_{2k} = beta^k / ([k]_q! (beta q;q)_k)
     beta, q = p["beta"], p["q"]
     fact = _Row(map(_finite, _factorials(q)))
@@ -175,7 +180,7 @@ def _c_r_over_n(p, Y):
     return lambda k: div(beta ** k, fact[k] * bq[k])
 
 
-def _c_n_over_r(p, Y):
+def _c_n_over_r(p):
     # c_{2k} = (-g)^k q^{k(k-1)/2} (g;q)_k (1 - g q^{2k}) / ((1-g) [k]_q! (g^2;q)_{2k})
     g, q = p["gamma"], p["q"]
     fact = _Row(map(_finite, _factorials(q)))
@@ -189,7 +194,7 @@ def _c_n_over_r(p, Y):
     return c
 
 
-def _c_n_over_cn(p, Y):
+def _c_n_over_cn(p):
     # c_n = rho^n / ((rho^2;q)_n [n]_q!)
     rho, q = p["rho"], p["q"]
     fact = _Row(map(_finite, _factorials(q)))
@@ -198,11 +203,12 @@ def _c_n_over_cn(p, Y):
 
 
 def _c_from_parts(coeff):
-    # beta_coeff / gamma_coeff reading the call's H_m(y|q) row and q-binomial table
-    def rule(p, Y):
+    # beta_coeff / gamma_coeff reading one H_m(y|q) row and q-binomial table per call
+    def rule(p):
         y, rho, q = p["y"], p["rho"], p["q"]
+        H = _Row(_recurrence(QHermite(q), y))
         B = q_binomial_table(q)
-        return lambda n: coeff(n, y, rho, q, H=Y, B=B)
+        return lambda n: coeff(n, y, rho, q, H=H, B=B)
 
     return rule
 
@@ -268,13 +274,10 @@ def _kesten_bound(p, Y):
 
 def _asc_gauss(p, x):
     # P_n(x|y,rho,1) = s^n He_n((x - rho y)/s) with s = sqrt(1-rho^2)
+    if not p["rho"] ** 2 < 0.5:
+        raise ParameterError("reciprocal Gaussian kernel converges only for rho^2 < 1/2")
     s = math.sqrt(1.0 - p["rho"] ** 2)
     return s, _maxabs(x - p["rho"] * p["y"]) / s
-
-
-def _reciprocal_gaussian_domain(p):
-    if p["q"] == 1.0 and not p["rho"] ** 2 < 0.5:
-        raise ParameterError("reciprocal Gaussian kernel converges only for rho^2 < 1/2")
 
 
 # -- the registry -----------------------------------------------------------
@@ -324,19 +327,18 @@ _KERNELS = {
         coeff=_c_cn_over_n,
         base=_fN, target=_fCN,
         family=_qhermite,
-        y_row=_qhermite_y, weighted=True,
+        y_row=_qhermite_y,
         bound=_hermite_bound,
-        unit_q=True, gauss=lambda p, x: (1.0, _maxabs(x)),
+        gauss=lambda p, x: (1.0, _maxabs(x)),
     ),
     "n_over_cn": _Kernel(
         coeff_params=("rho", "q"), params=("y", "rho", "q"),
         coeff=_c_n_over_cn,
         base=_fCN, target=_fN,
         family=lambda p, x: (ASC(p["y"], p["rho"], p["q"]), x),
-        y_row=lambda p: (BigB(p["q"]), p["y"]), weighted=True,
+        y_row=lambda p: (BigB(p["q"]), p["y"]),
         bound=_asc_bound,
-        unit_q=True, gauss=_asc_gauss,
-        domain=_reciprocal_gaussian_domain,
+        gauss=_asc_gauss,
     ),
     "r_over_n": _Kernel(
         coeff_params=("beta", "q"), params=("beta", "q"),
@@ -360,7 +362,6 @@ _KERNELS = {
             KestenHat(p["y"] * math.sqrt(1.0 - p["q"]), p["rho"], 0.0),
             x * math.sqrt(1.0 - p["q"]),
         ),
-        y_row=_qhermite_y,
         bound=_kesten_bound,
     ),
     "cn_over_u": _Kernel(
@@ -368,7 +369,6 @@ _KERNELS = {
         coeff=_c_from_parts(gamma_coeff),
         base=_fU, target=_fCN,
         family=_chebu_half,
-        y_row=_qhermite_y,
         bound=_chebu_bound,
     ),
     "mehler_classical": Alias("cn_over_n", {"q": 1}),
@@ -385,26 +385,6 @@ def _kernel(id, params):
     return resolve(_KERNELS, id, params)
 
 
-def _coeffs(kernel, p, Y):
-    """c(n) for the kernel at p, with c_n = 0 for odd n when the kernel is even."""
-    c = kernel.coeff(p, Y)
-    if not kernel.even:
-        return c
-    zero = 0 * p["q"]
-    return lambda n: zero if n % 2 else c(n // 2)
-
-
-def _y_values(kernel, p):
-    """Lazy Y_n row; y_row runs on first use, as only some coefficient rules read it."""
-    if kernel.y_row is None:
-        return None
-
-    def values():
-        yield from _recurrence(*kernel.y_row(p))
-
-    return _Row(values())
-
-
 def _coeff_rule(id, n_max, p):
     """c(n) = c_n, 0 <= n <= n_max, of the registry id at p, its rows built once.
 
@@ -413,12 +393,13 @@ def _coeff_rule(id, n_max, p):
     """
     kernel, p = _kernel(id, p)
     check_degree(n_max, "coefficient index")
-    check_params("expansion %r" % (id,), p, kernel.coeff_params, kernel.unit_q)
-    coeff = _coeffs(kernel, p, _y_values(kernel, p))
+    check_params("expansion %r" % (id,), p, kernel.coeff_params, kernel.gauss is not None)
+    coeff, step = kernel.coeff(p), kernel.step
+    zero = 0 * p["q"]
 
     def c(n):
         try:
-            v = coeff(n)
+            v = zero if n % step else coeff(n // step)
         except OverflowError:  # an int too large for a float, such as n! past 170
             v = math.inf
         if isinstance(v, float) and not math.isfinite(v):
@@ -453,37 +434,34 @@ def _mixed(lhs, rhs):
 
 
 def _terms(kernel, p, x):
-    """Generator of (c_n a_n(x), bound of that term on S(q), at q = 1 on x), n >= 0."""
+    """Generator of the nonzero terms (c_n a_n(x), bound of that term on S(q), at
+    q = 1 on x): n = 0, 1, 2, ..., or n = 0, 2, 4, ... for an even kernel."""
     A = _Row(_recurrence(*kernel.family(p, x)))
-    Y = _y_values(kernel, p)
-    coeff = _coeffs(kernel, p, Y)
+    Y = None if kernel.y_row is None else _Row(_recurrence(*kernel.y_row(p)))
+    coeff = kernel.coeff(p)
     rule = kernel.bound(p, Y) if p["q"] < 1 else _cramer(*kernel.gauss(p, x))
-    zero = x * 0.0
-    for n in count():
-        if kernel.even and n % 2:
-            yield zero, 0.0
-        else:
-            c = float(coeff(n))
-            if kernel.weighted:
-                c = c * Y[n]
-            term = c * A[n]
-            yield term, rule(n, abs(c))
+    for k in count():
+        n = kernel.step * k
+        c = float(coeff(k))
+        if Y is not None:
+            c = c * Y[n]
+        yield c * A[n], rule(n, abs(c))
 
 
 def expansion_eval(spec, x, tol=1e-9):
     """Evaluate the expansion at x; returns ExpansionResult(value, tail, n_terms).
 
-    With spec.K set, exactly K+1 terms are summed.  Otherwise the sum stops at
-    the second term bound in a row <= tol (on S(q), or at q = 1 on the points
-    x), capped at K_CAP (TruncationError past it).  For the four even kernels
-    (n_over_u, u_over_n, r_over_n, n_over_r) the zero odd term counts as one
-    of the two, so the sum stops at the first even term under tol and the tail
-    holds one nonzero bound.  A y outside S(q) is a ParameterError; a value or
-    tail that is not finite (overflowed terms, bounds or coefficients, or a
-    q-factorial row past the float range) raises NonConvergenceError.
+    With spec.K set, every term of degree <= K is summed.  Otherwise the sum
+    stops at the second nonzero term bound in a row <= tol (on S(q), or at
+    q = 1 on the points x), capped at degree K_CAP (TruncationError past it).
+    The tail is |base| times the next two nonzero term bounds, and n_terms is
+    one past the highest degree covered.  K that is not an int >= 0 or a y
+    outside S(q) is a ParameterError; a value or tail that is not finite
+    (overflowed terms, bounds or coefficients, or a q-factorial row past the
+    float range) raises NonConvergenceError.
     """
     kernel, params = _kernel(spec.id, spec.params)
-    check_params("expansion %r" % (spec.id,), params, kernel.params, kernel.unit_q)
+    check_params("expansion %r" % (spec.id,), params, kernel.params, kernel.gauss is not None)
     check_tol("tol", tol)
     p = {k: float(v) for k, v in params.items()}
     xa = np.asarray(x, dtype=float)
@@ -491,22 +469,24 @@ def expansion_eval(spec, x, tol=1e-9):
     xa = np.atleast_1d(xa)
     if p["q"] < 1.0 and np.any(np.abs(xa) > support(p["q"]).radius):
         raise ParameterError("expansion evaluated outside S(q)")
-    if kernel.domain is not None:
-        kernel.domain(p)
     base = density_eval(kernel.base(p, 1e-14), xa)
     kernel.target(p, 1e-14)  # its constructor checks the conditioning point y
     fixed = spec.K is not None
-    if fixed and spec.K < 0:
-        raise ParameterError("K must be >= 0")
+    if fixed:
+        check_degree(spec.K, "K")
+    step = kernel.step
     # overflow in the rows or terms is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _terms(kernel, p, xa)
         if fixed:
-            acc, n_terms = _sum_series(islice(terms, spec.K + 1), -math.inf, cap=math.inf)
+            acc, m = _sum_series(islice(terms, spec.K // step + 1), -math.inf, cap=math.inf)
         else:
             msg = "expansion %r did not reach tol=%g within %d terms" % (spec.id, tol, K_CAP)
-            acc, n_terms = _sum_series(terms, tol, cap=K_CAP, message=msg)
-        # the tail: the next two bounds, under the same overflow rule
+            acc, m = _sum_series(terms, tol, cap=K_CAP // step, message=msg)
+        n_terms = step * (m - 1) + 1
+        if fixed and m > spec.K // step:
+            n_terms = spec.K + 1  # an even kernel's zero term of odd degree K too
+        # the tail: the next two nonzero bounds, under the same overflow rule
         tail_series, _ = _sum_series(((b, b) for _, b in islice(terms, 2)), -math.inf)
         value = base * acc
         tail = np.abs(base) * tail_series
@@ -528,19 +508,11 @@ def _grid(q, fractions=(-0.93, -0.51, 0.0, 0.37, 0.85)):
     return L * np.asarray(fractions)
 
 
-def _even_kernel_sum(id, q, xs):
-    """sum_n c_n a_n(xs) of an even registry kernel at q.
-
-    The odd terms are zero, so four small terms in a row are two small even
-    terms: the default rule of ``_sum_series``, applied to the nonzero terms.
-    """
-    return _sum_series(_terms(_KERNELS[id], {"q": q}, xs), consecutive=4)[0]
-
-
 def _i1(q, eps):
     # fN/fU = sum_k (-1)^k q^{k(k+1)/2} U_{2k}(x sqrt(1-q)/2), the n_over_u kernel
     xs = _grid(q)
-    return _mixed(_fn_over_fu(xs, q, eps), _even_kernel_sum("n_over_u", q, xs))
+    rhs = _sum_series(_terms(_KERNELS["n_over_u"], {"q": q}, xs))[0]
+    return _mixed(_fn_over_fu(xs, q, eps), rhs)
 
 
 def _i2(q, eps):
@@ -559,7 +531,7 @@ def _i4(q, eps):
     # fU/fN = sum_k q^k (1-q)^{k+1} H_{2k}(x) / ((q;q)_k (q;q)_{k+1}), the
     # u_over_n kernel, on the grid and at x = 0
     xs = np.append(_grid(q), 0.0)
-    rhs = _even_kernel_sum("u_over_n", q, xs)
+    rhs = _sum_series(_terms(_KERNELS["u_over_n"], {"q": q}, xs))[0]
     res_grid = _mixed(1.0 / _fn_over_fu(xs[:-1], q, eps), rhs[:-1])
 
     # x = 0: fU/fN = 1/((q;q)_inf (-q;q)_inf^2)

@@ -37,7 +37,7 @@ order K of :func:`truncation_order`.
 the Gaussian cases), |rho|, |beta|, |gamma| < 1 and a finite y.  Families,
 densities, expansions, connections, S(q) and the infinite products check the
 parameters they name through it, :func:`check_tol` checks a tolerance and
-:func:`check_degree` a degree or order n_max.
+:func:`check_degree` a degree, an index or a count.
 The rules left elsewhere are not about one parameter's domain: y in S(q)
 (``densities``), the q = 1 and rho^2 < 1/2 kernel rules (``expand``) and
 ``trunc_eps``.
@@ -134,10 +134,10 @@ def check_tol(name, tol):
     return tol
 
 
-def check_degree(n, name="n_max"):
-    """n, once it is an int >= 0 (a bool is not); ParameterError otherwise."""
-    if type(n) is not int or n < 0:
-        raise ParameterError("%s must be an integer >= 0, got %r" % (name, n))
+def check_degree(n, name="n_max", least=0):
+    """n, once it is an int >= least (a bool is not); ParameterError otherwise."""
+    if type(n) is not int or n < least:
+        raise ParameterError("%s must be an integer >= %d, got %r" % (name, least, n))
     return n
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .qcore import (
     ParameterError, QOrthoError, TruncationError, _plain_sum, _Row, _theta_series,
-    q_binomial_table, support,
+    check_degree, q_binomial_table, support,
 )
 from . import connect, densities
 from .densities import density_ratio, fU
@@ -56,11 +56,11 @@ def _grid_sup(dens, grid_n):
     return float(np.max(density_ratio(dens, fU(dens.q), xg)))
 
 
-def _envelope(dens, sup):
-    """The series constant, at least the grid sup; 1.05 sup if the fCN series stalls."""
+def _series_constant(dens):
+    """The series bound of target/fU, or None if the fCN series stalls."""
     q = dens.q
     if dens.tag == "fn":
-        return max(_theta_series(abs(q), signed=False, weighted=True), sup)
+        return _theta_series(abs(q), signed=False, weighted=True)
     # one H_m(y|q) row and one q-binomial table for all k, grown on demand
     H = _Row(_recurrence(QHermite(q), dens.y))
     B = q_binomial_table(q)
@@ -69,9 +69,15 @@ def _envelope(dens, sup):
     )
     try:
         # three terms in a row < 1e-12 end the sum; 400 terms without them stall
-        return max(_plain_sum(terms, math.nextafter(1e-12, 0.0), 3, cap=399), sup)
+        return _plain_sum(terms, math.nextafter(1e-12, 0.0), 3, cap=399)
     except TruncationError:
-        return sup * 1.05
+        return None
+
+
+def _envelope(dens, sup):
+    """The series constant, at least the grid sup; 1.05 sup if the fCN series stalls."""
+    M = _series_constant(dens)
+    return sup * 1.05 if M is None else max(M, sup)
 
 
 def envelope_constant(dens, grid_n=_GRID_N):
@@ -81,10 +87,8 @@ def envelope_constant(dens, grid_n=_GRID_N):
 
 def sample(dens, n, seed=0, batch=65536, envelope=None):
     """Draw n samples from dens by rejection against the semicircle law."""
-    if n < 0:
-        raise ParameterError("n must be nonnegative")
-    if batch < 1:
-        raise ParameterError("batch must be >= 1, got %r" % (batch,))
+    check_degree(n, "n")
+    check_degree(batch, "batch", least=1)
     sup = _grid_sup(dens, _GRID_N)
     M = envelope if envelope is not None else _envelope(dens, sup)
     L = support(dens.q).radius

@@ -248,7 +248,7 @@ class TestExitCodes:
                      "--batch=" + batch])
         err = capsys.readouterr().err
         assert code == 3
-        assert "batch must be >= 1" in err
+        assert "batch must be an integer >= 1, got " in err
 
     def test_nonconvergent_product(self, capsys):
         code = main(["density", "--density", "fn",

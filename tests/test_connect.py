@@ -409,6 +409,11 @@ class TestRatioConnection:
             ratio_connection({0: F(1), 2: -0.25}, 4)
         with pytest.raises(ParameterError):
             ratio_connection({0: F(1), -1: F(1)}, 4)
+        # 1.5 used to raise a raw TypeError
+        for index in (-1, 1.5):
+            with pytest.raises(ParameterError,
+                               match="^moment index must be an integer >= 0, got "):
+                ratio_connection({0: 1, index: F(1, 2)}, 3)
 
 
 class TestKestenBand:

@@ -11,7 +11,7 @@ from qortho.qcore import (
     NonConvergenceError, ParameterError, q_bracket, q_factorial, q_pochhammer, support,
 )
 from qortho.polyfam import ChebU, eval as fam_eval
-from qortho.densities import density_eval, fN, fR
+from qortho.densities import density_eval, fN, fR, fU
 from qortho.expand import (
     EXPANSION_IDS,
     ExpansionSpec,
@@ -149,6 +149,36 @@ class TestEvaluation:
     def test_fixed_k_term_count(self):
         res = expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}, K=7), 0.3)
         assert res.n_terms == 8
+
+    @pytest.mark.parametrize("q,x", [(0.5, 0.3), (0.5, 0.0), (-0.4, 1.1), (0.8, 2.0)])
+    @pytest.mark.parametrize("K", [None, 6, 7])
+    def test_even_kernel_tail_is_two_nonzero_bounds(self, q, x, K):
+        # n_over_u: c_{2k} = (-1)^k q^{k(k+1)/2} on U_{2k}, |U_n| <= n+1, so the
+        # bound of degree 2k is (2k+1)|q|^{k(k+1)/2}; the zero odd terms count
+        # neither in the stop rule nor in the tail
+        def bound(n):
+            k = n // 2
+            return (n + 1) * abs(q) ** (k * (k + 1) // 2)
+
+        tol = 1e-9
+        res = expansion_eval(ExpansionSpec("n_over_u", {"q": q}, K), x, tol=tol)
+        top = res.n_terms - 1  # the highest degree covered
+        if K is None:
+            assert top % 2 == 0
+            assert bound(top - 2) <= tol and bound(top) <= tol < bound(top - 4)
+        else:
+            assert top == K
+            top -= top % 2
+        base = density_eval(fU(q), x)
+        assert 0.0 < bound(top + 4) < bound(top + 2)
+        assert res.tail == pytest.approx(base * (bound(top + 2) + bound(top + 4)),
+                                         rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("K", [-1, 2.5, True])
+    def test_fixed_k_must_be_a_non_negative_int(self, K):
+        # True used to sum two terms, 2.5 to raise a raw ValueError
+        with pytest.raises(ParameterError, match="^K must be an integer >= 0, got "):
+            expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}, K), 0.3)
 
     @pytest.mark.parametrize("eid,params", [
         ("n_over_u", {}),
@@ -310,7 +340,13 @@ class TestIdentitySuite:
 # tails) were re-recorded when beta_k became column 0 of kesten-from-asc over
 # 1 - rho^2: the row's largest error against the exact path at the
 # float-rounded parameters stayed 5.1e-16, and the moved value is 1.6e-11
-# from mpmath's fCN, within its tail, as the old one was.
+# from mpmath's fCN, within its tail, as the old one was.  The adaptive rows of
+# the four even kernels (n_over_u, u_over_n, r_over_n, n_over_r) were
+# re-recorded when their term stream dropped the zero odd terms, so that the
+# sum stops at two small nonzero bounds in a row: each n_terms rose by 2, each
+# value moved by at most 9.0e-12 relative, and each new value is at most
+# 3.9e-13 from mpmath's target density at 40 digits (within its tail, or for
+# n_over_r within 1.7e-15 relative, float rounding, where the tail is ~1e-18).
 
 GOLDEN_EXACT_PARAMS = {
     'n_over_u': dict(q=F('1/3')),
@@ -350,25 +386,25 @@ GOLDEN_FLOAT_ROWS = {
 }
 GOLDEN_EVAL = [
     ('n_over_u', {'q': 0.5}, None, [
-        ('-0x1.45d5b5c3f4f6bp+1', '0x1.44da2e9e5b58ep-7', '0x1.dd349fa9be23fp-45', 17),
-        ('-0x1.21a1851ff630ap+0', '0x1.d03a860c3034dp-3', '0x1.f5b17f48bf9bfp-44', 17),
-        ('0x0.0p+0', '0x1.7a5d75a4c8396p-2', '0x1.11b2378c90ca4p-43', 17),
-        ('0x1.b27247aff148ep-1', '0x1.217383a348af4p-2', '0x1.0516e93c91071p-43', 17),
-        ('0x1.21a1851ff630ap+1', '0x1.fa6acbfecaad0p-6', '0x1.486f75dbe0f2bp-44', 17),
+        ('-0x1.45d5b5c3f4f6bp+1', '0x1.44da2e9e5aaafp-7', '0x1.07dc221c6949dp-54', 19),
+        ('-0x1.21a1851ff630ap+0', '0x1.d03a860c30355p-3', '0x1.15665d0891eb7p-53', 19),
+        ('0x0.0p+0', '0x1.7a5d75a4c840ap-2', '0x1.2eab05d64b321p-53', 19),
+        ('0x1.b27247aff148ep-1', '0x1.217383a348b59p-2', '0x1.20ba17c7eb248p-53', 19),
+        ('0x1.21a1851ff630ap+1', '0x1.fa6acbfecad37p-6', '0x1.6b33a09ac0a28p-54', 19),
     ]),
     ('u_over_n', {'q': 0.45}, None, [
-        ('-0x1.36abda1871f76p+1', '0x1.a578b4b5acdddp-4', '0x1.1820ca70293c2p-38', 71),
-        ('-0x1.1426fac0654dbp+0', '0x1.bb196bf487f0cp-3', '0x1.090b51289a0d7p-34', 71),
-        ('0x0.0p+0', '0x1.e376028417961p-3', '0x1.9511385c04dfcp-34', 71),
-        ('0x1.9e3a782097f47p-1', '0x1.cd313fa2d0810p-3', '0x1.4106ec0da4062p-34', 71),
-        ('0x1.1426fac0654dbp+1', '0x1.22139b1c0e8cep-3', '0x1.780f1d7035031p-37', 71),
+        ('-0x1.36abda1871f76p+1', '0x1.a578b4b5adbf0p-4', '0x1.7b27efdd86357p-39', 73),
+        ('-0x1.1426fac0654dbp+0', '0x1.bb196bf4890e1p-3', '0x1.66bd655b85321p-35', 73),
+        ('0x0.0p+0', '0x1.e376028419a92p-3', '0x1.122194de9f725p-34', 73),
+        ('0x1.9e3a782097f47p-1', '0x1.cd313fa2cef90p-3', '0x1.b2835bb32227ap-35', 73),
+        ('0x1.1426fac0654dbp+1', '0x1.22139b1c0f4dcp-3', '0x1.fcffdc1ed3ec6p-38', 73),
     ]),
     ('u_over_n', {'q': -0.3}, None, [
-        ('-0x1.9425f94d50144p+0', '0x1.43fcdb8ae07d1p-3', '0x1.daa0fc0e6794ap-36', 43),
-        ('-0x1.673e32ef63a04p-1', '0x1.549cf7027a757p-2', '0x1.1610d35714e77p-35', 43),
-        ('0x0.0p+0', '0x1.73a3b04548d20p-2', '0x1.c3b9d31968fa0p-36', 43),
-        ('0x1.0d6ea6338ab82p-1', '0x1.62857a80a5cc2p-2', '0x1.01d644303ff31p-35', 43),
-        ('0x1.673e32ef63a04p+0', '0x1.bdf7a05331370p-3', '0x1.2834417ca809ep-35', 43),
+        ('-0x1.9425f94d50144p+0', '0x1.43fcdb8aecff8p-3', '0x1.865358ae969a2p-37', 45),
+        ('-0x1.673e32ef63a04p-1', '0x1.549cf7027e6dbp-2', '0x1.c95a0b4a69cd0p-37', 45),
+        ('0x0.0p+0', '0x1.73a3b0454cd96p-2', '0x1.737d98e0aed10p-37', 45),
+        ('0x1.0d6ea6338ab82p-1', '0x1.62857a80a8566p-2', '0x1.a8148ceebd90ap-37', 45),
+        ('0x1.673e32ef63a04p+0', '0x1.bdf7a0532813dp-3', '0x1.e72f60dc27488p-37', 45),
     ]),
     ('cn_over_n', {'y': 0.7, 'rho': 0.45, 'q': 0.3}, None, [
         ('-0x1.136173b180556p+1', '0x1.b0115ddb405eep-7', '0x1.572cd63f6d4a6p-37', 33),
@@ -399,18 +435,18 @@ GOLDEN_EVAL = [
         ('0x1.3333333333334p+1', '0x1.6ee977ce56802p-6', '0x1.9e42520a488d5p-38', 44),
     ]),
     ('r_over_n', {'beta': 0.35, 'q': 0.5}, None, [
-        ('-0x1.45d5b5c3f4f6bp+1', '0x1.c2e476941d7f5p-5', '0x1.bfb111e7ea5eep-40', 55),
-        ('-0x1.21a1851ff630ap+0', '0x1.c4d1210c03fc3p-3', '0x1.3fe2c66cba992p-35', 55),
-        ('0x0.0p+0', '0x1.0ca2460f6af65p-2', '0x1.04b84a899b30fp-34', 55),
-        ('0x1.b27247aff148ep-1', '0x1.e9bd17b3c6758p-3', '0x1.8ee77389b5780p-35', 55),
-        ('0x1.21a1851ff630ap+1', '0x1.9218a6bcc5909p-4', '0x1.5cf4ea5dfe0d6p-38', 55),
+        ('-0x1.45d5b5c3f4f6bp+1', '0x1.c2e476941d11dp-5', '0x1.bae0e6795afc3p-41', 57),
+        ('-0x1.21a1851ff630ap+0', '0x1.c4d1210c04700p-3', '0x1.3c725caae4145p-36', 57),
+        ('0x0.0p+0', '0x1.0ca2460f6b8cap-2', '0x1.01eab80971a25p-35', 57),
+        ('0x1.b27247aff148ep-1', '0x1.e9bd17b3c7002p-3', '0x1.8a9d8ef1bfafap-36', 57),
+        ('0x1.21a1851ff630ap+1', '0x1.9218a6bcc4c6fp-4', '0x1.59347dcf19ee7p-39', 57),
     ]),
     ('n_over_r', {'gamma': 0.3, 'q': 0.4}, None, [
-        ('-0x1.2971f372f95b6p+1', '0x1.7f614178f7b96p-6', '0x1.3b51c8c38acacp-48', 15),
-        ('-0x1.08654a2d4f6dbp+0', '0x1.002472a965803p-2', '0x1.e28ac77db9dc1p-47', 15),
-        ('0x0.0p+0', '0x1.72b0c724c3299p-2', '0x1.14d3b3401e7b5p-46', 15),
-        ('0x1.8c97ef43f7247p-1', '0x1.2eb23a29b2856p-2', '0x1.00f6cc02b2d0cp-46', 15),
-        ('0x1.08654a2d4f6dbp+1', '0x1.c5dd4757ba221p-5', '0x1.f6575dc69a07cp-48', 15),
+        ('-0x1.2971f372f95b6p+1', '0x1.7f614178f7bb4p-6', '0x1.1d05012a1bcd4p-60', 17),
+        ('-0x1.08654a2d4f6dbp+0', '0x1.002472a965805p-2', '0x1.b42c5d603b0c3p-59', 17),
+        ('0x0.0p+0', '0x1.72b0c724c329cp-2', '0x1.f473a74848a50p-59', 17),
+        ('0x1.8c97ef43f7247p-1', '0x1.2eb23a29b2857p-2', '0x1.d08b177cc16e0p-59', 17),
+        ('0x1.08654a2d4f6dbp+1', '0x1.c5dd4757ba211p-5', '0x1.c611e5b17fc02p-60', 17),
     ]),
     ('cn_over_k', {'y': 0.4, 'rho': 0.45, 'q': 0.3}, None, [
         ('-0x1.136173b180556p+1', '0x1.14ad929775a2dp-6', '0x1.4581df1051d47p-39', 16),

@@ -101,6 +101,18 @@ class TestSample:
         with pytest.raises(ParameterError):
             sample(fN(0.5), 10, seed=0, batch=batch)
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(n=-1), "n must be an integer >= 0, got -1"),
+        (dict(n=2.5), "n must be an integer >= 0, got 2.5"),
+        (dict(n=True), "n must be an integer >= 0, got True"),
+        (dict(n=10, batch=2.5), "batch must be an integer >= 1, got 2.5"),
+        (dict(n=10, batch=0), "batch must be an integer >= 1, got 0"),
+    ])
+    def test_counts_must_be_ints(self, kw, message):
+        # 2.5 used to raise a raw TypeError from numpy
+        with pytest.raises(ParameterError, match="^%s$" % message):
+            sample(fN(0.5), seed=0, **kw)
+
     def test_golden_stream(self):
         # pins the proposal stream; a change here changes every seeded draw
         res = sample(fN(0.5), 8, seed=7)

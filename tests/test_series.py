@@ -107,8 +107,10 @@ class TestIdentityLoop:
 
 
 class TestExpansionLoop:
+    # cn_over_u has a term of every degree, as the old loop had; an even
+    # kernel's stream holds only its nonzero terms (tests/test_expand.py)
     XS = np.array([0.3, -1.1])
-    P = {"q": 0.5}
+    P = {"q": 0.5, "y": 0.3, "rho": 0.4}
 
     @given(
         prefix=st.lists(st.tuples(TERMS, TERMS, bounds(STOPS)), max_size=25),
@@ -126,13 +128,13 @@ class TestExpansionLoop:
         base = density_eval(fU(self.P["q"]), self.XS)
         try:
             acc, tail_series, n = ref.expansion_loop(
-                seq(), np.zeros_like(self.XS), K, tol, name="n_over_u")
+                seq(), np.zeros_like(self.XS), K, tol, name="cn_over_u")
         except TruncationError as exc:
             want = exc
         else:
             want = (base * acc, np.abs(base) * tail_series, n)
         with mock.patch.object(expand, "_terms", lambda kernel, p, x: seq()):
-            spec = expand.ExpansionSpec("n_over_u", self.P, K)
+            spec = expand.ExpansionSpec("cn_over_u", self.P, K)
             if isinstance(want, TruncationError):
                 with pytest.raises(TruncationError) as exc:
                     expand.expansion_eval(spec, self.XS, tol=tol)

@@ -9,7 +9,7 @@ import pytest
 from qortho.qcore import NonConvergenceError, ParameterError, q_factorial, support
 from qortho.densities import density_eval, fCN, fN, fR, fT, fU
 from qortho.polyfam import ASC, ChebT_hat, ChebU_hat, QHermite, Rogers, eval_all
-from qortho import verify
+from qortho import sampler, verify
 from qortho.verify import (
     check_chapman,
     check_D_integral,
@@ -132,7 +132,19 @@ class TestOrthogonality:
 ])
 def test_negative_index_is_refused(check, args, name):
     # a negative index used to read the Gram matrix from its far end
-    with pytest.raises(ParameterError, match="^index %s must be >= 0, got -" % name):
+    with pytest.raises(ParameterError, match="^index %s must be an integer >= 0, got -" % name):
+        check(*args)
+
+
+@pytest.mark.parametrize("check,args,name", [
+    (check_orthogonality, (QHermite(0.5), fN(0.5), 2.5, 0), "n"),
+    (check_orthogonality, (QHermite(0.5), fN(0.5), 1, True), "m"),
+    (check_projection, (True, 0.3, 0.5, 0.5), "n"),
+    (check_D_integral, (1, 2.0, 0.3, 0.5, 0.5), "n"),
+])
+def test_index_must_be_an_int(check, args, name):
+    # these were refused deep inside, by a message naming another argument
+    with pytest.raises(ParameterError, match="^index %s must be an integer >= 0, got " % name):
         check(*args)
 
 
@@ -216,3 +228,15 @@ class TestRunAll:
     def test_integrate_tolerance(self, tol):
         with pytest.raises(ParameterError, match="tol must be positive and finite"):
             integrate(lambda x: x, 0.5, tol=tol)
+
+
+class TestEnvelopeSuite:
+    @pytest.mark.parametrize("constant", [0.0, 1.0, None])
+    def test_a_constant_below_the_grid_sup_fails(self, constant):
+        # the suite reads the series constant before the grid sup floors it;
+        # with the floor, a constant of 0 passed all four checks with residual 0
+        with mock.patch.object(sampler, "_series_constant", lambda dens: constant):
+            reports, ok = run_all({"suites": ("envelope",)})
+        assert not ok
+        assert len(reports) == 4 and not any(r.passed for r in reports)
+        assert all(r.residual > r.tolerance for r in reports)
