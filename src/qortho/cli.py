@@ -229,6 +229,7 @@ def _cmd_verify(args):
 def _cmd_sample(args):
     dens = _build("density", _DENSITIES, args.target, args)
     result = sampler.sample(dens, args.n, seed=args.seed, batch=args.batch)
+    # proposals= counts the proposals whose ratio was evaluated, not those drawn
     meta = {
         "acceptance_rate": result.acceptance_rate,
         "envelope": result.envelope,
@@ -311,7 +312,8 @@ def _build_parser():
     p.add_argument("--target", choices=("fn", "fcn"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=65536)
+    p.add_argument("--batch", type=int, default=65536,
+                   help="proposals drawn per batch; with --seed it fixes the draw stream")
     p.add_argument("--binary", action="store_true")
     _add_common(p, "q", "y", "rho")
     p.set_defaults(func=_cmd_sample)

@@ -141,6 +141,13 @@ def check_degree(n, name="n_max", least=0):
     return n
 
 
+def check_not_nan(v, name):
+    """v, once it is not a float NaN; ParameterError otherwise."""
+    if isinstance(v, float) and math.isnan(v):
+        raise ParameterError("%s must not be NaN" % name)
+    return v
+
+
 def is_exact(*values):
     """True when every value is an int or Fraction (bools excluded)."""
     return all(
@@ -200,7 +207,8 @@ def _brackets(q):
 
 def q_bracket(n, q):
     """[n]_q = 1 + q + ... + q^{n-1}; [0]_q = 0."""
-    return _nth(_brackets(q), check_degree(n, "q_bracket n"))
+    check_degree(n, "q_bracket n")
+    return _nth(_brackets(check_not_nan(q, "q_bracket q")), n)
 
 
 def _factorials(q):
@@ -213,12 +221,14 @@ def _factorials(q):
 
 def q_factorial(n, q):
     """[n]_q! = prod_{i=1}^{n} [i]_q; [0]_q! = 1."""
-    return _nth(_factorials(q), check_degree(n, "q_factorial n"))
+    check_degree(n, "q_factorial n")
+    return _nth(_factorials(check_not_nan(q, "q_factorial q")), n)
 
 
 def q_binomial(n, k, q):
     """Gaussian binomial coefficient [n k]_q; 0 when the int k < 0 or k > n."""
     check_degree(n, "q_binomial n")
+    check_not_nan(q, "q_binomial q")
     if type(k) is not int:
         raise ParameterError("q_binomial k must be an integer, got %r" % (k,))
     if k < 0 or k > n:
@@ -281,12 +291,13 @@ def _pochhammers(a, q):
 def q_pochhammer(a, q, n):
     """(a;q)_n; `a` may be a sequence, meaning the product of the symbols."""
     check_degree(n, "q_pochhammer n")
+    check_not_nan(q, "q_pochhammer q")
     if isinstance(a, (tuple, list)):
         out = _one(q)
         for ai in a:
             out = out * q_pochhammer(ai, q, n)
         return out
-    return _nth(_pochhammers(a, q), n)
+    return _nth(_pochhammers(check_not_nan(a, "q_pochhammer a"), q), n)
 
 
 def _sum_series(terms, stop=1e-16, consecutive=2, cap=1500,

@@ -168,6 +168,16 @@ class TestSample:
         _, second = run(capsys, *argv)
         assert first == second
 
+    def test_proposals_count_evaluated_ratios(self, capsys):
+        # the rows are the draw stream of full 65 536-point batches; proposals=
+        # counts the ratios evaluated: one segment of 8 M + 6 sqrt(8 M) + 16
+        _, out = run(capsys, "sample", "--target", "fn", "--q", "0.5", "--n", "8",
+                     "--seed", "7")
+        lines = out.splitlines()
+        assert lines[1] == ("# acceptance_rate=0.3013698630136986, "
+                            "envelope=3.243506010869709, proposals=73")
+        assert lines[3:5] == ["0,-0.29815624918796535", "1,-0.07688517922370278"]
+
     def test_binary_out(self, capsys, tmp_path):
         path = tmp_path / "draws.f8"
         code, _ = run(capsys, "sample", "--target", "fn", "--q", "0.5",

@@ -327,6 +327,19 @@ class TestPrimitiveDegrees:
         with pytest.raises(ParameterError, match="^q_binomial k must be an integer, got "):
             q_binomial(3, k, Fraction(1, 3))
 
+    @pytest.mark.parametrize("arg,call", [
+        ("q_bracket q", lambda: q_bracket(3, math.nan)),
+        ("q_factorial q", lambda: q_factorial(3, np.float64(math.nan))),
+        ("q_binomial q", lambda: q_binomial(3, 1, math.nan)),
+        ("q_pochhammer q", lambda: q_pochhammer(0.5, math.nan, 3)),
+        ("q_pochhammer a", lambda: q_pochhammer(math.nan, 0.5, 3)),
+        ("q_pochhammer a", lambda: q_pochhammer((0.25, math.nan), 0.5, 3)),
+    ])
+    def test_nan_is_refused(self, arg, call):
+        # each returned nan
+        with pytest.raises(ParameterError, match="^%s must not be NaN$" % arg):
+            call()
+
 
 class TestTruncationOrder:
     def test_zero_amplitude(self):

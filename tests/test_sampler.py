@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sampler_reference as ref
 from qortho.qcore import ParameterError, support
 from qortho.densities import fCN, fN, fU
 from qortho.sampler import (
@@ -33,6 +36,13 @@ class TestEnvelopeConstant:
     def test_monotone_in_q(self):
         ms = [envelope_constant(fN(q)) for q in (0.0, 0.3, 0.5, 0.7)]
         assert all(b > a for a, b in zip(ms, ms[1:]))
+
+    @pytest.mark.parametrize("grid_n", [0, 1, 2.5, True, -3])
+    def test_grid_n_is_a_degree(self, grid_n):
+        # 0 raised a raw ValueError from numpy, 2.5 a TypeError, and 1 returned
+        # an M cross-checked on one edge point
+        with pytest.raises(ParameterError, match="^grid_n must be an integer >= 2"):
+            envelope_constant(fN(0.5), grid_n=grid_n)
 
 
 class TestProposalStream:
@@ -91,6 +101,30 @@ class TestSample:
         with pytest.raises(EnvelopeViolationError):
             sample(fN(0.5), 100, seed=0, envelope=1.0)
 
+    @pytest.mark.parametrize("envelope,message", [
+        (math.inf, "positive and finite"),
+        (-math.inf, "positive and finite"),
+        (0.0, "positive and finite"),
+        (-1, "positive and finite"),
+        (10 ** 400, "positive and finite"),
+        ("3", "a real number"),
+        (3j, "a real number"),
+        (True, "a real number"),
+    ])
+    def test_bad_envelope_refused_before_drawing(self, monkeypatch, envelope, message):
+        # an infinite envelope used to loop forever (u * inf <= r never holds)
+        # and "3" raised a raw TypeError; now nothing is drawn
+        def no_draws(*args):
+            raise AssertionError("drew proposals")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ParameterError, match=message):
+            sample(fN(0.5), 10, seed=0, envelope=envelope)
+
+    def test_exact_envelope_is_a_float(self):
+        res = sample(fN(0.5), 10, seed=0, envelope=4)
+        assert type(res.envelope) is float and res.envelope == 4.0
+
     def test_nan_envelope_detected_before_sampling(self):
         # no proposal is ever accepted under a NaN envelope, so it must fail here
         with pytest.raises(EnvelopeViolationError):
@@ -126,13 +160,93 @@ class TestSample:
             "-0x1.efef1fd7ce4ccp-1",
             "0x1.ed94b9d28a345p-1",
         ]
-        assert res.n_proposed == 65536
+        # one segment of the first batch: need = 8 M = 25.9, + 6 sqrt(need) + 16
+        assert res.n_proposed == 73
+
+
+def _target(kind, q, y, rho):
+    if kind == "fn":
+        return fN(q)
+    return fCN(y * support(q).radius, rho, q)
+
+
+class TestSegmentsMatchFullBatches:
+    """The ratio evaluated in prefix segments keeps every bit of the samples."""
+
+    @given(kind=st.sampled_from(("fn", "fcn")), q=st.floats(-0.8, 0.9),
+           y=st.floats(-0.8, 0.8), rho=st.floats(-0.8, 0.8),
+           seed=st.integers(0, 2 ** 32 - 1), batch=st.sampled_from((256, 4096, 65536)),
+           n=st.sampled_from((0, 1, 37, "multi")))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    # every target, batch and n > 1 at least once, at the top of the q range
+    # and the fCN envelopes (M up to about 60) the workload reaches
+    @example(kind="fn", q=0.88, y=0.0, rho=0.0, seed=11, batch=256, n=37)
+    @example(kind="fn", q=-0.75, y=0.0, rho=0.0, seed=12, batch=4096, n="multi")
+    @example(kind="fn", q=0.6, y=0.0, rho=0.0, seed=13, batch=65536, n=37)
+    @example(kind="fn", q=0.85, y=0.0, rho=0.0, seed=14, batch=65536, n="multi")
+    @example(kind="fcn", q=0.89, y=0.7, rho=-0.79, seed=15, batch=256, n="multi")
+    @example(kind="fcn", q=-0.6, y=-0.4, rho=0.75, seed=16, batch=4096, n=37)
+    @example(kind="fcn", q=0.4, y=0.2, rho=0.5, seed=17, batch=65536, n=1)
+    @example(kind="fcn", q=0.7, y=-0.79, rho=0.6, seed=18, batch=65536, n="multi")
+    def test_matches_reference(self, kind, q, y, rho, seed, batch, n):
+        dens = _target(kind, q, y, rho)
+        M = envelope_constant(dens)
+        multi = n == "multi"
+        if multi:
+            # about two batches of proposals at acceptance 1/M
+            n = int(2 * batch / M) + 1
+        res = sample(dens, n, seed=seed, batch=batch)
+        want = ref.sample(dens, n, M, seed=seed, batch=batch)
+        assert res.envelope == M
+        assert [v.hex() for v in res.samples.tolist()] == [
+            v.hex() for v in want.samples.tolist()]
+        assert res.n_proposed <= want.n_proposed
+        assert want.n_proposed > batch or not multi
+        if res.n_proposed:
+            p = 1.0 / M
+            sigma = math.sqrt(p * (1.0 - p) / res.n_proposed)
+            assert abs(res.acceptance_rate - p) <= 4.0 * sigma
+        else:
+            assert n == 0 and res.acceptance_rate == 0.0
+
+    @pytest.mark.parametrize("kind,q,y,rho,seed", [
+        ("fcn", 0.89, 0.7, -0.79, 4),
+        ("fn", 0.88, 0.0, 0.0, 3),
+    ])
+    def test_later_segment_of_a_batch(self, kind, q, y, rho, seed):
+        # these seeds accept fewer than 37 in the first segment, so a second
+        # segment of the same batch runs and must read its own uniforms
+        dens = _target(kind, q, y, rho)
+        M = envelope_constant(dens)
+        need = 37 * M
+        first = math.ceil(need + 6.0 * math.sqrt(need)) + 16
+        res = sample(dens, 37, seed=seed)
+        want = ref.sample(dens, 37, M, seed=seed)
+        assert first < res.n_proposed < 65536
+        assert [v.hex() for v in res.samples.tolist()] == [
+            v.hex() for v in want.samples.tolist()]
 
 
 class TestKsStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             ks_statistic(np.array([]), fN(0.5))
+
+    def test_nan_rejected(self):
+        # it returned nan
+        with pytest.raises(ParameterError, match="NaN"):
+            ks_statistic([math.nan, 0.1], fN(0.5))
+
+    def test_samples_off_the_support(self):
+        # the CDF is exactly 0 below S(q) and 1 above it, infinities included
+        assert ks_statistic([-math.inf, math.inf], fN(0.5)) == 0.5
+        assert ks_statistic([-7.0, 5.0], fN(0.5)) == 0.5
+
+    @pytest.mark.parametrize("grid_n", [1, 0, 2.5])
+    def test_grid_n_is_a_degree(self, grid_n):
+        # 1 raised a raw IndexError
+        with pytest.raises(ParameterError, match="^grid_n must be an integer >= 2"):
+            ks_statistic([0.1], fN(0.5), grid_n=grid_n)
 
     def test_wrong_density_is_detected(self):
         n = 20_000
