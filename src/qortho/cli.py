@@ -12,6 +12,11 @@ was not given is a ParameterError ("family 'rogers' requires --beta").  The
 library checks every value (``qcore.check_params``), and only the
 parameters an entry point uses, so a flag it does not use is never refused.
 
+Only the exact layers (``qcore``, ``polyfam``, ``connect``) are imported
+with this module; they need no numpy, so ``eval``, ``coeffs`` and
+``connect`` run without it.  ``density``, ``expand``, ``verify`` and
+``sample`` import their float layer, and with it numpy, when they run.
+
 Exit codes: 0 success, 2 usage (argparse), 3 ParameterError,
 4 NonConvergenceError or a float overflow, 1 other qortho errors or failed
 verification.
@@ -23,8 +28,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .qcore import NonConvergenceError, ParameterError, QOrthoError
-from . import connect, densities, expand, polyfam, sampler, verify
+from .qcore import EXPANSION_IDS, NonConvergenceError, ParameterError, QOrthoError
+from . import connect, polyfam
 
 
 def _num(s):
@@ -125,25 +130,31 @@ _FAMILIES = {
     "hermite": polyfam.ClassicalHermite, "kesten": polyfam.Kesten,
     "kesten-hat": polyfam.KestenHat,
 }
-_DENSITIES = {f.__name__.lower(): f for f in (
-    densities.fN, densities.fCN, densities.fR, densities.fU, densities.fT, densities.fK)}
+#: name -> constructor name in ``densities``, looked up when a command runs
+_DENSITIES = {name.lower(): name for name in ("fN", "fCN", "fR", "fU", "fT", "fK")}
 
 #: the parameter flags of the library's entry points
 _PARAMS = ("q", "y", "rho", "beta", "gamma")
 
 
-def _build(kind, table, name, args):
-    """table[name] called with the flags its signature names; unset ones take
-    the parameter's default, and without one they are a ParameterError."""
+def _build(kind, name, ctor, args):
+    """ctor called with the flags its signature names; unset ones take the
+    parameter's default, and without one they are a ParameterError."""
     kwargs = {}
-    for param in inspect.signature(table[name]).parameters.values():
+    for param in inspect.signature(ctor).parameters.values():
         v = getattr(args, param.name, None)
         if v is not None:
             kwargs[param.name] = v
         elif param.default is param.empty:
             raise ParameterError("%s %r requires --%s"
                                  % (kind, name, param.name.replace("_", "-")))
-    return table[name](**kwargs)
+    return ctor(**kwargs)
+
+
+def _density(name, args):
+    from . import densities
+
+    return _build("density", name, getattr(densities, _DENSITIES[name]), args)
 
 
 def _params(args):
@@ -152,7 +163,7 @@ def _params(args):
 
 
 def _cmd_eval(args):
-    fam = _build("family", _FAMILIES, args.family, args)
+    fam = _build("family", args.family, _FAMILIES[args.family], args)
     rows = []
     for x in args.x:
         val = polyfam.eval(fam, args.n, x)
@@ -162,7 +173,7 @@ def _cmd_eval(args):
 
 
 def _cmd_coeffs(args):
-    fam = _build("family", _FAMILIES, args.family, args)
+    fam = _build("family", args.family, _FAMILIES[args.family], args)
     poly = polyfam.coeffs(fam, args.n)
     rows = [(args.n, k, c) for k, c in enumerate(poly.coeffs)]
     _emit(args, ("n", "k", "coeff"), rows)
@@ -170,7 +181,9 @@ def _cmd_coeffs(args):
 
 
 def _cmd_density(args):
-    dens = _build("density", _DENSITIES, args.density, args)
+    from . import densities
+
+    dens = _density(args.density, args)
     args.q = dens.q  # the header shows q as the float the density uses
     xs = [float(x) for x in args.x]
     rows = [(x, densities.density_eval(dens, x)) for x in xs]
@@ -179,6 +192,8 @@ def _cmd_density(args):
 
 
 def _cmd_expand(args):
+    from . import expand
+
     params = _params(args)
     if args.x is not None:
         spec = expand.ExpansionSpec(args.id, dict(params), args.k)
@@ -206,6 +221,8 @@ def _cmd_connect(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     config = {}
     if args.suite and args.suite != "all":
         config["suites"] = tuple(s.strip() for s in args.suite.split(","))
@@ -227,7 +244,9 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    dens = _build("density", _DENSITIES, args.target, args)
+    from . import sampler
+
+    dens = _density(args.target, args)
     result = sampler.sample(dens, args.n, seed=args.seed, batch=args.batch)
     # proposals= counts the proposals whose ratio was evaluated, not those drawn
     meta = {
@@ -283,7 +302,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("expand", help="expansion coefficients or kernel values")
-    p.add_argument("--id", choices=sorted(expand.EXPANSION_IDS), required=True)
+    p.add_argument("--id", choices=sorted(EXPANSION_IDS), required=True)
     p.add_argument("--x", type=_num_list, default=None)
     p.add_argument("--k", type=int, default=None,
                    help="fixed truncation order for evaluation")

@@ -113,7 +113,7 @@ def fCN(y, rho, q, trunc_eps=1e-14):
 
 def fR(beta, q, trunc_eps=1e-14):
     """Continuous q^2-Hermite-type density; beta = 1 returns the fT limit."""
-    if beta == 1:
+    if beta == 1 and not isinstance(beta, (bool, np.bool_)):  # check_params refuses a bool
         return fT(q, trunc_eps=trunc_eps)
     return _density("fr", trunc_eps, q=q, beta=beta)
 

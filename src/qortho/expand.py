@@ -1,6 +1,7 @@
 """Density-expansion kernels: target = base * sum_n c_n a_n, plus the identity suite.
 
-Each registry id is one entry of the table ``_KERNELS``: a ``qcore.Alias``
+Each registry id (``qcore.EXPANSION_IDS``, in order, re-exported as
+``EXPANSION_IDS``) is one entry of the table ``_KERNELS``: a ``qcore.Alias``
 (``mehler_classical`` is ``cn_over_n`` at q = 1, ``pm_q0`` is ``cn_over_u``
 at q = 0, whatever q the caller passes), or a ``_Kernel`` whose ten fields
 say everything about that expansion:
@@ -58,6 +59,7 @@ import numpy as np
 
 from .qcore import (
     Alias,
+    EXPANSION_IDS,  # the keys of _KERNELS, in order
     NonConvergenceError,
     ParameterError,
     TruncationError,  # re-exported as expand.TruncationError
@@ -374,8 +376,6 @@ _KERNELS = {
     "mehler_classical": Alias("cn_over_n", {"q": 1}),
     "pm_q0": Alias("cn_over_u", {"q": 0}),
 }
-
-EXPANSION_IDS = tuple(_KERNELS)
 
 
 def _kernel(id, params):

@@ -33,10 +33,11 @@ whose terms are their own bounds, such as ``_theta_series``.
 :func:`q_pochhammer_inf` is the ``_pochhammers`` row read at the truncation
 order K of :func:`truncation_order`.
 
-:func:`check_params` is the one parameter rule: -1 < q < 1 (q = 1 too for
-the Gaussian cases), |rho|, |beta|, |gamma| < 1 and a finite y.  Families,
-densities, expansions, connections, S(q) and the infinite products check the
-parameters they name through it, :func:`check_tol` checks a tolerance and
+:func:`check_params` is the one parameter rule: real values (no bools),
+-1 < q < 1 (q = 1 too for the Gaussian cases), |rho|, |beta|, |gamma| < 1
+and a finite y.  Families, densities, expansions, connections, S(q) and the
+infinite products check the parameters they name through it,
+:func:`check_tol` checks a tolerance (the product truncation's eps too) and
 :func:`check_degree` a degree, an index or a count.
 The rules left elsewhere are not about one parameter's domain: y in S(q)
 (``densities``), the q = 1 and rho^2 < 1/2 kernel rules (``expand``) and
@@ -44,9 +45,11 @@ The rules left elsewhere are not about one parameter's domain: y in S(q)
 
 :func:`resolve` is the one alias rule: an id that is a special case of a
 general kernel or pair is an :class:`Alias` of it at fixed exact parameters.
+``EXPANSION_IDS`` names the expansion registry's ids.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -82,21 +85,29 @@ POCHHAMMER_KMAX = 400
 #: parameters whose domain is the open interval (-1, 1)
 _UNIT_DISC = frozenset(("rho", "beta", "gamma"))
 
+#: real types accepted without the slower ``numbers.Real`` check
+_PLAIN_REALS = frozenset((int, float, Fraction))
+
 
 def check_params(owner, params, names, unit_q=False):
     """The values of ``params`` under ``names``, in order, each in its domain.
 
-    q must lie in (-1, 1), or in (-1, 1] with ``unit_q``; rho, beta and gamma
-    in (-1, 1); any other name (the conditioning point y) must be finite.  A
-    missing (absent or None) or out-of-domain parameter raises ParameterError
-    naming ``owner`` and the parameter.  Values are compared as given, so an
-    exact rational is never rounded, and nothing outside ``names`` is read.
+    Each value must be a real number (``numbers.Real``, so a numpy float or
+    integer too), and not a bool.  q must lie in (-1, 1), or in (-1, 1] with
+    ``unit_q``; rho, beta and gamma in (-1, 1); any other name (the
+    conditioning point y) must be finite.  A missing (absent or None),
+    non-real or out-of-domain parameter raises ParameterError naming
+    ``owner`` and the parameter.  Values are compared as given, so an exact
+    rational is never rounded, and nothing outside ``names`` is read.
     """
     values = []
     for name in names:
         v = params.get(name)
         if v is None:
             raise ParameterError("%s needs parameter %r" % (owner, name))
+        if type(v) not in _PLAIN_REALS and (isinstance(v, bool)
+                                            or not isinstance(v, numbers.Real)):
+            raise ParameterError("%s needs a real %s, got %r" % (owner, name, v))
         if name == "q":
             if not (-1 < v < 1 or unit_q and v == 1):
                 raise ParameterError("%s needs -1 < q %s 1, got q=%r"
@@ -104,7 +115,7 @@ def check_params(owner, params, names, unit_q=False):
         elif name in _UNIT_DISC:
             if not -1 < v < 1:
                 raise ParameterError("%s needs |%s| < 1, got %r" % (owner, name, v))
-        elif not (isinstance(v, (int, Fraction)) or math.isfinite(v)):
+        elif not (isinstance(v, numbers.Rational) or math.isfinite(v)):
             raise ParameterError("%s needs a finite %s, got %r" % (owner, name, v))
         values.append(v)
     return values
@@ -116,6 +127,13 @@ class Alias:
 
     of: str
     fixed: dict
+
+
+#: the expansion registry ids, the keys of ``expand._KERNELS`` in order; they
+#: live here, with no numpy, so that the CLI can list them without importing
+#: ``expand``
+EXPANSION_IDS = ("n_over_u", "u_over_n", "cn_over_n", "n_over_cn", "r_over_n",
+                 "n_over_r", "cn_over_k", "cn_over_u", "mehler_classical", "pm_q0")
 
 
 def resolve(table, id, params):
@@ -343,11 +361,11 @@ def truncation_order(amplitude, q, eps):
     This is the shared stopping rule for all infinite products: past index K
     the log-tail is bounded by 2 amplitude |q|^K / (1-|q|) <= eps/2, so the
     truncated product carries a relative error below eps.  A NaN amplitude
-    is a ParameterError.
+    and an eps that is not positive and finite are ParameterErrors.
     """
     check_params("infinite product", {"q": q}, ("q",))
     aq = abs(float(q))
-    thresh = eps * (1.0 - aq) / 4.0
+    thresh = check_tol("eps", eps) * (1.0 - aq) / 4.0
     t = abs(float(amplitude))
     if math.isnan(t):
         raise ParameterError("infinite product amplitude must not be NaN")
@@ -370,11 +388,11 @@ def q_pochhammer_inf(a, q, eps=1e-14):
         for ai in a:
             out *= q_pochhammer_inf(ai, q, eps)
         return out
+    k = truncation_order(a, q, eps)  # checks q and eps as given
     af = float(a)
     if af == 0.0:
         return 1.0
-    qf = float(q)
-    return _nth(_pochhammers(af, qf), truncation_order(af, qf, check_tol("eps", eps)))
+    return _nth(_pochhammers(af, float(q)), k)
 
 
 @dataclass(frozen=True)

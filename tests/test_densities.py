@@ -69,6 +69,10 @@ class TestConstruction:
         (lambda: fK(0.1, 0.2, None), "fK needs parameter 'q'"),
         (lambda: fK(5.0, 0.2, 0.5), r"fK conditioning point must lie in S\(q\)"),
         (lambda: fT(0.5, math.nan), r"trunc_eps must lie in \(0, 1\)"),
+        (lambda: fN(True), "fN needs a real q, got True"),
+        (lambda: fN("0.5"), "fN needs a real q, got '0.5'"),
+        (lambda: fR(True, 0.5), "fR needs a real beta, got True"),  # not the fT limit
+        (lambda: fCN(0.1, 0.2, np.bool_(False)), "fCN needs a real q"),
     ])
     def test_one_parameter_rule(self, build, err):
         with pytest.raises(ParameterError, match="^" + err):

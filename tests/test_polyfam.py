@@ -168,7 +168,8 @@ class TestRecurrences:
 
     @pytest.mark.parametrize("fam", [
         ASC(math.nan, 0.2, 0.5), Kesten(math.inf, 0.2), KestenHat(0.1, 0.2, 1.0),
-        QHermite(math.nan), Rogers(-1, 0.5), ASC(None, 0.2, 0.5),
+        QHermite(math.nan), Rogers(-1, 0.5), ASC(None, 0.2, 0.5), QHermite(0.5j),
+        QHermite(True), Rogers(Fraction(1, 3), "1/2"), ASC(False, 0.2, 0.5),
     ])
     def test_validate_uses_the_parameter_rule(self, fam):
         with pytest.raises(ParameterError, match="^%s needs " % fam.tag):

@@ -1,6 +1,7 @@
 """Tests for q-brackets, q-factorials, q-binomials and Pochhammer symbols."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
@@ -230,6 +231,18 @@ class TestQPochhammerInf:
         with pytest.raises(ParameterError, match="eps must be positive and finite"):
             q_pochhammer_inf(0.5, 0.5, eps)
 
+    @pytest.mark.parametrize("q,eps,err", [
+        (False, 1e-14, "^infinite product needs a real q, got False$"),
+        (1, 1e-14, "^infinite product needs -1 < q < 1, got q=1$"),
+        (0.5, -1.0, "^eps must be positive and finite, got -1.0$"),
+    ])
+    @pytest.mark.parametrize("a", [0.5, 0])
+    def test_q_and_eps_are_checked_as_given(self, a, q, eps, err):
+        # q used to be checked after float(), so q = False read as 0, and
+        # a = 0 returned 1.0 before any check
+        with pytest.raises(ParameterError, match=err):
+            q_pochhammer_inf(a, q, eps)
+
 
 class TestCheckParams:
     def test_returns_the_named_values_in_order(self):
@@ -276,6 +289,19 @@ class TestCheckParams:
         else:
             with pytest.raises(ParameterError, match="^f needs a finite y"):
                 check_params("f", {"y": v}, ("y",))
+
+    @pytest.mark.parametrize("name", ["q", "rho", "y"])
+    @pytest.mark.parametrize("v", [True, False, np.bool_(True), "0.5", 0.5j,
+                                   Decimal("0.5"), np.array(0.5)])
+    def test_non_real_values_are_refused(self, name, v):
+        # a bool used to pass as 0 or 1 (fN(True) was the Gaussian), and a
+        # string or complex value raised a raw TypeError from the comparison
+        with pytest.raises(ParameterError, match="^f needs a real %s, got " % name):
+            check_params("f", {name: v}, (name,), unit_q=True)
+
+    @pytest.mark.parametrize("v", [np.float64(0.5), np.float32(-0.25), np.int64(0)])
+    def test_numpy_reals_are_accepted(self, v):
+        assert check_params("f", {"q": v, "rho": v, "y": v}, ("q", "rho", "y")) == [v, v, v]
 
     def test_unnamed_parameters_are_not_read(self):
         bad = {"q": 2.0, "rho": math.nan, "y": math.inf}
@@ -355,6 +381,12 @@ class TestTruncationOrder:
     def test_infinite_amplitude_hits_the_cap(self):
         with pytest.raises(NonConvergenceError, match="more than 400 factors"):
             q_pochhammer_inf(math.inf, 0.5)
+
+    @pytest.mark.parametrize("eps", [0.0, -1, math.nan, math.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # eps = -1 used to run to the 400-factor cap, and NaN gave K = 0
+        with pytest.raises(ParameterError, match="^eps must be positive and finite, got "):
+            truncation_order(1, 0.5, eps)
 
     def test_monotone_in_eps(self):
         k_loose = truncation_order(7.0, 0.6, 1e-6)
