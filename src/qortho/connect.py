@@ -37,6 +37,9 @@ Column 0 is the paper's density-ratio rule c_n ||a_n||^2 = gamma_{n,0}:
 :func:`beta_coeff` (fCN/fK) column 0 of ``kesten-from-asc`` over the Kesten
 norm's factor 1 - rho^2.  These take the H_m(y|q) row and the q-binomial
 table as optional ``H`` and ``B``, so a caller looping over k builds them once.
+A float consumer that sums the gamma_n reads them instead from ``_gamma_row``,
+the whole row gamma_0..gamma_K as one numpy sum (imported only there), grown
+by doubling K in ``_gamma_terms``: the sampler's envelope and identity i7.
 """
 
 import math
@@ -49,6 +52,7 @@ from .qcore import (
     IrrationalParameterError,
     NonConvergenceError,
     ParameterError,
+    TruncationError,
     check_degree,
     div,
     ensure_exact,
@@ -101,6 +105,44 @@ def _scaled_sum(k, n, rho, q, H, coeff, first=0):
         m = n - k - 2 * j
         total = total + coeff(j, m) * rho ** m * omq ** (m // 2) * H[m]
     return total, (n - k) % 2
+
+
+def _gamma_row(K, y, rho, q):
+    """Float gamma_0..gamma_K (:func:`gamma_coeff`) as one masked 2-D sum over (n, j).
+
+    gamma_n = sum_j (-1)^j q^{j(j+1)/2} (q;q)_{n-j} / ((q;q)_j (q;q)_{n-2j})
+    rho^{n-2j} h_{n-2j}, with h_m = (1-q)^{m/2} H_m(y|q) run by its own
+    recurrence h_{m+1} = sqrt(1-q) y h_m - (1-q^m) h_{m-1}, which stays in the
+    float range wherever y lies in S(q).  Accurate relative to max|gamma_n|,
+    not to each entry.
+    """
+    import numpy as np
+
+    y, rho, q = float(y), float(rho), float(q)
+    sy = math.sqrt(1.0 - q) * y
+    h = [1.0, sy]
+    for m in range(1, K):
+        h.append(sy * h[m] - (1.0 - q ** m) * h[m - 1])
+    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q ** np.arange(1.0, K + 1))))  # (q;q)_i
+    n = np.arange(K + 1)[:, None]
+    j = np.arange(K // 2 + 1)
+    m = n - 2 * j
+    keep = m >= 0
+    m = np.where(keep, m, 0)
+    jterm = (-1.0) ** j * q ** (j * (j + 1) // 2) / qq[j]
+    mterm = rho ** np.arange(K + 1.0) * np.array(h[:K + 1]) / qq
+    return np.where(keep, jterm * qq[m + j] * mterm[m], 0.0).sum(axis=1)
+
+
+def _gamma_terms(y, rho, q, cap):
+    """gamma_0..gamma_cap as floats from :func:`_gamma_row`, rows of 32, 64, ...
+    entries; asking for gamma_{cap+1} raises TruncationError."""
+    n, K = 0, 15
+    while n <= cap:
+        K = min(2 * K + 1, cap)
+        yield from _gamma_row(K, y, rho, q)[n:].tolist()
+        n = K + 1
+    raise TruncationError("gamma row did not settle within %d terms" % (cap + 1))
 
 
 def _d_scaled(k, n, rho, q, H, B):

@@ -46,7 +46,8 @@ every sum here stops by one rule: two small bounds in a row.
 :func:`identity_suite` checks q-series identities, each side computed
 independently.  Where the series side is a registry expansion (n_over_u for
 i1, u_over_n for i4, n_over_cn for i8), it sums that kernel's ``_terms``;
-the other series read the ``qcore`` prefix rows.  Every series here,
+i7's E3 reads the float gamma row of ``connect._gamma_terms``, and the other
+series read the ``qcore`` prefix rows.  Every series here,
 expansion or identity, sums through ``qcore._sum_series``.
 """
 
@@ -100,11 +101,14 @@ from .densities import (
     pm_ratio,
     _fn_over_fu,
 )
-from .connect import beta_coeff, gamma_coeff
+from .connect import _gamma_terms, beta_coeff, gamma_coeff
 
 
 #: Hard truncation cap for adaptive evaluation.
 K_CAP = 500
+
+#: last gamma_n index identity i7's E3 reads; its row is at most 4 MB
+_E3_CAP = 1023
 
 
 @dataclass(frozen=True)
@@ -598,7 +602,6 @@ def _i7(q, rho, eps):
     """Three forms E1 = E2 = E3 of (q^3;q^3)_inf fCN(x|y,rho,q)/fN(x|q) at the
     theta = pi/3 point x = 2 cos(theta)/sqrt(1-q) = 1/sqrt(1-q), for three y."""
     L = support(q).radius
-    B = q_binomial_table(q)
     res_prod = 0.0
     res_useries = 0.0
     for frac in (0.0, 0.3, 0.62):
@@ -622,11 +625,10 @@ def _i7(q, rho, eps):
         # whose factors are w_k(x, y) at x = 1/sqrt(1-q)
         e2 = q3inf * pm_ratio(1.0 / s, y, rho, q, eps)
 
-        # E3: sum_m (-1)^m (gamma_{3m} + gamma_{3m+1})
+        # E3: sum_m (-1)^m (gamma_{3m} + gamma_{3m+1}), read from the float gamma row
         def gen_e3():
-            for m in count():
-                g0 = float(gamma_coeff(3 * m, y, rho, q, H=Hy, B=B))
-                g1 = float(gamma_coeff(3 * m + 1, y, rho, q, H=Hy, B=B))
+            g = _gamma_terms(y, rho, q, _E3_CAP)
+            for m, (g0, g1, _) in enumerate(zip(g, g, g)):
                 yield (-1) ** m * (g0 + g1), abs(g0) + abs(g1)
 
         e3 = _sum_series(gen_e3(), 1e-17)[0]

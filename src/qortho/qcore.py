@@ -360,12 +360,17 @@ def truncation_order(amplitude, q, eps):
 
     This is the shared stopping rule for all infinite products: past index K
     the log-tail is bounded by 2 amplitude |q|^K / (1-|q|) <= eps/2, so the
-    truncated product carries a relative error below eps.  A NaN amplitude
-    and an eps that is not positive and finite are ParameterErrors.
+    truncated product carries a relative error below eps.  An amplitude that
+    is not a real number (a bool, str or complex) or is NaN, and an eps that
+    is not positive and finite, are ParameterErrors.
     """
     check_params("infinite product", {"q": q}, ("q",))
     aq = abs(float(q))
     thresh = check_tol("eps", eps) * (1.0 - aq) / 4.0
+    if type(amplitude) not in _PLAIN_REALS and (isinstance(amplitude, bool)
+                                                or not isinstance(amplitude, numbers.Real)):
+        raise ParameterError("infinite product amplitude must be a real number, got %r"
+                             % (amplitude,))
     t = abs(float(amplitude))
     if math.isnan(t):
         raise ParameterError("infinite product amplitude must not be NaN")

@@ -6,13 +6,15 @@ acceptance uniforms, from one generator spawned per batch from the seed's
 ``SeedSequence``; so ``batch`` and the seed fix the draw stream, and with it
 every sample.
 
-The ratio r(x) = target(x)/fU(x) is bounded: for fN by the alternating-series
-envelope M = sum (2k+1)|q|^{k(k+1)/2}, for fCN by sum (k+1)|gamma_k| over the
-Chebyshev expansion coefficients (gamma_0 = 1; ``connect.gamma_coeff``, column 0
-of the ``uhat-from-asc`` connection sum), both summed by
-``qcore._sum_series``; an fCN series that has not settled after 400 terms
-falls back to 1.05 times the grid supremum.  r is evaluated once per call on a
-dense grid, whose supremum both floors M and checks it before any sampling.
+The ratio r = target/fU is a Chebyshev-U series in t = x/L, r = sum c_n U_n(t):
+the ``n_over_u`` coefficients (-1)^k q^{k(k+1)/2} at n = 2k for fN, and for
+fCN the gamma_n of ``connect.gamma_coeff`` (column 0 of ``uhat-from-asc``),
+read as one float row.  r is evaluated once per call on a grid of 10 001
+evenly spaced points; the envelope is M = S + D h^2/8, S the grid's largest
+ratio, h = 2/10 000 the node spacing in t and D = sum |c_n| U_n''(1) a bound
+on |r''| (V. Markov), summed by ``qcore._sum_series``.  A D that has not
+settled within 400 terms is a NonConvergenceError before any draw.  The grid
+also checks a caller's ``envelope=`` before any sampling.
 
 Within a batch r is evaluated only on the proposals that can still be used:
 in prefix segments, each sized from the expected need (n - accepted) M with
@@ -30,13 +32,9 @@ from itertools import count
 
 import numpy as np
 
-from .qcore import (
-    ParameterError, QOrthoError, TruncationError, _plain_sum, _Row, _theta_series,
-    check_degree, q_binomial_table, support,
-)
+from .qcore import ParameterError, QOrthoError, _sum_series, check_degree, support
 from . import connect, densities
 from .densities import density_ratio, fU
-from .polyfam import QHermite, _recurrence
 
 
 class EnvelopeViolationError(QOrthoError):
@@ -54,6 +52,7 @@ class SampleResult:
 
 _GRID_N = 10001
 _SLACK = 1e-9
+_CAP = 399  # the curvature series' last term index: 400 terms at most
 _PAD = 16  # proposals a segment holds beyond need + 6 sqrt(need)
 
 
@@ -66,33 +65,42 @@ def _grid_sup(dens, grid_n):
     return float(np.max(density_ratio(dens, fU(dens.q), xg)))
 
 
-def _series_constant(dens):
-    """The series bound of target/fU, or None if the fCN series stalls."""
-    q = dens.q
+def _curvature_slack(dens, grid_n):
+    """D h^2/8, where h = 2/(grid_n - 1) is the grid spacing in t = x/L and
+    D = sum_n |c_n| U_n''(1) >= max |d^2/dt^2 target/fU| over t in [-1, 1].
+
+    Between two grid nodes the ratio lies at most D h^2/8 above their chord,
+    and the chord at most at the larger node value, so the grid sup plus this
+    slack bounds the ratio everywhere.  c_n are the coefficients of
+    target/fU = sum_n c_n U_n(t): the n_over_u ones, (-1)^k q^{k(k+1)/2} at
+    n = 2k, for fN and the float gamma row for fCN.  V. Markov's inequality
+    gives |U_n''| <= U_n''(1) = (n-1)n(n+1)(n+2)(n+3)/15 on [-1, 1].  The sum
+    runs over the terms |c_n| U_n''(1) h^2/8; one that has not settled within
+    400 terms is a NonConvergenceError naming the series.
+    """
     if dens.tag == "fn":
-        return _theta_series(abs(q), signed=False, weighted=True)
-    # one H_m(y|q) row and one q-binomial table for all k, grown on demand
-    H = _Row(_recurrence(QHermite(q), dens.y))
-    B = q_binomial_table(q)
-    terms = (
-        (k + 1) * abs(connect.gamma_coeff(k, dens.y, dens.rho, q, H=H, B=B)) for k in count()
-    )
-    try:
-        # three terms in a row < 1e-12 end the sum; 400 terms without them stall
-        return _plain_sum(terms, math.nextafter(1e-12, 0.0), 3, cap=399)
-    except TruncationError:
-        return None
-
-
-def _envelope(dens, sup):
-    """The series constant, at least the grid sup; 1.05 sup if the fCN series stalls."""
-    M = _series_constant(dens)
-    return sup * 1.05 if M is None else max(M, sup)
+        q = abs(float(dens.q))
+        coeffs = (0.0 if n % 2 else q ** (n // 2 * (n // 2 + 1) // 2) for n in count())
+    else:
+        coeffs = connect._gamma_terms(dens.y, dens.rho, dens.q, _CAP)
+    scale = 1.0 / (2.0 * (grid_n - 1) ** 2)  # h^2/8
+    terms = (abs(c) * ((n - 1) * n * (n + 1) * (n + 2) * (n + 3) // 15) * scale
+             for n, c in enumerate(coeffs))
+    message = ("sampler envelope: the %s series sum |c_n| U_n''(1) over its Chebyshev-U "
+               "coefficients did not settle within %d terms" % (dens.tag, _CAP + 1))
+    # three terms in a row < 1e-12, in units of M, end the sum
+    return _sum_series(((t, t) for t in terms), math.nextafter(1e-12, 0.0), 3, _CAP,
+                       message)[0]
 
 
 def envelope_constant(dens, grid_n=_GRID_N):
-    """Rejection constant M with sup_x target/fU <= M, grid cross-checked."""
-    return _envelope(dens, _grid_sup(dens, check_degree(grid_n, "grid_n", least=2)))
+    """Rejection constant M >= sup_x target/fU: the largest ratio on grid_n
+    evenly spaced points of S(q) plus the curvature slack of that grid.
+
+    A target whose curvature series does not settle raises NonConvergenceError.
+    """
+    check_degree(grid_n, "grid_n", least=2)
+    return _grid_sup(dens, grid_n) + _curvature_slack(dens, grid_n)
 
 
 def _check_envelope(envelope):
@@ -118,7 +126,7 @@ def sample(dens, n, seed=0, batch=65536, envelope=None):
     if envelope is not None:
         envelope = _check_envelope(envelope)
     sup = _grid_sup(dens, _GRID_N)
-    M = envelope if envelope is not None else _envelope(dens, sup)
+    M = envelope if envelope is not None else sup + _curvature_slack(dens, _GRID_N)
     L = support(dens.q).radius
     proposal = fU(dens.q)
 

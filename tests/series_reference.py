@@ -1,17 +1,19 @@
-"""The three truncated-sum loops that ``qortho.qcore._sum_series`` replaced.
+"""Truncated-sum loops written out, to check ``qortho.qcore._sum_series`` against.
 
-These are the loops as they were written before the merge, each over an
-iterable of (term, bound) pairs, so tests can feed the same sequence to one
-of them and to the merged loop and compare sum bits, term counts and
-exceptions:
+The first two are loops that ``_sum_series`` replaced, as they were written
+before the merge, each over an iterable of (term, bound) pairs, so tests can
+feed the same sequence to one of them and to the merged loop and compare sum
+bits, term counts and exceptions:
 
 - ``expansion_loop``: the inline loop of ``expand.expansion_eval``, fixed K
   or adaptive under ``K_CAP`` (at least three terms), with the tail read
   from the next two bounds;
 - ``identity_sum``: the identity battery's ``_sum_series``, and
-  ``diagonal_sum``, its wrapper that turned an OverflowError into NaN;
-- ``envelope_loop``: the loop of ``sampler._envelope`` over the fCN series
-  1 + sum_{k>=1} (k+1)|gamma_k|, falling back to 1.05 sup.
+  ``diagonal_sum``, its wrapper that turned an OverflowError into NaN.
+
+``curvature_loop`` is the sampler's curvature slack D h^2/8, with
+D = sum_n |c_n| U_n''(1), as a scalar loop over exact coefficients with the
+sampler's stop rule.
 """
 
 import math
@@ -74,13 +76,14 @@ def diagonal_sum(gen, **rule):
         return math.nan
 
 
-def envelope_loop(t, sup):
-    """t(k) = (k+1)|gamma_k| for k >= 1."""
-    total, small = 1.0, 0
-    for k in range(1, 400):
-        tk = t(k)
-        total += tk
-        small = small + 1 if tk < 1e-12 else 0
+def curvature_loop(c, scale):
+    """sum_n |c(n)| (n-1)n(n+1)(n+2)(n+3)/15 scale in floats, c(n) exact, ended
+    by three terms in a row < 1e-12; None if 400 terms do not end it."""
+    total, small = 0.0, 0
+    for n in range(400):
+        t = float(abs(c(n)) * ((n - 1) * n * (n + 1) * (n + 2) * (n + 3) // 15)) * scale
+        total += t
+        small = small + 1 if t < 1e-12 else 0
         if small >= 3:
-            return max(total, sup)
-    return sup * 1.05
+            return total
+    return None

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -164,7 +165,7 @@ class TestSample:
         assert code == 0
         meta = first.splitlines()[1]
         assert meta.startswith("# acceptance_rate=")
-        assert "envelope=3.24350" in meta
+        assert "envelope=1.64163" in meta
         _, second = run(capsys, *argv)
         assert first == second
 
@@ -174,9 +175,9 @@ class TestSample:
         _, out = run(capsys, "sample", "--target", "fn", "--q", "0.5", "--n", "8",
                      "--seed", "7")
         lines = out.splitlines()
-        assert lines[1] == ("# acceptance_rate=0.3013698630136986, "
-                            "envelope=3.243506010869709, proposals=73")
-        assert lines[3:5] == ["0,-0.29815624918796535", "1,-0.07688517922370278"]
+        assert lines[1] == ("# acceptance_rate=0.6274509803921569, "
+                            "envelope=1.6416327840812754, proposals=51")
+        assert lines[3:5] == ["0,-0.29815624918796535", "1,0.6975228369671719"]
 
     def test_binary_out(self, capsys, tmp_path):
         path = tmp_path / "draws.f8"
@@ -427,13 +428,20 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[2:] == ["1e+200,0.0", "-1e+308,0.0"]
 
-    @pytest.mark.xfail(strict=True, reason="the fCN envelope falls back to 1.05 times "
-                       "the grid sup when its series stalls, and a proposal exceeds it")
-    def test_envelope_fallback_holds(self, capsys):
+    def test_stalled_envelope_series_exits_4(self, capsys):
+        # at rho = 0.999 the curvature series of the envelope has not settled
+        # after 400 terms: no certified M, so nothing is drawn (the 1.05 sup
+        # fallback it replaces let a proposal exceed M, exit 1)
+        start = time.perf_counter()
         code = main(["sample", "--target", "fcn", "--q", "0.5", "--y", "2.8",
                      "--rho", "0.999", "--n", "10", "--batch", "256"])
-        capsys.readouterr()
-        assert code == 0
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1
+        assert err.startswith("qortho: sampler envelope: the fcn series ")
+        assert err.endswith(" did not settle within 400 terms\n")
+        assert elapsed < 1.0
 
     def test_argparse_rejects_unknown(self):
         with pytest.raises(SystemExit) as exc:

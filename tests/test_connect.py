@@ -20,6 +20,7 @@ from poly_reference import Poly
 from qortho.qcore import (
     IrrationalParameterError,
     ParameterError,
+    TruncationError,
     q_binomial_table,
     q_pochhammer,
 )
@@ -43,6 +44,8 @@ from qortho.polyfam import (
 from qortho.connect import (
     PAIRS,
     _from_parts,
+    _gamma_row,
+    _gamma_terms,
     beta_coeff,
     c_hat_entry,
     connection,
@@ -254,6 +257,33 @@ class TestColumnZeroReference:
             want = _from_parts(ref.beta_parts(k, y, rho, q, H, B), q)
             got = beta_coeff(k, y, rho, q, H, B)
             assert type(got) is type(want) and got == want, k
+
+
+class TestGammaRow:
+    """The float gamma row, one masked 2-D sum (``connect._gamma_row``), against
+    the exact gamma_coeff, relative to the row's largest entry."""
+
+    @pytest.mark.parametrize("q", [F(4, 7), F(-2, 5), F(0)])
+    @pytest.mark.parametrize("y,rho", [
+        (F(1, 3), F(3, 4)), (F(-7, 5), F(-1, 2)), (F(0), F(77, 100)), (F(6, 5), F(1, 10)),
+    ])
+    def test_matches_exact_gamma(self, q, y, rho):
+        H = eval_all(QHermite(q), 60, y)
+        B = q_binomial_table(q)
+        want = np.array([float(gamma_coeff(k, y, rho, q, H, B)) for k in range(61)])
+        for K in (0, 1, 7, 31, 60):
+            row = _gamma_row(K, y, rho, q)
+            assert row.shape == (K + 1,)
+            assert np.max(np.abs(row - want[:K + 1])) <= 1e-14 * np.max(np.abs(want[:K + 1]))
+
+    def test_terms_grow_by_doubling_up_to_the_cap(self):
+        # rows of 32, 64 and then 100 entries; gamma_100 is past the cap
+        terms = _gamma_terms(0.3, 0.5, 0.5, 99)
+        got = np.array([next(terms) for _ in range(100)])
+        want = _gamma_row(99, 0.3, 0.5, 0.5)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        with pytest.raises(TruncationError, match="^gamma row did not settle within 100 terms$"):
+            next(terms)
 
 
 class TestOracle:

@@ -378,6 +378,21 @@ class TestTruncationOrder:
         with pytest.raises(ParameterError, match="^infinite product amplitude must not be NaN$"):
             q_pochhammer_inf(math.nan, 0.5)
 
+    @pytest.mark.parametrize("amplitude", ["x", 0.5j, True, False, (0.5, "x")])
+    def test_amplitude_must_be_a_real_number(self, amplitude):
+        # "x" raised a raw ValueError, 0.5j a raw TypeError, and True read as 1,
+        # so q_pochhammer_inf(True, 0.5) returned 0.0
+        msg = "^infinite product amplitude must be a real number, got "
+        if not isinstance(amplitude, tuple):
+            with pytest.raises(ParameterError, match=msg):
+                truncation_order(amplitude, 0.5, 1e-14)
+        with pytest.raises(ParameterError, match=msg):
+            q_pochhammer_inf(amplitude, 0.5)
+
+    def test_numpy_reals_are_amplitudes(self):
+        assert truncation_order(np.float64(7.0), 0.6, 1e-14) == truncation_order(7.0, 0.6, 1e-14)
+        assert q_pochhammer_inf(np.int64(0), 0.5) == 1.0
+
     def test_infinite_amplitude_hits_the_cap(self):
         with pytest.raises(NonConvergenceError, match="more than 400 factors"):
             q_pochhammer_inf(math.inf, 0.5)

