@@ -37,9 +37,9 @@ Column 0 is the paper's density-ratio rule c_n ||a_n||^2 = gamma_{n,0}:
 :func:`beta_coeff` (fCN/fK) column 0 of ``kesten-from-asc`` over the Kesten
 norm's factor 1 - rho^2.  These take the H_m(y|q) row and the q-binomial
 table as optional ``H`` and ``B``, so a caller looping over k builds them once.
-A float consumer that sums the gamma_n reads them instead from ``_gamma_row``,
-the whole row gamma_0..gamma_K as one numpy sum (imported only there), grown
-by doubling K in ``_gamma_terms``: the sampler's envelope and identity i7.
+A float consumer that sums the gamma_n reads them instead from
+``_gamma_terms``, which computes them in numpy (imported only there), a row of
+doubling length at a time: the sampler's envelope and identity i7.
 """
 
 import math
@@ -107,41 +107,39 @@ def _scaled_sum(k, n, rho, q, H, coeff, first=0):
     return total, (n - k) % 2
 
 
-def _gamma_row(K, y, rho, q):
-    """Float gamma_0..gamma_K (:func:`gamma_coeff`) as one masked 2-D sum over (n, j).
+def _gamma_terms(y, rho, q, cap):
+    """gamma_0, gamma_1, ... (:func:`gamma_coeff`) as floats, in rows of 32, 32,
+    64, 128, ... indices; asking for gamma_{cap+1} raises TruncationError.
 
-    gamma_n = sum_j (-1)^j q^{j(j+1)/2} (q;q)_{n-j} / ((q;q)_j (q;q)_{n-2j})
-    rho^{n-2j} h_{n-2j}, with h_m = (1-q)^{m/2} H_m(y|q) run by its own
+    gamma_n = sum_j a_j (q;q)_{n-j} rho^{n-2j} h_{n-2j} / (q;q)_{n-2j} with
+    a_j = (-1)^j q^{j(j+1)/2} / (q;q)_j, one vector operation over the row's n
+    per j while a_j is not 0.0; h_m = (1-q)^{m/2} H_m(y|q) is run by its own
     recurrence h_{m+1} = sqrt(1-q) y h_m - (1-q^m) h_{m-1}, which stays in the
-    float range wherever y lies in S(q).  Accurate relative to max|gamma_n|,
-    not to each entry.
+    float range wherever y lies in S(q).  Each gamma_n is accurate relative to
+    the largest of its summands, not to itself.
     """
     import numpy as np
 
     y, rho, q = float(y), float(rho), float(q)
     sy = math.sqrt(1.0 - q) * y
-    h = [1.0, sy]
-    for m in range(1, K):
-        h.append(sy * h[m] - (1.0 - q ** m) * h[m - 1])
-    qq = np.cumprod(np.concatenate(([1.0], 1.0 - q ** np.arange(1.0, K + 1))))  # (q;q)_i
-    n = np.arange(K + 1)[:, None]
-    j = np.arange(K // 2 + 1)
-    m = n - 2 * j
-    keep = m >= 0
-    m = np.where(keep, m, 0)
-    jterm = (-1.0) ** j * q ** (j * (j + 1) // 2) / qq[j]
-    mterm = rho ** np.arange(K + 1.0) * np.array(h[:K + 1]) / qq
-    return np.where(keep, jterm * qq[m + j] * mterm[m], 0.0).sum(axis=1)
-
-
-def _gamma_terms(y, rho, q, cap):
-    """gamma_0..gamma_cap as floats from :func:`_gamma_row`, rows of 32, 64, ...
-    entries; asking for gamma_{cap+1} raises TruncationError."""
-    n, K = 0, 15
-    while n <= cap:
-        K = min(2 * K + 1, cap)
-        yield from _gamma_row(K, y, rho, q)[n:].tolist()
-        n = K + 1
+    h, qq = [1.0, sy], [1.0]  # h_m and (q;q)_m
+    lo, hi = 0, 31
+    while lo <= cap:
+        hi = min(hi, cap)
+        for m in range(len(h) - 1, hi):
+            h.append(sy * h[m] - (1.0 - q ** m) * h[m - 1])
+        for m in range(len(qq), hi + 1):
+            qq.append(qq[m - 1] * (1.0 - q ** m))
+        qa = np.array(qq)
+        j = np.arange(hi // 2 + 1)
+        a = (-1.0) ** j * q ** (j * (j + 1) // 2) / qa[j]  # 0.0 from its first 0.0 on
+        mterm = rho ** np.arange(hi + 1.0) * np.array(h[:hi + 1]) / qa
+        row = np.zeros(hi + 1 - lo)
+        for j in range(np.count_nonzero(a)):
+            s = max(lo, 2 * j)  # the row's first n with n - 2j >= 0
+            row[s - lo:] += a[j] * qa[s - j:hi + 1 - j] * mterm[s - 2 * j:hi + 1 - 2 * j]
+        yield from row.tolist()
+        lo, hi = hi + 1, 2 * hi + 1
     raise TruncationError("gamma row did not settle within %d terms" % (cap + 1))
 
 

@@ -107,8 +107,9 @@ from .connect import _gamma_terms, beta_coeff, gamma_coeff
 #: Hard truncation cap for adaptive evaluation.
 K_CAP = 500
 
-#: last gamma_n index identity i7's E3 reads; its row is at most 4 MB
-_E3_CAP = 1023
+#: last gamma_n index identity i7's E3 reads: the 1 501 triples
+#: (gamma_3m, gamma_3m+1, gamma_3m+2) that ``_sum_series``' default cap sums
+_E3_CAP = 4502
 
 
 @dataclass(frozen=True)

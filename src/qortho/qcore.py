@@ -89,6 +89,12 @@ _UNIT_DISC = frozenset(("rho", "beta", "gamma"))
 _PLAIN_REALS = frozenset((int, float, Fraction))
 
 
+def _is_real(v):
+    """Whether v is a real number (``numbers.Real``, so a numpy float or integer
+    too) and not a bool."""
+    return type(v) in _PLAIN_REALS or not isinstance(v, bool) and isinstance(v, numbers.Real)
+
+
 def check_params(owner, params, names, unit_q=False):
     """The values of ``params`` under ``names``, in order, each in its domain.
 
@@ -105,8 +111,7 @@ def check_params(owner, params, names, unit_q=False):
         v = params.get(name)
         if v is None:
             raise ParameterError("%s needs parameter %r" % (owner, name))
-        if type(v) not in _PLAIN_REALS and (isinstance(v, bool)
-                                            or not isinstance(v, numbers.Real)):
+        if not _is_real(v):
             raise ParameterError("%s needs a real %s, got %r" % (owner, name, v))
         if name == "q":
             if not (-1 < v < 1 or unit_q and v == 1):
@@ -367,8 +372,7 @@ def truncation_order(amplitude, q, eps):
     check_params("infinite product", {"q": q}, ("q",))
     aq = abs(float(q))
     thresh = check_tol("eps", eps) * (1.0 - aq) / 4.0
-    if type(amplitude) not in _PLAIN_REALS and (isinstance(amplitude, bool)
-                                                or not isinstance(amplitude, numbers.Real)):
+    if not _is_real(amplitude):
         raise ParameterError("infinite product amplitude must be a real number, got %r"
                              % (amplitude,))
     t = abs(float(amplitude))

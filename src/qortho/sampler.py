@@ -13,7 +13,7 @@ read as one float row.  r is evaluated once per call on a grid of 10 001
 evenly spaced points; the envelope is M = S + D h^2/8, S the grid's largest
 ratio, h = 2/10 000 the node spacing in t and D = sum |c_n| U_n''(1) a bound
 on |r''| (V. Markov), summed by ``qcore._sum_series``.  A D that has not
-settled within 400 terms is a NonConvergenceError before any draw.  The grid
+settled by n = 4095 is a NonConvergenceError before any draw.  The grid
 also checks a caller's ``envelope=`` before any sampling.
 
 Within a batch r is evaluated only on the proposals that can still be used:
@@ -26,13 +26,14 @@ so a bad envelope aborts loudly instead of skewing the output;
 """
 
 import math
-import numbers
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
-from .qcore import ParameterError, QOrthoError, _sum_series, check_degree, support
+from .qcore import (
+    ParameterError, QOrthoError, _is_real, _sum_series, check_degree, support,
+)
 from . import connect, densities
 from .densities import density_ratio, fU
 
@@ -52,7 +53,7 @@ class SampleResult:
 
 _GRID_N = 10001
 _SLACK = 1e-9
-_CAP = 399  # the curvature series' last term index: 400 terms at most
+_CAP = 4095  # the curvature series' last index n; up to |rho| = 0.985 it settles before
 _PAD = 16  # proposals a segment holds beyond need + 6 sqrt(need)
 
 
@@ -75,8 +76,11 @@ def _curvature_slack(dens, grid_n):
     target/fU = sum_n c_n U_n(t): the n_over_u ones, (-1)^k q^{k(k+1)/2} at
     n = 2k, for fN and the float gamma row for fCN.  V. Markov's inequality
     gives |U_n''| <= U_n''(1) = (n-1)n(n+1)(n+2)(n+3)/15 on [-1, 1].  The sum
-    runs over the terms |c_n| U_n''(1) h^2/8; one that has not settled within
-    400 terms is a NonConvergenceError naming the series.
+    runs over the terms |c_n| U_n''(1) h^2/8 from n = 2 on (U_0'' = U_1'' = 0)
+    and ends at six terms in a row below 1e-12, three of each parity, so a
+    coefficient that is 0 by parity (the odd ones of fN and of fCN at y = 0) or
+    by chance at one index does not end it.  One that has not settled by
+    n = 4095 is a NonConvergenceError naming the series.
     """
     if dens.tag == "fn":
         q = abs(float(dens.q))
@@ -85,11 +89,12 @@ def _curvature_slack(dens, grid_n):
         coeffs = connect._gamma_terms(dens.y, dens.rho, dens.q, _CAP)
     scale = 1.0 / (2.0 * (grid_n - 1) ** 2)  # h^2/8
     terms = (abs(c) * ((n - 1) * n * (n + 1) * (n + 2) * (n + 3) // 15) * scale
-             for n, c in enumerate(coeffs))
+             for n, c in islice(enumerate(coeffs), 2, _CAP + 1))
     message = ("sampler envelope: the %s series sum |c_n| U_n''(1) over its Chebyshev-U "
-               "coefficients did not settle within %d terms" % (dens.tag, _CAP + 1))
-    # three terms in a row < 1e-12, in units of M, end the sum
-    return _sum_series(((t, t) for t in terms), math.nextafter(1e-12, 0.0), 3, _CAP,
+               "coefficients did not settle by n = %d" % (dens.tag, _CAP))
+    # six terms in a row < 1e-12, in units of M, end the sum; cap + 1 terms
+    # are those of n = 2.._CAP
+    return _sum_series(((t, t) for t in terms), math.nextafter(1e-12, 0.0), 6, _CAP - 2,
                        message)[0]
 
 
@@ -108,7 +113,7 @@ def _check_envelope(envelope):
 
     NaN passes here: the pre-flight grid check refuses it as a violation.
     """
-    if isinstance(envelope, bool) or not isinstance(envelope, numbers.Real):
+    if not _is_real(envelope):
         raise ParameterError("envelope must be a real number, got %r" % (envelope,))
     try:
         M = float(envelope)

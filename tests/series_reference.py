@@ -77,13 +77,13 @@ def diagonal_sum(gen, **rule):
 
 
 def curvature_loop(c, scale):
-    """sum_n |c(n)| (n-1)n(n+1)(n+2)(n+3)/15 scale in floats, c(n) exact, ended
-    by three terms in a row < 1e-12; None if 400 terms do not end it."""
+    """sum_{n>=2} |c(n)| (n-1)n(n+1)(n+2)(n+3)/15 scale in floats, c(n) exact,
+    ended by six terms in a row < 1e-12; None if n = 4095 does not end it."""
     total, small = 0.0, 0
-    for n in range(400):
+    for n in range(2, 4096):
         t = float(abs(c(n)) * ((n - 1) * n * (n + 1) * (n + 2) * (n + 3) // 15)) * scale
         total += t
         small = small + 1 if t < 1e-12 else 0
-        if small >= 3:
+        if small >= 6:
             return total
     return None

@@ -176,7 +176,7 @@ class TestSample:
                      "--seed", "7")
         lines = out.splitlines()
         assert lines[1] == ("# acceptance_rate=0.6274509803921569, "
-                            "envelope=1.6416327840812754, proposals=51")
+                            "envelope=1.6416327840812823, proposals=51")
         assert lines[3:5] == ["0,-0.29815624918796535", "1,0.6975228369671719"]
 
     def test_binary_out(self, capsys, tmp_path):
@@ -430,7 +430,7 @@ class TestExitCodes:
 
     def test_stalled_envelope_series_exits_4(self, capsys):
         # at rho = 0.999 the curvature series of the envelope has not settled
-        # after 400 terms: no certified M, so nothing is drawn (the 1.05 sup
+        # by n = 4095: no certified M, so nothing is drawn (the 1.05 sup
         # fallback it replaces let a proposal exceed M, exit 1)
         start = time.perf_counter()
         code = main(["sample", "--target", "fcn", "--q", "0.5", "--y", "2.8",
@@ -440,7 +440,7 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err.count("\n") == 1
         assert err.startswith("qortho: sampler envelope: the fcn series ")
-        assert err.endswith(" did not settle within 400 terms\n")
+        assert err.endswith(" did not settle by n = 4095\n")
         assert elapsed < 1.0
 
     def test_argparse_rejects_unknown(self):

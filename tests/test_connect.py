@@ -6,6 +6,7 @@ evaluation at the polynomial x."""
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ from qortho.polyfam import (
 from qortho.connect import (
     PAIRS,
     _from_parts,
-    _gamma_row,
     _gamma_terms,
     beta_coeff,
     c_hat_entry,
@@ -260,29 +260,33 @@ class TestColumnZeroReference:
 
 
 class TestGammaRow:
-    """The float gamma row, one masked 2-D sum (``connect._gamma_row``), against
-    the exact gamma_coeff, relative to the row's largest entry."""
+    """The float gamma terms (``connect._gamma_terms``), computed a row at a
+    time, against the exact gamma_coeff, relative to the largest entry."""
 
     @pytest.mark.parametrize("q", [F(4, 7), F(-2, 5), F(0)])
     @pytest.mark.parametrize("y,rho", [
         (F(1, 3), F(3, 4)), (F(-7, 5), F(-1, 2)), (F(0), F(77, 100)), (F(6, 5), F(1, 10)),
     ])
     def test_matches_exact_gamma(self, q, y, rho):
+        # indices 0-31 come from the first row, 32-60 from the second
         H = eval_all(QHermite(q), 60, y)
         B = q_binomial_table(q)
         want = np.array([float(gamma_coeff(k, y, rho, q, H, B)) for k in range(61)])
         for K in (0, 1, 7, 31, 60):
-            row = _gamma_row(K, y, rho, q)
-            assert row.shape == (K + 1,)
+            row = np.array(list(islice(_gamma_terms(y, rho, q, K), K + 1)))
             assert np.max(np.abs(row - want[:K + 1])) <= 1e-14 * np.max(np.abs(want[:K + 1]))
 
-    def test_terms_grow_by_doubling_up_to_the_cap(self):
-        # rows of 32, 64 and then 100 entries; gamma_100 is past the cap
-        terms = _gamma_terms(0.3, 0.5, 0.5, 99)
-        got = np.array([next(terms) for _ in range(100)])
-        want = _gamma_row(99, 0.3, 0.5, 0.5)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        with pytest.raises(TruncationError, match="^gamma row did not settle within 100 terms$"):
+    def test_later_rows_and_the_cap(self):
+        # rows of 32, 32, 64 and then 22 entries: the later ones against the
+        # exact gamma_coeff too; gamma_150 is past the cap
+        y, rho, q = F(1, 2), F(9, 10), F(1, 2)
+        H = eval_all(QHermite(q), 149, y)
+        B = q_binomial_table(q)
+        want = np.array([float(gamma_coeff(k, y, rho, q, H, B)) for k in range(150)])
+        terms = _gamma_terms(y, rho, q, 149)
+        got = np.array([next(terms) for _ in range(150)])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        with pytest.raises(TruncationError, match="^gamma row did not settle within 150 terms$"):
             next(terms)
 
 

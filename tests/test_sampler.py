@@ -12,6 +12,7 @@ from qortho.qcore import NonConvergenceError, ParameterError, support
 from qortho.densities import density_ratio, fCN, fN, fU
 from qortho.sampler import (
     EnvelopeViolationError,
+    _grid_sup,
     envelope_constant,
     ks_statistic,
     sample,
@@ -59,11 +60,31 @@ class TestEnvelopeConstant:
             top = float(np.max(density_ratio(dens, fU(q), x)))
             assert top <= M <= 1.05 * top, (dens, M, top)
 
+    @pytest.mark.parametrize("y,rho,q", [
+        # gamma_2 = rho^2 (1-q)(y^2-1) - q = 0: with the zero terms at n = 0 and
+        # 1 this one zero ended the slack sum at D = 0, and M fell below the ratio
+        (math.sqrt(1 + 0.2 / (0.77 ** 2 * 0.8)), 0.77, 0.2),
+        # near y = 0 every odd gamma_n is 0 or tiny, and gamma_2 = 0 at this q
+        (0.0, 0.5, -1 / 3),
+        (1e-9, 0.5, -1 / 3),
+        # |rho| near 1: D settles past n = 400, and D h^2/8 is most of M
+        (0.0, 0.95, 0.5),
+    ])
+    def test_a_zero_or_slow_coefficient_keeps_its_slack(self, y, rho, q):
+        dens = fCN(y, rho, q)
+        L = support(q).radius
+        top = float(np.max(density_ratio(dens, fU(q), np.linspace(-L, L, 160_001))))
+        M = envelope_constant(dens)
+        assert top <= M <= (2.5 if rho > 0.9 else 1.05) * top
+        assert M > _grid_sup(dens, 10001)
+        res = sample(dens, 10, seed=1, batch=256)
+        assert res.samples.shape == (10,) and res.envelope == M
+
     def test_a_stalled_series_is_refused(self):
-        # at rho = 0.999 sum |gamma_n| U_n''(1) has not settled after 400 terms;
+        # at rho = 0.999 sum |gamma_n| U_n''(1) has not settled by n = 4095;
         # the 1.05 sup fallback it replaces let a proposal exceed M
         dens = fCN(2.8, 0.999, 0.5)
-        with pytest.raises(NonConvergenceError, match="the fcn series .* within 400 terms"):
+        with pytest.raises(NonConvergenceError, match="the fcn series .* by n = 4095$"):
             envelope_constant(dens)
         with pytest.raises(NonConvergenceError):
             sample(dens, 10, batch=256)

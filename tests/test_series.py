@@ -165,6 +165,10 @@ class TestCurvatureSum:
         (Fraction(1, 3), Fraction(1, 2), Fraction(4, 7)),
         (Fraction(-6, 5), Fraction(-3, 10), Fraction(-2, 5)),
         (Fraction(0), Fraction(7, 10), Fraction(0)),
+        # gamma_2 = rho^2 (1-q)(y^2-1) - q = 0, and at y = 0 every odd gamma_n
+        # is 0 too: neither may end the sum (the terms at n = 0 and 1 are 0)
+        (Fraction(3, 2), Fraction(1, 2), Fraction(5, 21)),
+        (Fraction(0), Fraction(1, 2), Fraction(-1, 3)),
     ])
     def test_fcn_matches_the_exact_loop(self, y, rho, q):
         H = _Row(_recurrence(QHermite(q), y))
