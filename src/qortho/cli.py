@@ -204,8 +204,6 @@ def _cmd_expand(args):
         _emit(args, ("x", "value", "tail", "n_terms"), rows)
         return 0
     k_max = args.k_max if args.k_max is not None else 8
-    if k_max < 0:
-        raise ParameterError("--k-max must be >= 0, got %r" % (k_max,))
     c = expand._coeff_rule(args.id, k_max, params)
     rows = [(n, c(n)) for n in range(k_max + 1)]
     _emit(args, ("n", "coeff"), rows)

@@ -49,9 +49,9 @@ The endpoints +-L belong to S(q), and the merged ratios are finite there.
 
 fN and fCN admit q = 1 closed forms (standard normal, N(rho y, 1 - rho^2));
 the remaining families reject q = 1.  The six constructors and ``pm_ratio``
-check their parameters in one place, ``_density``: ``qcore.check_params``
-for q, rho, beta and a finite y, plus the one rule of this module, a
-conditioning point y in S(q) when q < 1.
+check their arguments in one place, ``_density``: ``qcore.check_params``
+for q, rho, beta, a finite y and trunc_eps in (0, 1), plus the one rule of
+this module, a conditioning point y in S(q) when q < 1.
 """
 
 import math
@@ -78,18 +78,13 @@ class DensityId:
     trunc_eps: float = 1e-14
 
 
-def _check_eps(eps):
-    if not 0 < eps < 1:
-        raise ParameterError("trunc_eps must lie in (0, 1), got %r" % (eps,))
-    return float(eps)
-
-
 def _edge(q):
     return 2.0 / math.sqrt(1.0 - q)
 
 
 def _density(tag, trunc_eps, unit_q=False, **params):
-    """DensityId(tag) of the float values of params, each checked by check_params.
+    """DensityId(tag) of the float values of params and trunc_eps, each checked
+    by check_params.
 
     The one rule added here: a conditioning point y lies in S(q) when q < 1.
     """
@@ -100,7 +95,8 @@ def _density(tag, trunc_eps, unit_q=False, **params):
         raise ParameterError(
             "%s conditioning point must lie in S(q), got y=%r" % (owner, p["y"])
         )
-    return DensityId(tag, trunc_eps=_check_eps(trunc_eps), **p)
+    check_params(owner, {"trunc_eps": trunc_eps}, ("trunc_eps",))
+    return DensityId(tag, trunc_eps=float(trunc_eps), **p)
 
 
 def fN(q, trunc_eps=1e-14):
@@ -311,6 +307,7 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
     A NaN point, or a point outside S(q), raises ParameterError: the ratio
     has no value there, and no NaN is returned in its place.
     """
+    check_params("pm_ratio", {"eps": eps}, ("eps",))
     d = _density("fcn", eps, rho=rho, q=q)
     rho, q, eps = d.rho, d.q, d.trunc_eps
     x_scalar, xa = _support_points(x, q)
@@ -376,6 +373,7 @@ def normalize_check(d, tol=1e-8):
     """Quadrature check that d integrates to 1 over S(q); returns (passed, residual)."""
     from . import verify
 
+    check_params("normalize_check", {"tol": tol}, ("tol",))
     res = verify.integrate(lambda t: density_eval(d, t), d.q, tol=min(tol, 1e-9))
     residual = abs(res.value - 1.0)
     return residual <= tol, residual

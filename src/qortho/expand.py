@@ -67,7 +67,6 @@ from .qcore import (
     VerificationReport,
     check_degree,
     check_params,
-    check_tol,
     _factorials,
     _plain_sum,
     _pochhammers,
@@ -467,7 +466,7 @@ def expansion_eval(spec, x, tol=1e-9):
     """
     kernel, params = _kernel(spec.id, spec.params)
     check_params("expansion %r" % (spec.id,), params, kernel.params, kernel.gauss is not None)
-    check_tol("tol", tol)
+    check_params("expansion_eval", {"tol": tol}, ("tol",))
     p = {k: float(v) for k, v in params.items()}
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
@@ -669,8 +668,7 @@ def identity_suite(q_grid=(0.2, 0.5, 0.8), rho_grid=(0.3, 0.6), tol=1e-10, eps=1
 
     Residuals are mixed absolute/relative: |lhs - rhs| / max(1, |lhs|).
     """
-    check_tol("tol", tol)
-    check_tol("eps", eps)
+    check_params("identity_suite", {"tol": tol, "eps": eps}, ("tol", "eps"))
     reports = []
 
     def add(check_id, params, residual):

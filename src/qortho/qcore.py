@@ -33,15 +33,18 @@ whose terms are their own bounds, such as ``_theta_series``.
 :func:`q_pochhammer_inf` is the ``_pochhammers`` row read at the truncation
 order K of :func:`truncation_order`.
 
-:func:`check_params` is the one parameter rule: real values (no bools),
--1 < q < 1 (q = 1 too for the Gaussian cases), |rho|, |beta|, |gamma| < 1
-and a finite y.  Families, densities, expansions, connections, S(q) and the
-infinite products check the parameters they name through it,
-:func:`check_tol` checks a tolerance (the product truncation's eps too) and
-:func:`check_degree` a degree, an index or a count.
-The rules left elsewhere are not about one parameter's domain: y in S(q)
-(``densities``), the q = 1 and rho^2 < 1/2 kernel rules (``expand``) and
-``trunc_eps``.
+:func:`check_params` is the one rule for a real argument, read by name from
+one table: -1 < q < 1 (q = 1 too for the Gaussian cases, any finite q for
+the q-primitives, which are polynomials in q), |rho|, |beta|, |gamma| < 1,
+a positive finite tolerance (``tol``, ``tol_identity``, ``tol_chapman``,
+the sampler's ``envelope``), a relative truncation eps in (0, 1) (``eps``,
+``trunc_eps``) and a finite value for any other name (y, a product's
+amplitude, a Pochhammer a).  Finite means a real number, not a bool, whose
+magnitude fits a float, so 10**400 is refused on the exact paths too.
+Every entry point checks the real arguments it reads through it, and
+:func:`check_degree` checks a degree, an index or a count.  The rules left
+elsewhere are not about one argument's domain: y in S(q) (``densities``)
+and the q = 1 and rho^2 < 1/2 kernel rules (``expand``).
 
 :func:`resolve` is the one alias rule: an id that is a special case of a
 general kernel or pair is an :class:`Alias` of it at fixed exact parameters.
@@ -82,46 +85,65 @@ class TruncationError(NonConvergenceError):
 POCHHAMMER_KMAX = 400
 
 
-#: parameters whose domain is the open interval (-1, 1)
-_UNIT_DISC = frozenset(("rho", "beta", "gamma"))
-
 #: real types accepted without the slower ``numbers.Real`` check
 _PLAIN_REALS = frozenset((int, float, Fraction))
 
 
-def _is_real(v):
-    """Whether v is a real number (``numbers.Real``, so a numpy float or integer
-    too) and not a bool."""
-    return type(v) in _PLAIN_REALS or not isinstance(v, bool) and isinstance(v, numbers.Real)
+def _finite(v):
+    """Whether the real v has a magnitude that fits a float (10**400 does not)."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int or Fraction past the float range
+        return False
 
 
-def check_params(owner, params, names, unit_q=False):
+# A domain is (test of a real value, message when it fails, message for a
+# value that is not real); a parameter's messages name its owner, a
+# numerical control's only itself.
+_NEEDS_REAL = "{owner} needs a real {name}, got {v!r}"
+_MUST_BE_REAL = "{name} must be a real number, got {v!r}"
+_DISC = (lambda v: -1 < v < 1, "{owner} needs |{name}| < 1, got {v!r}", _NEEDS_REAL)
+_FINITE = (_finite, "{owner} needs a finite {name}, got {v!r}", _NEEDS_REAL)
+_POSITIVE = (lambda v: 0 < v and _finite(v), "{name} must be positive and finite, got {v!r}",
+             _MUST_BE_REAL)
+_UNIT = (lambda v: 0 < v < 1, "{name} must lie in (0, 1), got {v!r}", _MUST_BE_REAL)
+_Q_OPEN = (lambda v: -1 < v < 1, "{owner} needs -1 < q < 1, got q={v!r}", _NEEDS_REAL)
+_Q_UNIT = (lambda v: -1 < v <= 1, "{owner} needs -1 < q <= 1, got q={v!r}", _NEEDS_REAL)
+
+#: name -> domain of every real argument; a name not listed must be finite
+_DOMAINS = {
+    "rho": _DISC, "beta": _DISC, "gamma": _DISC,
+    "tol": _POSITIVE, "tol_identity": _POSITIVE, "tol_chapman": _POSITIVE,
+    "envelope": _POSITIVE, "eps": _UNIT, "trunc_eps": _UNIT,
+}
+
+
+def check_params(owner, params, names, unit_q=False, any_q=False):
     """The values of ``params`` under ``names``, in order, each in its domain.
 
     Each value must be a real number (``numbers.Real``, so a numpy float or
-    integer too), and not a bool.  q must lie in (-1, 1), or in (-1, 1] with
-    ``unit_q``; rho, beta and gamma in (-1, 1); any other name (the
-    conditioning point y) must be finite.  A missing (absent or None),
-    non-real or out-of-domain parameter raises ParameterError naming
-    ``owner`` and the parameter.  Values are compared as given, so an exact
-    rational is never rounded, and nothing outside ``names`` is read.
+    integer too), and not a bool.  q must lie in (-1, 1), in (-1, 1] with
+    ``unit_q``, or be finite with ``any_q``; every other name has the domain
+    of ``_DOMAINS`` (see the module docstring), finite when it is not
+    listed.  A missing (absent or None), non-real or out-of-domain value
+    raises ParameterError naming the argument, and a parameter's ``owner``.
+    Values are compared as given, so an exact rational is never rounded, and
+    nothing outside ``names`` is read.
     """
     values = []
     for name in names:
         v = params.get(name)
         if v is None:
             raise ParameterError("%s needs parameter %r" % (owner, name))
-        if not _is_real(v):
-            raise ParameterError("%s needs a real %s, got %r" % (owner, name, v))
-        if name == "q":
-            if not (-1 < v < 1 or unit_q and v == 1):
-                raise ParameterError("%s needs -1 < q %s 1, got q=%r"
-                                     % (owner, "<=" if unit_q else "<", v))
-        elif name in _UNIT_DISC:
-            if not -1 < v < 1:
-                raise ParameterError("%s needs |%s| < 1, got %r" % (owner, name, v))
-        elif not (isinstance(v, numbers.Rational) or math.isfinite(v)):
-            raise ParameterError("%s needs a finite %s, got %r" % (owner, name, v))
+        if name != "q":
+            domain = _DOMAINS.get(name, _FINITE)
+        else:
+            domain = _FINITE if any_q else _Q_UNIT if unit_q else _Q_OPEN
+        if not (type(v) in _PLAIN_REALS
+                or not isinstance(v, bool) and isinstance(v, numbers.Real)):
+            raise ParameterError(domain[2].format(owner=owner, name=name, v=v))
+        if not domain[0](v):
+            raise ParameterError(domain[1].format(owner=owner, name=name, v=v))
         values.append(v)
     return values
 
@@ -150,25 +172,16 @@ def resolve(table, id, params):
     return entry, params
 
 
-def check_tol(name, tol):
-    """tol, once it is positive and finite; ParameterError otherwise."""
-    if not 0 < tol < math.inf:
-        raise ParameterError("%s must be positive and finite, got %r" % (name, tol))
-    return tol
-
-
 def check_degree(n, name="n_max", least=0):
-    """n, once it is an int >= least (a bool is not); ParameterError otherwise."""
+    """n, once it is an int >= least; ParameterError otherwise.
+
+    A bool is not a degree, and neither is a numpy integer: arithmetic on it
+    wraps silently at 2**63 on the exact paths, where a Python int grows.
+    (A numpy integer is a real parameter all the same, see ``check_params``.)
+    """
     if type(n) is not int or n < least:
         raise ParameterError("%s must be an integer >= %d, got %r" % (name, least, n))
     return n
-
-
-def check_not_nan(v, name):
-    """v, once it is not a float NaN; ParameterError otherwise."""
-    if isinstance(v, float) and math.isnan(v):
-        raise ParameterError("%s must not be NaN" % name)
-    return v
 
 
 def is_exact(*values):
@@ -231,7 +244,8 @@ def _brackets(q):
 def q_bracket(n, q):
     """[n]_q = 1 + q + ... + q^{n-1}; [0]_q = 0."""
     check_degree(n, "q_bracket n")
-    return _nth(_brackets(check_not_nan(q, "q_bracket q")), n)
+    check_params("q_bracket", {"q": q}, ("q",), any_q=True)
+    return _nth(_brackets(q), n)
 
 
 def _factorials(q):
@@ -245,13 +259,14 @@ def _factorials(q):
 def q_factorial(n, q):
     """[n]_q! = prod_{i=1}^{n} [i]_q; [0]_q! = 1."""
     check_degree(n, "q_factorial n")
-    return _nth(_factorials(check_not_nan(q, "q_factorial q")), n)
+    check_params("q_factorial", {"q": q}, ("q",), any_q=True)
+    return _nth(_factorials(q), n)
 
 
 def q_binomial(n, k, q):
     """Gaussian binomial coefficient [n k]_q; 0 when the int k < 0 or k > n."""
     check_degree(n, "q_binomial n")
-    check_not_nan(q, "q_binomial q")
+    check_params("q_binomial", {"q": q}, ("q",), any_q=True)
     if type(k) is not int:
         raise ParameterError("q_binomial k must be an integer, got %r" % (k,))
     if k < 0 or k > n:
@@ -259,6 +274,10 @@ def q_binomial(n, k, q):
     k = min(k, n - k)
     if q == 1:
         return math.comb(n, k) * _one(q)
+    if q == -1:
+        # the product divides by 1 - q^2 = 0; by the q-Pascal rule [n k]_{-1} is
+        # C(n//2, k//2), and 0 for an even n and odd k
+        return div((0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)) * _one(q), 1)
     # [n k]_q = prod_{i=1}^{k} (1 - q^{n-k+i}) / (1 - q^i); no zero denominators
     # for |q| < 1, and exact for rational q.
     num = _one(q)
@@ -314,13 +333,14 @@ def _pochhammers(a, q):
 def q_pochhammer(a, q, n):
     """(a;q)_n; `a` may be a sequence, meaning the product of the symbols."""
     check_degree(n, "q_pochhammer n")
-    check_not_nan(q, "q_pochhammer q")
     if isinstance(a, (tuple, list)):
+        check_params("q_pochhammer", {"q": q}, ("q",), any_q=True)
         out = _one(q)
         for ai in a:
             out = out * q_pochhammer(ai, q, n)
         return out
-    return _nth(_pochhammers(check_not_nan(a, "q_pochhammer a"), q), n)
+    check_params("q_pochhammer", {"q": q, "a": a}, ("q", "a"), any_q=True)
+    return _nth(_pochhammers(a, q), n)
 
 
 def _sum_series(terms, stop=1e-16, consecutive=2, cap=1500,
@@ -365,19 +385,14 @@ def truncation_order(amplitude, q, eps):
 
     This is the shared stopping rule for all infinite products: past index K
     the log-tail is bounded by 2 amplitude |q|^K / (1-|q|) <= eps/2, so the
-    truncated product carries a relative error below eps.  An amplitude that
-    is not a real number (a bool, str or complex) or is NaN, and an eps that
-    is not positive and finite, are ParameterErrors.
+    truncated product carries a relative error below eps.  q, eps (in (0, 1))
+    and the amplitude (finite) are checked as given, by ``check_params``.
     """
-    check_params("infinite product", {"q": q}, ("q",))
+    check_params("infinite product", {"q": q, "eps": eps, "amplitude": amplitude},
+                 ("q", "eps", "amplitude"))
     aq = abs(float(q))
-    thresh = check_tol("eps", eps) * (1.0 - aq) / 4.0
-    if not _is_real(amplitude):
-        raise ParameterError("infinite product amplitude must be a real number, got %r"
-                             % (amplitude,))
+    thresh = eps * (1.0 - aq) / 4.0
     t = abs(float(amplitude))
-    if math.isnan(t):
-        raise ParameterError("infinite product amplitude must not be NaN")
     k = 0
     while t > thresh:
         t *= aq

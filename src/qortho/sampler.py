@@ -13,8 +13,9 @@ read as one float row.  r is evaluated once per call on a grid of 10 001
 evenly spaced points; the envelope is M = S + D h^2/8, S the grid's largest
 ratio, h = 2/10 000 the node spacing in t and D = sum |c_n| U_n''(1) a bound
 on |r''| (V. Markov), summed by ``qcore._sum_series``.  A D that has not
-settled by n = 4095 is a NonConvergenceError before any draw.  The grid
-also checks a caller's ``envelope=`` before any sampling.
+settled by n = 4095 is a NonConvergenceError before any draw.  A caller's
+``envelope=`` must be positive and finite (``qcore.check_params``), and the
+grid checks it before any sampling.
 
 Within a batch r is evaluated only on the proposals that can still be used:
 in prefix segments, each sized from the expected need (n - accepted) M with
@@ -32,7 +33,7 @@ from itertools import count, islice
 import numpy as np
 
 from .qcore import (
-    ParameterError, QOrthoError, _is_real, _sum_series, check_degree, support,
+    ParameterError, QOrthoError, _sum_series, check_degree, check_params, support,
 )
 from . import connect, densities
 from .densities import density_ratio, fU
@@ -108,35 +109,19 @@ def envelope_constant(dens, grid_n=_GRID_N):
     return _grid_sup(dens, grid_n) + _curvature_slack(dens, grid_n)
 
 
-def _check_envelope(envelope):
-    """envelope as a float once it is real, positive and finite; else ParameterError.
-
-    NaN passes here: the pre-flight grid check refuses it as a violation.
-    """
-    if not _is_real(envelope):
-        raise ParameterError("envelope must be a real number, got %r" % (envelope,))
-    try:
-        M = float(envelope)
-    except OverflowError:  # an int past the float range
-        M = math.inf
-    if M <= 0 or M == math.inf:
-        raise ParameterError("envelope must be positive and finite, got %r" % (envelope,))
-    return M
-
-
 def sample(dens, n, seed=0, batch=65536, envelope=None):
     """Draw n samples from dens by rejection against the semicircle law."""
     check_degree(n, "n")
     check_degree(batch, "batch", least=1)
     if envelope is not None:
-        envelope = _check_envelope(envelope)
+        check_params("sample", {"envelope": envelope}, ("envelope",))
+        envelope = float(envelope)
     sup = _grid_sup(dens, _GRID_N)
     M = envelope if envelope is not None else sup + _curvature_slack(dens, _GRID_N)
     L = support(dens.q).radius
     proposal = fU(dens.q)
 
-    # pre-flight: the envelope must dominate the ratio on a dense grid; a NaN
-    # envelope fails here too, since no proposal would ever be accepted
+    # pre-flight: the envelope must dominate the ratio on a dense grid
     if not sup <= M * (1 + _SLACK):
         raise EnvelopeViolationError(
             "ratio exceeds envelope %g by %g on pre-flight grid" % (M, sup - M)

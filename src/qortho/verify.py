@@ -21,7 +21,7 @@ from .qcore import (
     ParameterError,
     VerificationReport,
     check_degree,
-    check_tol,
+    check_params,
     support,
 )
 from . import connect, densities, expand
@@ -69,7 +69,7 @@ def _quadrature(estimate, q, tol):
 def integrate(f, q, tol=1e-10):
     """integral of f over S(q); f must accept a numpy array of nodes.  An estimate
     that is not finite is a NonConvergenceError at once."""
-    check_tol("tol", tol)
+    check_params("integrate", {"tol": tol}, ("tol",))
     value, err, n = _quadrature(lambda x, w: np.sum(f(x) * w), q, tol)
     if err > tol:
         raise NonConvergenceError("quadrature did not reach tol=%g within %d nodes" % (tol, n))
@@ -115,11 +115,6 @@ def _moments(check_id, a, b, dens, entries, tol, qtol):
     return reports
 
 
-def _check_indices(**indices):
-    for name, v in indices.items():
-        check_degree(v, "index " + name)
-
-
 def _orthogonality(fam, dens, nms, tol):
     norm = _norm_rule(fam, dens)
     return _moments("orthogonality:%s/%s" % (fam.tag, dens.tag), fam, fam, dens, [
@@ -129,9 +124,9 @@ def _orthogonality(fam, dens, nms, tol):
 
 def _projection(ns, y, rho, q, tol):
     # column 0 of the Gram matrix, since H_0 = 1
-    H = QHermite(q)
+    H, dens = QHermite(q), fCN(y, rho, q)
     Hy = eval_all(H, max(ns), y)
-    return _moments("projection:h/fcn", H, H, fCN(y, rho, q), [
+    return _moments("projection:h/fcn", H, H, dens, [
         ({"n": n, "y": y, "rho": rho, "q": q}, n, 0, rho ** n * float(Hy[n])) for n in ns
     ], tol, min(tol * 1e-2, 1e-9))
 
@@ -148,18 +143,22 @@ def _d_integral(kns, y, rho, q, tol):
 
 def check_orthogonality(fam, dens, n, m, tol=1e-8):
     """Compare the (n, m) inner product against the closed-form norm."""
-    _check_indices(n=n, m=m)
+    check_degree(n, "index n")
+    check_degree(m, "index m")
+    check_params("check_orthogonality", {"tol": tol}, ("tol",))
     return _orthogonality(fam, dens, [(n, m)], tol)[0]
 
 
 def check_projection(n, y, rho, q, tol=1e-8):
     """integral of H_n(x|q) fCN(x|y,rho,q) dx = rho^n H_n(y|q)."""
-    _check_indices(n=n)
+    check_degree(n, "index n")
+    check_params("check_projection", {"tol": tol}, ("tol",))
     return _projection([n], y, rho, q, tol)[0]
 
 
 def check_chapman(x, z, rho1, rho2, q, tol=1e-6):
     """integral fCN(x|y,rho1) fCN(y|z,rho2) dy = fCN(x|z, rho1 rho2)."""
+    check_params("check_chapman", {"tol": tol}, ("tol",))
     fnx = density_eval(fN(q), x)
     inner = fCN(z, rho2, q)
 
@@ -181,7 +180,9 @@ def check_chapman(x, z, rho1, rho2, q, tol=1e-6):
 def check_D_integral(k, n, y, rho, q, tol=1e-8):
     """integral Uhat_n(x|q) P_k(x) fCN dx = Dhat_{k,n} (rho^2;q)_k [k]_q!, where
     Uhat_n(x|q) = (1-q)^{-n/2} U_n(x sqrt(1-q)/2) and Dhat = connect.d_hat_entry."""
-    _check_indices(k=k, n=n)
+    check_degree(k, "index k")
+    check_degree(n, "index n")
+    check_params("check_D_integral", {"tol": tol}, ("tol",))
     return _d_integral([(k, n)], y, rho, q, tol)[0]
 
 
@@ -244,8 +245,7 @@ def run_all(config=None):
     if unknown:
         raise ParameterError("unknown suite %r; expected one of %s"
                              % (unknown[0], ", ".join(DEFAULT_CONFIG["suites"])))
-    for name in ("tol", "tol_chapman", "tol_identity"):
-        check_tol(name, cfg[name])
+    check_params("run_all", cfg, ("tol", "tol_chapman", "tol_identity"))
     check_degree(cfg["n_max"])
     tol = cfg["tol"]
     reports = []

@@ -388,7 +388,7 @@ class TestExitCodes:
         (["connect", "--pair", "t-from-u", "--n", "-1"],
          "n_max must be an integer >= 0, got -1"),
         (["expand", "--id", "n_over_u", "--q", "0.5", "--k-max", "-2"],
-         "--k-max must be >= 0, got -2"),
+         "coefficient index must be an integer >= 0, got -2"),
         (["density", "--density", "fn", "--x", "0"], "density 'fn' requires --q"),
         (["sample", "--target", "fn", "--n", "10"], "density 'fn' requires --q"),
     ])
@@ -409,8 +409,8 @@ class TestExitCodes:
          "qhermite(q=0.9) p_2000(3) overflowed"),
         (["connect", "--pair", "mehler", "--n", "8", "--y", "1e300", "--rho", "0.5"],
          "pair 'mehler' row 2 overflowed"),
-        (["density", "--density", "fcn", "--q", "0.5", "--rho", "0.5", "--x", "0",
-          "--y", "1" + "0" * 400], "int too large to convert to float"),
+        (["density", "--density", "fcn", "--q", "0.5", "--rho", "0.5", "--y", "0",
+          "--x", "1" + "0" * 400], "int too large to convert to float"),
         (["eval", "--family", "qhermite", "--n", "3", "--q", "0.5", "--x", "1" + "0" * 400],
          "int too large to convert to float"),
     ])
@@ -420,6 +420,21 @@ class TestExitCodes:
         code = main(argv)
         out, stderr = capsys.readouterr()
         assert (code, out, stderr) == (4, "", "qortho: %s\n" % err)
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--density", "fcn", "--x", "0"],
+        ["sample", "--target", "fcn", "--n", "3", "--batch", "256"],
+        ["expand", "--id", "cn_over_n", "--x", "0"],
+    ])
+    def test_parameter_past_the_float_range(self, capsys, argv):
+        # a 401-digit y exited 4 with "int too large to convert to float"; it
+        # is a parameter outside its domain (finite means it fits a float)
+        y = "1" + "0" * 400
+        code = main(argv + ["--q", "0.5", "--rho", "0.5", "--y", y])
+        out, stderr = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert stderr.startswith("qortho: ") and "needs a finite y, got 1000" in stderr
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
 
     def test_gaussian_density_far_out_is_zero(self, capsys):
         # x^2 overflows to inf; tier-1 turns numpy's overflow warning into an error

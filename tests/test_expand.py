@@ -307,10 +307,14 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("kw", [
         dict(tol=-1), dict(tol=math.nan), dict(tol=0.0), dict(eps=math.inf), dict(eps=-1e-15),
+        dict(eps=2.0), dict(tol="x"),
     ])
     def test_tolerances_are_checked(self, kw):
-        # tol = -1 or NaN used to run the battery and fail every report
-        with pytest.raises(ParameterError, match="^(tol|eps) must be positive and finite"):
+        # tol = -1 or NaN used to run the battery and fail every report; eps =
+        # 2.0 failed deep inside on another function's trunc_eps, and tol = "x"
+        # raised a raw TypeError
+        err = r"^(tol must be (positive and finite|a real number)|eps must lie in \(0, 1\))"
+        with pytest.raises(ParameterError, match=err):
             identity_suite(q_grid=(0.5,), **kw)
 
     def test_report_fields(self):

@@ -28,7 +28,6 @@ from qortho.qcore import (
     _pochhammers,
     check_degree,
     check_params,
-    check_tol,
 )
 
 import product_reference
@@ -86,6 +85,15 @@ class TestQBinomial:
 
     def test_q_one_is_comb(self):
         assert q_binomial(10, 4, 1) == math.comb(10, 4)
+
+    @pytest.mark.parametrize("q", [-1, Fraction(-1), -1.0])
+    def test_q_minus_one_is_the_pascal_value(self, q):
+        # the product form divided by 1 - q^2 = 0 and raised ZeroDivisionError
+        B = q_binomial_table(q)
+        for n in range(12):
+            for k in range(n + 1):
+                got, want = q_binomial(n, k, q), B(n, k)
+                assert got == want and type(got) is type(want), (n, k)
 
     def test_float_q_gives_float(self):
         v = q_binomial(4, 2, 0.5)
@@ -226,15 +234,16 @@ class TestQPochhammerInf:
             return
         assert q_pochhammer_inf(a, q, eps).hex() == want.hex()
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf, 1.0])
     def test_eps_must_be_positive_and_finite(self, eps):
-        with pytest.raises(ParameterError, match="eps must be positive and finite"):
+        # and below 1, the one rule of every relative truncation eps
+        with pytest.raises(ParameterError, match=r"eps must lie in \(0, 1\)"):
             q_pochhammer_inf(0.5, 0.5, eps)
 
     @pytest.mark.parametrize("q,eps,err", [
         (False, 1e-14, "^infinite product needs a real q, got False$"),
         (1, 1e-14, "^infinite product needs -1 < q < 1, got q=1$"),
-        (0.5, -1.0, "^eps must be positive and finite, got -1.0$"),
+        (0.5, -1.0, r"^eps must lie in \(0, 1\), got -1.0$"),
     ])
     @pytest.mark.parametrize("a", [0.5, 0])
     def test_q_and_eps_are_checked_as_given(self, a, q, eps, err):
@@ -280,10 +289,12 @@ class TestCheckParams:
                 check_params("f", {name: v}, (name,), unit_q=True)
 
     @pytest.mark.parametrize("v,ok", [
-        (1e300, True), (-7, True), (10 ** 400, True), (Fraction(5, 3), True),
-        (math.nan, False), (math.inf, False),
+        (1e300, True), (-7, True), (10 ** 400, False), (Fraction(5, 3), True),
+        (Fraction(10 ** 400, 3), False), (math.nan, False), (math.inf, False),
     ])
     def test_other_names_must_be_finite(self, v, ok):
+        # finite means a magnitude that fits a float, so an exact 10**400 is
+        # refused too
         if ok:
             assert check_params("f", {"y": v}, ("y",)) == [v]
         else:
@@ -309,21 +320,48 @@ class TestCheckParams:
 
     @pytest.mark.parametrize("tol,ok", [
         (1e-300, True), (2.0, True), (0.0, False), (-1.0, False), (math.nan, False),
-        (math.inf, False),
+        (math.inf, False), (10 ** 400, False),
     ])
     def test_tolerance(self, tol, ok):
         if ok:
-            assert check_tol("tol", tol) == tol
+            assert check_params("f", {"tol": tol}, ("tol",)) == [tol]
         else:
             with pytest.raises(ParameterError, match="^tol must be positive and finite"):
-                check_tol("tol", tol)
+                check_params("f", {"tol": tol}, ("tol",))
+
+    @pytest.mark.parametrize("eps,ok", [
+        (1e-300, True), (Fraction(1, 2), True), (0.0, False), (1.0, False), (2, False),
+        (math.nan, False), (math.inf, False),
+    ])
+    @pytest.mark.parametrize("name", ["eps", "trunc_eps"])
+    def test_relative_eps(self, name, eps, ok):
+        # every relative truncation eps has one domain, (0, 1)
+        if ok:
+            assert check_params("f", {name: eps}, (name,)) == [eps]
+        else:
+            with pytest.raises(ParameterError, match=r"^%s must lie in \(0, 1\), got " % name):
+                check_params("f", {name: eps}, (name,))
+
+    @pytest.mark.parametrize("name", ["tol", "eps", "envelope"])
+    @pytest.mark.parametrize("v", [True, "x", 0.5j])
+    def test_non_real_controls_are_refused(self, name, v):
+        with pytest.raises(ParameterError, match="^%s must be a real number, got " % name):
+            check_params("f", {name: v}, (name,))
+
+    @pytest.mark.parametrize("q", [2.5, -7, Fraction(-9, 2), np.float64(3.0)])
+    def test_any_q_is_any_finite_q(self, q):
+        assert check_params("f", {"q": q}, ("q",), any_q=True) == [q]
+        for bad in (math.nan, math.inf, 10 ** 400):
+            with pytest.raises(ParameterError, match="^f needs a finite q, got "):
+                check_params("f", {"q": bad}, ("q",), any_q=True)
 
     @pytest.mark.parametrize("n,ok", [
         (0, True), (7, True), (-1, False), (2.5, False), (2.0, False), (True, False),
         (np.int64(3), False), (None, False),
     ])
     def test_degree(self, n, ok):
-        # an int >= 0 passes as it is; a bool, a float or a numpy integer does not
+        # an int >= 0 passes as it is; a bool, a float or a numpy integer does
+        # not (numpy integer arithmetic wraps at 2**63 on the exact paths)
         if ok:
             assert check_degree(n) is n
         else:
@@ -363,8 +401,29 @@ class TestPrimitiveDegrees:
     ])
     def test_nan_is_refused(self, arg, call):
         # each returned nan
-        with pytest.raises(ParameterError, match="^%s must not be NaN$" % arg):
+        owner, name = arg.split()
+        with pytest.raises(ParameterError, match="^%s needs a finite %s, got " % (owner, name)):
             call()
+
+    @pytest.mark.parametrize("call,err", [
+        (lambda: q_bracket(3, math.inf), "q_bracket needs a finite q, got inf"),
+        (lambda: q_binomial(4, 2, math.inf), "q_binomial needs a finite q, got inf"),
+        (lambda: q_factorial(3, 10 ** 400), "q_factorial needs a finite q, got 1000"),
+        (lambda: q_bracket(3, "x"), "q_bracket needs a real q, got 'x'"),
+        (lambda: q_pochhammer("a", 0.5, 2), "q_pochhammer needs a real a, got 'a'"),
+        (lambda: q_pochhammer((), 0.5j, 2), r"q_pochhammer needs a real q, got 0.5j"),
+    ])
+    def test_q_and_a_are_finite_reals(self, call, err):
+        # inf returned nan, 10**400 ran in exact arithmetic, and "x" or 0.5j
+        # raised a raw TypeError
+        with pytest.raises(ParameterError, match="^" + err):
+            call()
+
+    @pytest.mark.parametrize("q", [2.5, -3, Fraction(7, 2)])
+    def test_any_finite_q_is_accepted(self, q):
+        # the primitives are polynomials in q, defined at every q
+        assert q_bracket(3, q) == 1 + q + q * q
+        assert q_binomial(2, 1, q) == 1 + q
 
 
 class TestTruncationOrder:
@@ -372,17 +431,20 @@ class TestTruncationOrder:
         assert truncation_order(0.0, 0.5, 1e-14) == 0
 
     def test_nan_amplitude_is_refused(self):
-        # a NaN amplitude used to give K = 0, so (nan; q)_inf read 1.0
-        with pytest.raises(ParameterError, match="^infinite product amplitude must not be NaN$"):
-            truncation_order(math.nan, 0.5, 1e-14)
-        with pytest.raises(ParameterError, match="^infinite product amplitude must not be NaN$"):
-            q_pochhammer_inf(math.nan, 0.5)
+        # a NaN amplitude used to give K = 0, so (nan; q)_inf read 1.0; inf ran
+        # to the factor cap, and 10**400 raised a raw OverflowError
+        for a in (math.nan, math.inf, 10 ** 400):
+            msg = "^infinite product needs a finite amplitude, got %s$" % (a,)
+            with pytest.raises(ParameterError, match=msg):
+                truncation_order(a, 0.5, 1e-14)
+            with pytest.raises(ParameterError, match=msg):
+                q_pochhammer_inf(a, 0.5)
 
     @pytest.mark.parametrize("amplitude", ["x", 0.5j, True, False, (0.5, "x")])
     def test_amplitude_must_be_a_real_number(self, amplitude):
         # "x" raised a raw ValueError, 0.5j a raw TypeError, and True read as 1,
         # so q_pochhammer_inf(True, 0.5) returned 0.0
-        msg = "^infinite product amplitude must be a real number, got "
+        msg = "^infinite product needs a real amplitude, got "
         if not isinstance(amplitude, tuple):
             with pytest.raises(ParameterError, match=msg):
                 truncation_order(amplitude, 0.5, 1e-14)
@@ -394,13 +456,17 @@ class TestTruncationOrder:
         assert q_pochhammer_inf(np.int64(0), 0.5) == 1.0
 
     def test_infinite_amplitude_hits_the_cap(self):
+        # an infinite amplitude is refused (above); the largest finite ones
+        # need more than the cap
         with pytest.raises(NonConvergenceError, match="more than 400 factors"):
-            q_pochhammer_inf(math.inf, 0.5)
+            q_pochhammer_inf(1e300, 0.5)
 
-    @pytest.mark.parametrize("eps", [0.0, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1, math.nan, math.inf, 1, 2.0, "x", 1j])
     def test_eps_must_be_positive_and_finite(self, eps):
-        # eps = -1 used to run to the 400-factor cap, and NaN gave K = 0
-        with pytest.raises(ParameterError, match="^eps must be positive and finite, got "):
+        # and below 1: eps = -1 used to run to the 400-factor cap, NaN gave
+        # K = 0, and "x" or 1j raised a raw TypeError
+        err = r"^eps must (lie in \(0, 1\)|be a real number), got "
+        with pytest.raises(ParameterError, match=err):
             truncation_order(1, 0.5, eps)
 
     def test_monotone_in_eps(self):

@@ -171,8 +171,10 @@ class TestSample:
         assert type(res.envelope) is float and res.envelope == 4.0
 
     def test_nan_envelope_detected_before_sampling(self):
-        # no proposal is ever accepted under a NaN envelope, so it must fail here
-        with pytest.raises(EnvelopeViolationError):
+        # no proposal is ever accepted under a NaN envelope, so it must fail
+        # here; it is not positive, so the parameter rule refuses it
+        msg = "^envelope must be positive and finite, got nan$"
+        with pytest.raises(ParameterError, match=msg):
             sample(fN(0.5), 100, seed=0, envelope=math.nan)
 
     @pytest.mark.parametrize("batch", [0, -5])
