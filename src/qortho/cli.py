@@ -225,10 +225,9 @@ def _cmd_verify(args):
     if args.suite and args.suite != "all":
         config["suites"] = tuple(s.strip() for s in args.suite.split(","))
     if args.q_grid:
-        q_grid = tuple(args.q_grid)
-        config.update(q_grid=q_grid, identity_q_grid=q_grid, envelope_q_grid=q_grid)
+        config["q_grid"] = tuple(args.q_grid)
     if args.tol is not None:
-        config.update(tol=args.tol, tol_identity=args.tol)
+        config["tol"] = args.tol
     reports, ok = verify.run_all(config)
     rows = [
         (r.check_id, json.dumps(r.params, sort_keys=True), r.residual,

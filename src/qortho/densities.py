@@ -42,7 +42,8 @@ as written, so a point has the same bits alone or in an array.  A factor
 check after the loop raises ParameterError for it, and for a NaN or infinite
 factor alike.
 
-A NaN point is a ParameterError.  Outside S(q), +-inf included,
+A point that is not a real number, an int past the float range or a NaN
+is a ParameterError (``_as_array``).  Outside S(q), +-inf included,
 ``density_eval`` gives 0; the merged ratios (``pm_ratio`` and the product
 forms of ``density_ratio``) have no value there and raise ParameterError.
 The endpoints +-L belong to S(q), and the merged ratios are finite there.
@@ -55,6 +56,7 @@ this module, a conditioning point y in S(q) when q < 1.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,17 +128,26 @@ def fK(y, rho, q, trunc_eps=1e-14):
     return _density("fk", trunc_eps, q=q, rho=rho, y=y)
 
 
-def _as_array(x):
-    """(x is a scalar, x as a 1-d float array); a NaN point is a ParameterError."""
-    xa = np.asarray(x, dtype=float)
+def _as_array(x, name="x"):
+    """(x is a scalar, x as a 1-d float array); a point that is not a real
+    number (a string, a complex number, a bool), an int past the float range
+    or a NaN is a ParameterError naming it."""
+    xa = np.asarray(x)
+    if xa.dtype.kind not in "iufO" or xa.dtype.kind == "O" and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in xa.flat):
+        raise ParameterError("%s must be real numbers, got %r" % (name, x))
+    try:
+        xa = xa.astype(float, copy=False)
+    except OverflowError:  # an int past the float range
+        raise ParameterError("%s must fit a float, got %r" % (name, x)) from None
     if np.isnan(xa).any():
-        raise ParameterError("x must not be NaN")
+        raise ParameterError("%s must not be NaN" % name)
     return xa.ndim == 0, np.atleast_1d(xa)
 
 
-def _support_points(x, q):
+def _support_points(x, q, name="x"):
     """_as_array(x) for a merged ratio: a point outside S(q) is a ParameterError."""
-    scalar, xa = _as_array(x)
+    scalar, xa = _as_array(x, name)
     if (np.abs(xa) > _edge(q)).any():
         raise ParameterError("merged density ratio evaluated outside S(q)")
     return scalar, xa
@@ -311,7 +322,7 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
     d = _density("fcn", eps, rho=rho, q=q)
     rho, q, eps = d.rho, d.q, d.trunc_eps
     x_scalar, xa = _support_points(x, q)
-    y_scalar, ya = _support_points(y, q)
+    y_scalar, ya = _support_points(y, q, "y")
     const = q_pochhammer_inf(rho * rho, q, eps)
     out = const * np.exp(-_log_w_sum(xa, ya, rho, q, eps))
     return _ret(x_scalar and y_scalar, out)

@@ -98,6 +98,7 @@ from .densities import (
     fR,
     fU,
     pm_ratio,
+    _as_array,
     _fn_over_fu,
 )
 from .connect import _gamma_terms, beta_coeff, gamma_coeff
@@ -109,6 +110,8 @@ K_CAP = 500
 #: last gamma_n index identity i7's E3 reads: the 1 501 triples
 #: (gamma_3m, gamma_3m+1, gamma_3m+2) that ``_sum_series``' default cap sums
 _E3_CAP = 4502
+#: relative truncation of the identity battery's infinite products
+_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -468,9 +471,7 @@ def expansion_eval(spec, x, tol=1e-9):
     check_params("expansion %r" % (spec.id,), params, kernel.params, kernel.gauss is not None)
     check_params("expansion_eval", {"tol": tol}, ("tol",))
     p = {k: float(v) for k, v in params.items()}
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
+    scalar, xa = _as_array(x)
     if p["q"] < 1.0 and np.any(np.abs(xa) > support(p["q"]).radius):
         raise ParameterError("expansion evaluated outside S(q)")
     base = density_eval(kernel.base(p, 1e-14), xa)
@@ -512,35 +513,35 @@ def _grid(q, fractions=(-0.93, -0.51, 0.0, 0.37, 0.85)):
     return L * np.asarray(fractions)
 
 
-def _i1(q, eps):
+def _i1(q):
     # fN/fU = sum_k (-1)^k q^{k(k+1)/2} U_{2k}(x sqrt(1-q)/2), the n_over_u kernel
     xs = _grid(q)
     rhs = _sum_series(_terms(_KERNELS["n_over_u"], {"q": q}, xs))[0]
-    return _mixed(_fn_over_fu(xs, q, eps), rhs)
+    return _mixed(_fn_over_fu(xs, q, _EPS), rhs)
 
 
-def _i2(q, eps):
-    a = q_pochhammer_inf(q, q, eps) * q_pochhammer_inf(-q, q, eps) ** 2
-    b = q_pochhammer_inf(-q, q, eps) * q_pochhammer_inf(q * q, q * q, eps)
+def _i2(q):
+    a = q_pochhammer_inf(q, q, _EPS) * q_pochhammer_inf(-q, q, _EPS) ** 2
+    b = q_pochhammer_inf(-q, q, _EPS) * q_pochhammer_inf(q * q, q * q, _EPS)
     s = _theta_series(q, signed=False, weighted=False)
     return _mixed(a, s), _mixed(a, b)
 
 
-def _i3(q, eps):
-    lhs = q_pochhammer_inf(q, q, eps) ** 3
+def _i3(q):
+    lhs = q_pochhammer_inf(q, q, _EPS) ** 3
     return _mixed(lhs, _theta_series(q, signed=True, weighted=True))
 
 
-def _i4(q, eps):
+def _i4(q):
     # fU/fN = sum_k q^k (1-q)^{k+1} H_{2k}(x) / ((q;q)_k (q;q)_{k+1}), the
     # u_over_n kernel, on the grid and at x = 0
     xs = np.append(_grid(q), 0.0)
     rhs = _sum_series(_terms(_KERNELS["u_over_n"], {"q": q}, xs))[0]
-    res_grid = _mixed(1.0 / _fn_over_fu(xs[:-1], q, eps), rhs[:-1])
+    res_grid = _mixed(1.0 / _fn_over_fu(xs[:-1], q, _EPS), rhs[:-1])
 
     # x = 0: fU/fN = 1/((q;q)_inf (-q;q)_inf^2)
-    qinf = q_pochhammer_inf(q, q, eps)
-    lhs0 = 1.0 / (qinf * q_pochhammer_inf(-q, q, eps) ** 2)
+    qinf = q_pochhammer_inf(q, q, _EPS)
+    lhs0 = 1.0 / (qinf * q_pochhammer_inf(-q, q, _EPS) ** 2)
     res_x0 = _mixed(lhs0, rhs[-1])
 
     # boundary: (q;q)_inf^{-3} = sum q^k W_{2k} / ((q;q)_k (q^2;q)_k)
@@ -558,16 +559,16 @@ def _diagonal_terms(q, rho, H, W):
         yield c * H[n] * H[n], abs(c) * (W[n] / (1.0 - q) ** (n / 2.0)) ** 2
 
 
-def _i5(q, rho, eps):
+def _i5(q, rho):
     xs = _grid(q)
-    lhs = pm_ratio(xs, xs, rho, q, eps)
+    lhs = pm_ratio(xs, xs, rho, q, _EPS)
     H = _Row(_recurrence(QHermite(q), xs))
     W = _Row(_w_terms(q))
     res_grid = _mixed(lhs, _sum_series(_diagonal_terms(q, rho, H, W))[0])
 
     # x = 0: (rho^2 q; q^2)_inf / (rho^2; q^2)_inf
-    lhs0 = q_pochhammer_inf(rho * rho * q, q * q, eps) / q_pochhammer_inf(
-        rho * rho, q * q, eps
+    lhs0 = q_pochhammer_inf(rho * rho * q, q * q, _EPS) / q_pochhammer_inf(
+        rho * rho, q * q, _EPS
     )
     # rhs = sum_k rho^{2k} (q;q^2)_k / (q^2;q^2)_k
     rows = enumerate(zip(_pochhammers(q, q * q), _pochhammers(q * q, q * q)))
@@ -576,12 +577,12 @@ def _i5(q, rho, eps):
 
     # boundary: (rho^2;q)_inf / (rho;q)_inf^4 = sum rho^n W_n^2 / (q;q)_n
     edge = (rho ** n * float(W[n]) ** 2 / qp for n, qp in enumerate(_pochhammers(q, q)))
-    lhs_e = q_pochhammer_inf(rho * rho, q, eps) / q_pochhammer_inf(rho, q, eps) ** 4
+    lhs_e = q_pochhammer_inf(rho * rho, q, _EPS) / q_pochhammer_inf(rho, q, _EPS) ** 4
     res_edge = _mixed(lhs_e, _plain_sum(edge))
     return res_grid, res_x0, res_edge
 
 
-def _i6(q, rho, eps):
+def _i6(q, rho):
     # valid for (1-q) x^2 <= 2
     xs = math.sqrt(2.0 / (1.0 - q)) * np.asarray([-0.95, -0.4, 0.0, 0.55, 0.9])
     H = _Row(_recurrence(QHermite(q), xs))
@@ -598,7 +599,7 @@ def _i6(q, rho, eps):
     return _mixed(lhs, rhs)
 
 
-def _i7(q, rho, eps):
+def _i7(q, rho):
     """Three forms E1 = E2 = E3 of (q^3;q^3)_inf fCN(x|y,rho,q)/fN(x|q) at the
     theta = pi/3 point x = 2 cos(theta)/sqrt(1-q) = 1/sqrt(1-q), for three y."""
     L = support(q).radius
@@ -608,7 +609,7 @@ def _i7(q, rho, eps):
         y = L * frac
         Hy = _Row(_recurrence(QHermite(q), y))
         s = math.sqrt(1.0 - q)
-        q3inf = q_pochhammer_inf(q ** 3, q ** 3, eps)
+        q3inf = q_pochhammer_inf(q ** 3, q ** 3, _EPS)
 
         # E1: (q^3;q^3)_inf sum_k (1-q)^{k/2} rho^k H_k(y) eta_k / (q;q)_k with
         # eta_{-1} = 0, eta_0 = 1, eta_{k+1} = eta_k - (1-q^k) eta_{k-1}
@@ -623,7 +624,7 @@ def _i7(q, rho, eps):
         # E2: (rho^2;q)_inf (q^3;q^3)_inf / prod_k (1 - rho^2 q^{2k} + rho^4 q^{4k}
         #      - sqrt(1-q) rho y q^k (1 + rho^2 q^{2k}) + (1-q) rho^2 y^2 q^{2k}),
         # whose factors are w_k(x, y) at x = 1/sqrt(1-q)
-        e2 = q3inf * pm_ratio(1.0 / s, y, rho, q, eps)
+        e2 = q3inf * pm_ratio(1.0 / s, y, rho, q, _EPS)
 
         # E3: sum_m (-1)^m (gamma_{3m} + gamma_{3m+1}), read from the float gamma row
         def gen_e3():
@@ -638,17 +639,17 @@ def _i7(q, rho, eps):
     return res_prod, res_useries
 
 
-def _i7_cube(q, eps):
+def _i7_cube(q):
     """(q;q)_inf prod_{k>=1} (1 + q^k + q^{2k}) = (q^3;q^3)_inf.
 
     The left side is fN/fU at the theta = pi/3 point x = 1/sqrt(1-q), where
     (1-q) x^2 = 1 turns fac_k into 1 + q^k + q^{2k}.
     """
-    lhs = _fn_over_fu(1.0 / math.sqrt(1.0 - q), q, eps)
-    return _mixed(lhs, q_pochhammer_inf(q ** 3, q ** 3, eps))
+    lhs = _fn_over_fu(1.0 / math.sqrt(1.0 - q), q, _EPS)
+    return _mixed(lhs, q_pochhammer_inf(q ** 3, q ** 3, _EPS))
 
 
-def _i8(q, rho, eps):
+def _i8(q, rho):
     # pm_ratio = fCN/fN times fN/fCN = sum_n c_n B_n(y) P_n(x|y,rho,q), the
     # n_over_cn kernel, is 1 on the grid
     L = support(q).radius
@@ -659,16 +660,21 @@ def _i8(q, rho, eps):
         y = L * yf
         terms = _terms(_KERNELS["n_over_cn"], {"q": q, "rho": rho, "y": y}, xs)
         series = _sum_series(terms, 1e-13, cap=K_CAP, message=msg)[0]
-        worst = max(worst, _maxabs(pm_ratio(xs, y, rho, q, eps) * series - 1.0))
+        worst = max(worst, _maxabs(pm_ratio(xs, y, rho, q, _EPS) * series - 1.0))
     return worst
 
 
-def identity_suite(q_grid=(0.2, 0.5, 0.8), rho_grid=(0.3, 0.6), tol=1e-10, eps=1e-15):
+def identity_suite(q_grid=(0.2, 0.5, 0.8), rho_grid=(0.3, 0.6), tol=1e-10):
     """Run the cross-check identity battery; returns a list of VerificationReport.
 
-    Residuals are mixed absolute/relative: |lhs - rhs| / max(1, |lhs|).
+    Each q and rho of the grids is checked (``qcore.check_params``) before any
+    check runs, then read as a float: the battery is float-only.  Residuals
+    are mixed absolute/relative: |lhs - rhs| / max(1, |lhs|).
     """
-    check_params("identity_suite", {"tol": tol, "eps": eps}, ("tol", "eps"))
+    check_params("identity_suite", {"tol": tol}, ("tol",))
+    q_grid = [float(check_params("identity_suite", {"q": q}, ("q",))[0]) for q in q_grid]
+    rho_grid = [float(check_params("identity_suite", {"rho": r}, ("rho",))[0])
+                for r in rho_grid]
     reports = []
 
     def add(check_id, params, residual):
@@ -680,24 +686,24 @@ def identity_suite(q_grid=(0.2, 0.5, 0.8), rho_grid=(0.3, 0.6), tol=1e-10, eps=1
     # overflow and invalid-value warnings carry no news
     with np.errstate(over="ignore", invalid="ignore"):
         for q in q_grid:
-            add("i1:grid", {"q": q}, _i1(q, eps))
-            r_series, r_prods = _i2(q, eps)
+            add("i1:grid", {"q": q}, _i1(q))
+            r_series, r_prods = _i2(q)
             add("i2:series", {"q": q}, r_series)
             add("i2:products", {"q": q}, r_prods)
-            add("i3:series", {"q": q}, _i3(q, eps))
-            g, x0, edge = _i4(q, eps)
+            add("i3:series", {"q": q}, _i3(q))
+            g, x0, edge = _i4(q)
             add("i4:grid", {"q": q}, g)
             add("i4:x0", {"q": q}, x0)
             add("i4:edge", {"q": q}, edge)
-            add("i7:cube", {"q": q}, _i7_cube(q, eps))
+            add("i7:cube", {"q": q}, _i7_cube(q))
             for rho in rho_grid:
-                g, x0, edge = _i5(q, rho, eps)
+                g, x0, edge = _i5(q, rho)
                 add("i5:grid", {"q": q, "rho": rho}, g)
                 add("i5:x0", {"q": q, "rho": rho}, x0)
                 add("i5:edge", {"q": q, "rho": rho}, edge)
-                add("i6:grid", {"q": q, "rho": rho}, _i6(q, rho, eps))
-                rp, ru = _i7(q, rho, eps)
+                add("i6:grid", {"q": q, "rho": rho}, _i6(q, rho))
+                rp, ru = _i7(q, rho)
                 add("i7:product", {"q": q, "rho": rho}, rp)
                 add("i7:u-series", {"q": q, "rho": rho}, ru)
-                add("i8:grid", {"q": q, "rho": rho}, _i8(q, rho, eps))
+                add("i8:grid", {"q": q, "rho": rho}, _i8(q, rho))
     return reports

@@ -36,13 +36,13 @@ order K of :func:`truncation_order`.
 :func:`check_params` is the one rule for a real argument, read by name from
 one table: -1 < q < 1 (q = 1 too for the Gaussian cases, any finite q for
 the q-primitives, which are polynomials in q), |rho|, |beta|, |gamma| < 1,
-a positive finite tolerance (``tol``, ``tol_identity``, ``tol_chapman``,
-the sampler's ``envelope``), a relative truncation eps in (0, 1) (``eps``,
-``trunc_eps``) and a finite value for any other name (y, a product's
-amplitude, a Pochhammer a).  Finite means a real number, not a bool, whose
-magnitude fits a float, so 10**400 is refused on the exact paths too.
-Every entry point checks the real arguments it reads through it, and
-:func:`check_degree` checks a degree, an index or a count.  The rules left
+a positive finite tolerance (``tol``, the sampler's ``envelope``), a
+relative truncation eps in (0, 1) (``eps``, ``trunc_eps``) and a finite
+value for any other name (y, a product's amplitude, a Pochhammer a).
+Finite means a real number, not a bool, whose magnitude fits a float, so
+10**400 is refused on the exact paths too.  Every entry point checks the
+real arguments it reads through it, and :func:`check_degree` checks a
+degree, an index or a count, at most sys.maxsize.  The rules left
 elsewhere are not about one argument's domain: y in S(q) (``densities``)
 and the q = 1 and rho^2 < 1/2 kernel rules (``expand``).
 
@@ -53,6 +53,7 @@ general kernel or pair is an :class:`Alias` of it at fixed exact parameters.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -113,8 +114,7 @@ _Q_UNIT = (lambda v: -1 < v <= 1, "{owner} needs -1 < q <= 1, got q={v!r}", _NEE
 #: name -> domain of every real argument; a name not listed must be finite
 _DOMAINS = {
     "rho": _DISC, "beta": _DISC, "gamma": _DISC,
-    "tol": _POSITIVE, "tol_identity": _POSITIVE, "tol_chapman": _POSITIVE,
-    "envelope": _POSITIVE, "eps": _UNIT, "trunc_eps": _UNIT,
+    "tol": _POSITIVE, "envelope": _POSITIVE, "eps": _UNIT, "trunc_eps": _UNIT,
 }
 
 
@@ -173,7 +173,7 @@ def resolve(table, id, params):
 
 
 def check_degree(n, name="n_max", least=0):
-    """n, once it is an int >= least; ParameterError otherwise.
+    """n, once it is an int, least <= n <= sys.maxsize; ParameterError otherwise.
 
     A bool is not a degree, and neither is a numpy integer: arithmetic on it
     wraps silently at 2**63 on the exact paths, where a Python int grows.
@@ -181,6 +181,9 @@ def check_degree(n, name="n_max", least=0):
     """
     if type(n) is not int or n < least:
         raise ParameterError("%s must be an integer >= %d, got %r" % (name, least, n))
+    if n > sys.maxsize:
+        raise ParameterError("%s must be at most sys.maxsize = %d, got %r"
+                             % (name, sys.maxsize, n))
     return n
 
 

@@ -15,7 +15,8 @@ ratio, h = 2/10 000 the node spacing in t and D = sum |c_n| U_n''(1) a bound
 on |r''| (V. Markov), summed by ``qcore._sum_series``.  A D that has not
 settled by n = 4095 is a NonConvergenceError before any draw.  A caller's
 ``envelope=`` must be positive and finite (``qcore.check_params``), and the
-grid checks it before any sampling.
+grid checks it before any sampling.  The seed, like n and ``batch``, is a
+count (``qcore.check_degree``).
 
 Within a batch r is evaluated only on the proposals that can still be used:
 in prefix segments, each sized from the expected need (n - accepted) M with
@@ -53,22 +54,23 @@ class SampleResult:
 
 
 _GRID_N = 10001
+_KS_GRID_N = 513  # theta nodes of ks_statistic's CDF table
 _SLACK = 1e-9
 _CAP = 4095  # the curvature series' last index n; up to |rho| = 0.985 it settles before
 _PAD = 16  # proposals a segment holds beyond need + 6 sqrt(need)
 
 
-def _grid_sup(dens, grid_n):
-    """Largest target/fU ratio on grid_n points of S(q) (so q < 1) for fn or fcn."""
+def _grid_sup(dens):
+    """Largest target/fU ratio on _GRID_N points of S(q) (so q < 1) for fn or fcn."""
     if dens.tag not in ("fn", "fcn"):
         raise ParameterError("sampler supports fn and fcn targets, got %r" % dens.tag)
     L = support(dens.q).radius
-    xg = np.linspace(-L, L, grid_n)
+    xg = np.linspace(-L, L, _GRID_N)
     return float(np.max(density_ratio(dens, fU(dens.q), xg)))
 
 
-def _curvature_slack(dens, grid_n):
-    """D h^2/8, where h = 2/(grid_n - 1) is the grid spacing in t = x/L and
+def _curvature_slack(dens):
+    """D h^2/8, where h = 2/(_GRID_N - 1) is the grid spacing in t = x/L and
     D = sum_n |c_n| U_n''(1) >= max |d^2/dt^2 target/fU| over t in [-1, 1].
 
     Between two grid nodes the ratio lies at most D h^2/8 above their chord,
@@ -88,7 +90,7 @@ def _curvature_slack(dens, grid_n):
         coeffs = (0.0 if n % 2 else q ** (n // 2 * (n // 2 + 1) // 2) for n in count())
     else:
         coeffs = connect._gamma_terms(dens.y, dens.rho, dens.q, _CAP)
-    scale = 1.0 / (2.0 * (grid_n - 1) ** 2)  # h^2/8
+    scale = 1.0 / (2.0 * (_GRID_N - 1) ** 2)  # h^2/8
     terms = (abs(c) * ((n - 1) * n * (n + 1) * (n + 2) * (n + 3) // 15) * scale
              for n, c in islice(enumerate(coeffs), 2, _CAP + 1))
     message = ("sampler envelope: the %s series sum |c_n| U_n''(1) over its Chebyshev-U "
@@ -99,25 +101,25 @@ def _curvature_slack(dens, grid_n):
                        message)[0]
 
 
-def envelope_constant(dens, grid_n=_GRID_N):
-    """Rejection constant M >= sup_x target/fU: the largest ratio on grid_n
+def envelope_constant(dens):
+    """Rejection constant M >= sup_x target/fU: the largest ratio on _GRID_N
     evenly spaced points of S(q) plus the curvature slack of that grid.
 
     A target whose curvature series does not settle raises NonConvergenceError.
     """
-    check_degree(grid_n, "grid_n", least=2)
-    return _grid_sup(dens, grid_n) + _curvature_slack(dens, grid_n)
+    return _grid_sup(dens) + _curvature_slack(dens)
 
 
 def sample(dens, n, seed=0, batch=65536, envelope=None):
     """Draw n samples from dens by rejection against the semicircle law."""
     check_degree(n, "n")
+    check_degree(seed, "seed")
     check_degree(batch, "batch", least=1)
     if envelope is not None:
         check_params("sample", {"envelope": envelope}, ("envelope",))
         envelope = float(envelope)
-    sup = _grid_sup(dens, _GRID_N)
-    M = envelope if envelope is not None else sup + _curvature_slack(dens, _GRID_N)
+    sup = _grid_sup(dens)
+    M = envelope if envelope is not None else sup + _curvature_slack(dens)
     L = support(dens.q).radius
     proposal = fU(dens.q)
 
@@ -153,15 +155,14 @@ def sample(dens, n, seed=0, batch=65536, envelope=None):
     return SampleResult(samples, rate, n_prop, M, seed)
 
 
-def ks_statistic(samples, dens, grid_n=513):
+def ks_statistic(samples, dens):
     """Kolmogorov-Smirnov distance between samples and dens.
 
-    The CDF is tabulated on a theta-grid (x = -L cos theta) by cumulative
-    trapezoid, which keeps the edge square roots analytic.  Samples outside
-    S(q), infinite ones too, sit where the CDF is exactly 0 or 1; a NaN
-    sample has no place and raises ParameterError.
+    The CDF is tabulated on _KS_GRID_N theta nodes (x = -L cos theta) by
+    cumulative trapezoid, which keeps the edge square roots analytic.  Samples
+    outside S(q), infinite ones too, sit where the CDF is exactly 0 or 1; a
+    NaN sample has no place and raises ParameterError.
     """
-    check_degree(grid_n, "grid_n", least=2)
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n == 0:
@@ -169,7 +170,7 @@ def ks_statistic(samples, dens, grid_n=513):
     if np.isnan(samples).any():
         raise ParameterError("ks_statistic got a NaN sample")
     L = support(dens.q).radius
-    theta = np.linspace(0.0, math.pi, grid_n)
+    theta = np.linspace(0.0, math.pi, _KS_GRID_N)
     x = -L * np.cos(theta)
     pdf = densities.density_eval(dens, x) * L * np.sin(theta)
     dtheta = theta[1] - theta[0]

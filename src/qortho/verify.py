@@ -9,6 +9,7 @@ theta then converges geometrically, and its nodes never reach the edges.
 orthogonality, projection and d-integral suites read, through ``_moments``, one
 Gram matrix G[n, m] = integral of a_n b_m dens per (family pair, q), against
 ``float()`` of exact closed forms (``polyfam._NORMS``, ``connect.d_hat_entry``).
+``run_all`` walks one table of suites, ``_SUITES``.
 """
 
 import math
@@ -196,20 +197,6 @@ def check_normalization(dens, tol=1e-8):
     return VerificationReport("normalization:" + dens.tag, params, residual, tol, passed)
 
 
-DEFAULT_CONFIG = {
-    "q_grid": (-0.5, 0.0, 0.3, 0.7),
-    "n_max": 6,
-    "tol": 1e-8,
-    "tol_chapman": 1e-6,
-    "tol_identity": 1e-10,
-    "identity_q_grid": (0.2, 0.5, 0.8),
-    "envelope_q_grid": (0.3, 0.7),
-    "rho_grid": (0.3, 0.6),
-    "suites": ("normalization", "orthogonality", "projection", "chapman",
-               "d-integral", "identities", "envelope"),
-}
-
-
 def _family_density_pairs(q):
     L = support(q).radius
     y = 0.4 * L
@@ -225,84 +212,72 @@ def _family_density_pairs(q):
     ]
 
 
-def run_all(config=None):
-    """Run the default verification battery; returns (reports, all_passed).
+def _envelope(q, slack):
+    """The sampler's constant against the ratio off its grid: 15 points in each
+    of its intervals, the midpoints among them."""
+    from . import sampler
 
-    An unknown config key or suite name, suites given as one string, an n_max
-    that is not an integer >= 0, or a tolerance that is not positive and
-    finite, is a ParameterError.
+    n = 16 * (sampler._GRID_N - 1) + 1
+    L = support(q).radius
+    x = np.linspace(-L, L, n)[np.arange(n) % 16 != 0]
+    reports = []
+    for dens in (fN(q), fCN(0.3 * L, 0.5, q)):
+        M = sampler.envelope_constant(dens)
+        sup = float(np.max(densities.density_ratio(dens, fU(q), x)))
+        reports.append(VerificationReport("envelope:" + dens.tag, {"q": q, "M": M},
+                                          max(sup / M - 1.0, 0.0), slack, sup <= M * (1 + slack)))
+    return reports
+
+
+_Q_GRID = (-0.5, 0.0, 0.3, 0.7)
+_NMS = [(n, m) for n in range(7) for m in range(n + 1)]  # degrees up to 6
+
+#: suite -> (default q grid, default tolerance, whether run_all's tol leaves
+#: that tolerance alone, the reports at one q and tolerance), in run order
+_SUITES = {
+    "normalization": (_Q_GRID, 1e-8, False, lambda q, tol: [
+        check_normalization(dens, tol) for _, dens in _family_density_pairs(q)]),
+    "orthogonality": (_Q_GRID, 1e-8, False, lambda q, tol: [
+        r for fam, dens in _family_density_pairs(q) for r in _orthogonality(fam, dens, _NMS, tol)
+    ]),
+    "projection": (_Q_GRID, 1e-8, False, lambda q, tol: _projection(
+        (0, 1, 3, 6), 0.3 * support(q).radius, 0.5, q, tol)),
+    "chapman": (_Q_GRID, 1e-6, True, lambda q, tol: [check_chapman(
+        0.2 * support(q).radius, -0.35 * support(q).radius, 0.5, 0.4, q, tol)]),
+    "d-integral": (_Q_GRID, 1e-8, False, lambda q, tol: _d_integral(
+        ((0, 0), (0, 2), (1, 3), (2, 4), (3, 3)), 0.3 * support(q).radius, 0.5, q, tol)),
+    "identities": ((0.2, 0.5, 0.8), 1e-10, False,
+                   lambda q, tol: expand.identity_suite((q,), tol=tol)),
+    "envelope": ((0.3, 0.7), 1e-9, True, _envelope),  # the sampler's slack
+}
+
+
+def run_all(config=None):
+    """Run the suites of ``_SUITES``, in its order; returns (reports, all_passed).
+
+    config keys: ``suites`` (default all), ``q_grid`` (the q values of every
+    suite; default each suite's own) and ``tol`` (the tolerance of every suite
+    but chapman, 1e-6, and envelope, the sampler's 1e-9 slack).  Any other
+    key, an unknown suite, suites given as one string or a tol that is not
+    positive and finite is a ParameterError before any check runs.
     """
-    cfg = dict(DEFAULT_CONFIG)
-    if config:
-        cfg.update(config)
-    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
+    cfg = dict(config or {})
+    unknown = sorted(set(cfg) - {"suites", "q_grid", "tol"})
     if unknown:
         raise ParameterError("unknown run_all config key %r" % (unknown[0],))
-    suites = cfg["suites"]
+    suites = cfg.get("suites", tuple(_SUITES))
     if isinstance(suites, str):
         raise ParameterError("suites must be a sequence of suite names, got %r" % (suites,))
-    unknown = [name for name in suites if name not in DEFAULT_CONFIG["suites"]]
+    unknown = [name for name in suites if name not in _SUITES]
     if unknown:
         raise ParameterError("unknown suite %r; expected one of %s"
-                             % (unknown[0], ", ".join(DEFAULT_CONFIG["suites"])))
-    check_params("run_all", cfg, ("tol", "tol_chapman", "tol_identity"))
-    check_degree(cfg["n_max"])
-    tol = cfg["tol"]
+                             % (unknown[0], ", ".join(_SUITES)))
+    if "tol" in cfg:
+        check_params("run_all", cfg, ("tol",))
     reports = []
-
-    if "normalization" in suites:
-        for q in cfg["q_grid"]:
-            for _, dens in _family_density_pairs(q):
-                reports.append(check_normalization(dens, tol))
-
-    if "orthogonality" in suites:
-        nms = [(n, m) for n in range(cfg["n_max"] + 1) for m in range(n + 1)]
-        for q in cfg["q_grid"]:
-            for fam, dens in _family_density_pairs(q):
-                reports.extend(_orthogonality(fam, dens, nms, tol))
-
-    if "projection" in suites:
-        for q in cfg["q_grid"]:
-            reports.extend(_projection((0, 1, 3, 6), 0.3 * support(q).radius, 0.5, q, tol))
-
-    if "chapman" in suites:
-        for q in cfg["q_grid"]:
-            L = support(q).radius
-            reports.append(
-                check_chapman(0.2 * L, -0.35 * L, 0.5, 0.4, q, cfg["tol_chapman"])
-            )
-
-    if "d-integral" in suites:
-        for q in cfg["q_grid"]:
-            reports.extend(_d_integral(((0, 0), (0, 2), (1, 3), (2, 4), (3, 3)),
-                                       0.3 * support(q).radius, 0.5, q, tol))
-
-    if "identities" in suites:
-        reports.extend(expand.identity_suite(
-            cfg["identity_q_grid"], cfg["rho_grid"], cfg["tol_identity"]
-        ))
-
-    if "envelope" in suites:
-        from . import sampler
-
-        # the sampler's constant against the ratio off its grid: 15 points in
-        # each of its intervals, the midpoints among them
-        n = 16 * (sampler._GRID_N - 1) + 1
-        off = np.arange(n) % 16 != 0
-        for q in cfg["envelope_q_grid"]:
-            L = support(q).radius
-            for dens in (fN(q), fCN(0.3 * L, 0.5, q)):
-                M = sampler.envelope_constant(dens)
-                sup = float(np.max(densities.density_ratio(
-                    dens, fU(q), np.linspace(-L, L, n)[off])))
-                reports.append(
-                    VerificationReport(
-                        "envelope:" + dens.tag,
-                        {"q": q, "M": M},
-                        max(sup / M - 1.0, 0.0),
-                        1e-9,
-                        sup <= M * (1 + 1e-9),
-                    )
-                )
-
+    for name, (q_grid, tol, fixed, run) in _SUITES.items():
+        if name in suites:
+            tol = tol if fixed else cfg.get("tol", tol)
+            for q in cfg.get("q_grid", q_grid):
+                reports.extend(run(q, tol))
     return reports, all(r.passed for r in reports)

@@ -14,8 +14,10 @@ two ways:
 
 No other exception may escape, and a RuntimeWarning is an error.  "Finite"
 means a real number, not a bool, whose magnitude fits a float, so 10**400 is
-outside every domain.  Points x (arrays) and integer counts are not slots
-here: ``check_degree`` and the CLI fuzz test cover the counts.
+outside every domain.  A point x is finite or +-inf (a NaN, a string, a
+complex number or 10**400 is refused); only scalar points are drawn here.
+Integer counts are not slots here: ``check_degree`` and the CLI fuzz test
+cover them.
 """
 
 import dataclasses
@@ -35,7 +37,9 @@ from qortho import (
     SupportInterval, connection, eval, q_binomial, q_bracket, q_factorial, q_pochhammer,
     q_pochhammer_inf, support, truncation_order,
 )
-from qortho.densities import DensityId, fCN, fK, fN, fR, fU, normalize_check, pm_ratio
+from qortho.densities import (
+    DensityId, density_eval, density_ratio, fCN, fK, fN, fR, fU, normalize_check, pm_ratio,
+)
 from qortho.expand import (
     ExpansionResult, ExpansionSpec, expansion_coeff, expansion_eval, identity_suite,
 )
@@ -61,6 +65,7 @@ DOMAINS = {
     "(-1, 1]": lambda v: -1 < v <= 1,
     "(0, 1)": lambda v: 0 < v < 1,
     "positive": lambda v: 0 < v and _fits(v),
+    "point": lambda v: _fits(v) or v in (math.inf, -math.inf),
 }
 
 F2, F3 = F(1, 2), F(1, 3)
@@ -96,6 +101,9 @@ SLOTS = [
     ("fU", "q", "(-1, 1)", fU, DensityId),
     ("fK", "y", "finite", lambda v: fK(v, 0.5, 0.5), DensityId),
     ("pm_ratio", "eps", "(0, 1)", lambda v: pm_ratio(0.1, 0.2, 0.5, 0.5, v), float),
+    ("pm_ratio", "x", "point", lambda v: pm_ratio(v, 0.2, 0.5, 0.5), float),
+    ("density_eval", "x", "point", lambda v: density_eval(fN(0.5), v), float),
+    ("density_ratio", "x", "point", lambda v: density_ratio(fN(0.5), fU(0.5), v), float),
     ("normalize_check", "tol", "positive", lambda v: normalize_check(fU(0.5), v), tuple),
     ("expansion_coeff", "q", "(-1, 1)", lambda v: expansion_coeff("n_over_u", 3, q=v), Real),
     ("expansion_coeff", "rho", "(-1, 1)",
@@ -103,16 +111,16 @@ SLOTS = [
     ("expansion_eval", "y", "finite",
      lambda v: expansion_eval(ExpansionSpec("cn_over_n", {"q": 0.5, "rho": 0.5, "y": v}), 0.1),
      ExpansionResult),
+    ("expansion_eval", "x", "point",
+     lambda v: expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}), v), ExpansionResult),
     ("expansion_eval", "tol", "positive",
      lambda v: expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}), 0.1, tol=v),
      ExpansionResult),
     ("identity_suite", "tol", "positive", lambda v: identity_suite(q_grid=(), tol=v), list),
-    ("identity_suite", "eps", "(0, 1)", lambda v: identity_suite(q_grid=(), eps=v), list),
+    ("identity_suite", "q", "(-1, 1)", lambda v: identity_suite(q_grid=(v,), rho_grid=()), list),
     ("integrate", "q", "(-1, 1)", lambda v: integrate(np.cos, v), IntegralResult),
     ("integrate", "tol", "positive", lambda v: integrate(np.cos, 0.5, tol=v), IntegralResult),
     ("run_all", "tol", "positive", lambda v: run_all({"suites": (), "tol": v}), tuple),
-    ("run_all", "tol_chapman", "positive",
-     lambda v: run_all({"suites": (), "tol_chapman": v}), tuple),
     ("check_projection", "y", "finite", lambda v: check_projection(1, v, 0.5, 0.5),
      VerificationReport),
     ("check_projection", "tol", "positive", lambda v: check_projection(1, 0.1, 0.5, 0.5, v),

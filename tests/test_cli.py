@@ -261,6 +261,24 @@ class TestExitCodes:
         assert code == 3
         assert "batch must be an integer >= 1, got " in err
 
+    def test_negative_seed(self, capsys):
+        # it exited 1 with a numpy traceback
+        code = main(["sample", "--target", "fn", "--q", "0.5", "--n", "1", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (3, "", "qortho: seed must be an integer >= 0, got -1\n")
+
+    @pytest.mark.parametrize("argv,name", [
+        (["expand", "--id", "n_over_u", "--q", "0.5", "--x", "0.1", "--k", "1" + "0" * 30], "K"),
+        (["eval", "--family", "qhermite", "--q", "1/2", "--x", "0", "--n", "1" + "0" * 30],
+         "polynomial degree"),
+    ])
+    def test_degree_past_maxsize(self, capsys, argv, name):
+        # both exited 1 with a traceback from islice
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("qortho: %s must be at most sys.maxsize" % name)
+
     def test_nonconvergent_product(self, capsys):
         code = main(["density", "--density", "fn",
                      "--q", "0.95", "--x", "0.0"])

@@ -1,12 +1,15 @@
 """Tests for density-expansion kernels and the q-series identity battery."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qortho import expand
 from qortho.qcore import (
     NonConvergenceError, ParameterError, q_bracket, q_factorial, q_pochhammer, support,
 )
@@ -259,6 +262,11 @@ class TestEvaluation:
     def test_unused_parameters_are_not_checked(self):
         assert expansion_coeff("n_over_u", 2, q=F(1, 2), rho=5, y=math.nan) == F(-1, 2)
 
+    def test_truncation_past_maxsize(self):
+        # it raised a raw ValueError from islice
+        with pytest.raises(ParameterError, match="^K must be at most sys.maxsize"):
+            expansion_eval(ExpansionSpec("n_over_u", {"q": 0.5}, 10 ** 400), 0.1)
+
     def test_overflowing_coefficient(self):
         assert expansion_coeff("mehler_classical", 170, rho=0.9) > 0.0
         with pytest.raises(NonConvergenceError, match="c_171 overflowed"):
@@ -306,16 +314,34 @@ class TestIdentitySuite:
         assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("kw", [
-        dict(tol=-1), dict(tol=math.nan), dict(tol=0.0), dict(eps=math.inf), dict(eps=-1e-15),
-        dict(eps=2.0), dict(tol="x"),
+        dict(tol=-1), dict(tol=math.nan), dict(tol=0.0), dict(tol=math.inf),
+        dict(tol=-math.inf), dict(tol=True), dict(tol="x"),
     ])
     def test_tolerances_are_checked(self, kw):
-        # tol = -1 or NaN used to run the battery and fail every report; eps =
-        # 2.0 failed deep inside on another function's trunc_eps, and tol = "x"
-        # raised a raw TypeError
-        err = r"^(tol must be (positive and finite|a real number)|eps must lie in \(0, 1\))"
+        # tol = -1 or NaN used to run the battery and fail every report, and
+        # tol = "x" raised a raw TypeError; a bool is not a tolerance
+        err = r"^tol must be (positive and finite|a real number)"
         with pytest.raises(ParameterError, match=err):
             identity_suite(q_grid=(0.5,), **kw)
+
+    @pytest.mark.parametrize("grids,err", [
+        (dict(q_grid=("x",)), "identity_suite needs a real q, got 'x'"),
+        (dict(q_grid=(0.5, 1.0)), "identity_suite needs -1 < q < 1, got q=1.0"),
+        (dict(q_grid=(0.5,), rho_grid=(0.3, math.nan)), "identity_suite needs |rho| < 1"),
+        (dict(q_grid=(0.5,), rho_grid=(True,)), "identity_suite needs a real rho, got True"),
+    ])
+    def test_grid_values_are_checked_before_any_check(self, grids, err):
+        with mock.patch.object(expand, "_i1") as i1:
+            with pytest.raises(ParameterError, match="^" + re.escape(err)):
+                identity_suite(**grids)
+        i1.assert_not_called()
+
+    def test_exact_grid_values_run_as_floats(self):
+        # a Fraction q or rho raised a raw numpy UFuncTypeError
+        reports = identity_suite(q_grid=(Fraction(1, 3),), rho_grid=(Fraction(2, 5),))
+        assert reports == identity_suite(q_grid=(1 / 3,), rho_grid=(0.4,))
+        assert all(r.passed for r in reports)
+        assert all(type(r.params["q"]) is float for r in reports)
 
     def test_report_fields(self):
         reports = identity_suite(q_grid=(0.3,), rho_grid=(0.3,))

@@ -407,6 +407,11 @@ class TestEvalAll:
         with pytest.raises(ParameterError, match="^n_max must be an integer >= 0, got "):
             eval_all(QHermite(0.5), n_max, 0.3)
 
+    def test_degree_past_maxsize(self):
+        # it raised a raw ValueError from islice
+        with pytest.raises(ParameterError, match="^n_max must be at most sys.maxsize"):
+            eval_all(QHermite(0.5), 10 ** 400, 0.3)
+
 
 class TestRows:
     def test_row_takes_each_value_once_and_no_further(self):

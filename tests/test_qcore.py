@@ -1,6 +1,7 @@
 """Tests for q-brackets, q-factorials, q-binomials and Pochhammer symbols."""
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
@@ -367,6 +368,14 @@ class TestCheckParams:
         else:
             with pytest.raises(ParameterError, match="^n_max must be an integer >= 0, got "):
                 check_degree(n)
+
+    @pytest.mark.parametrize("n", [sys.maxsize + 1, 10 ** 400], ids=["maxsize+1", "10**400"])
+    def test_degree_past_maxsize(self, n):
+        # no count past sys.maxsize can be iterated or allocated
+        assert check_degree(sys.maxsize) == sys.maxsize
+        msg = "^n_max must be at most sys.maxsize = %d, got %d$" % (sys.maxsize, n)
+        with pytest.raises(ParameterError, match=msg):
+            check_degree(n)
 
 
 class TestPrimitiveDegrees:

@@ -175,7 +175,7 @@ class TestCurvatureSum:
         B = q_binomial_table(q)
         want = ref.curvature_loop(lambda n: connect.gamma_coeff(n, y, rho, q, H=H, B=B),
                                   self.H2_8)
-        got = sampler._curvature_slack(fCN(float(y), float(rho), float(q)), 10001)
+        got = sampler._curvature_slack(fCN(float(y), float(rho), float(q)))
         assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 4), Fraction(9, 10)])
@@ -184,7 +184,7 @@ class TestCurvatureSum:
         want = ref.curvature_loop(
             lambda n: 0 if n % 2 else (-1) ** (n // 2) * q ** (n // 2 * (n // 2 + 1) // 2),
             self.H2_8)
-        got = sampler._curvature_slack(fN(float(q)), 10001)
+        got = sampler._curvature_slack(fN(float(q)))
         assert got == pytest.approx(want, rel=1e-13)
 
 

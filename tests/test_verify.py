@@ -189,8 +189,7 @@ class TestDIntegral:
 class TestRunAll:
     def test_reduced_battery(self):
         reports, ok = run_all(
-            {"q_grid": (0.3,), "n_max": 3, "identity_q_grid": (0.5,),
-             "rho_grid": (0.4,),
+            {"q_grid": (0.3,), "tol": 1e-9,
              "suites": ("normalization", "orthogonality", "identities")}
         )
         assert ok
@@ -204,10 +203,11 @@ class TestRunAll:
         ({"suites": ("identities", "bogus")}, "unknown suite 'bogus'"),
         ({"q_gird": (0.3,)}, "unknown run_all config key 'q_gird'"),
         ({"tol": math.nan}, "tol must be positive and finite"),
-        ({"tol_identity": -1.0}, "tol_identity must be positive and finite"),
-        ({"tol_chapman": 0.0}, "tol_chapman must be positive and finite"),
-        ({"suites": ("orthogonality",), "n_max": -1}, "n_max must be an integer >= 0"),
-        ({"suites": ("orthogonality",), "n_max": 2.5}, "n_max must be an integer >= 0"),
+        # the knobs that only tests set are gone: tol and q_grid set every suite
+        ({"tol_identity": 1e-10}, "unknown run_all config key 'tol_identity'"),
+        ({"tol_chapman": 1e-6}, "unknown run_all config key 'tol_chapman'"),
+        ({"suites": ("orthogonality",), "n_max": 3}, "unknown run_all config key 'n_max'"),
+        ({"envelope_q_grid": (0.3,)}, "unknown run_all config key 'envelope_q_grid'"),
         ({"suites": "orthogonality"}, "suites must be a sequence of suite names"),
     ])
     def test_bad_config_is_refused_before_any_check(self, config, err):
@@ -215,6 +215,20 @@ class TestRunAll:
             with pytest.raises(ParameterError, match="^" + err):
                 run_all(dict(config, q_grid=(0.3,)))
         check.assert_not_called()
+
+    def test_one_tol_sets_every_suite_but_chapman_and_envelope(self):
+        reports, ok = run_all({"q_grid": (0.3,), "tol": 1e-9})
+        assert ok
+        tols = {}
+        for r in reports:
+            tols.setdefault(r.check_id.split(":")[0], set()).add(r.tolerance)
+        assert tols.pop("chapman") == {1e-6}
+        assert tols.pop("envelope") == {1e-9}  # the sampler's slack
+        assert set(tols) == {"normalization", "orthogonality", "projection", "d-integral",
+                             "i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8"}
+        assert all(t == {1e-9} for t in tols.values())
+        # q_grid sets the identities' and envelope's grids too
+        assert {r.params["q"] for r in reports} == {0.3}
 
     @pytest.mark.parametrize("suite,calls", [
         ("orthogonality", 6), ("projection", 1), ("d-integral", 1),
@@ -244,18 +258,18 @@ class TestEnvelopeSuite:
     def test_the_grid_sup_alone_fails_between_the_nodes(self):
         # with no curvature slack M is the sampler grid's own sup; at q = 0.3
         # the fCN ratio peaks between two nodes, where the suite evaluates it
-        with mock.patch.object(sampler, "_curvature_slack", lambda dens, grid_n: 0.0):
-            reports, ok = run_all({"suites": ("envelope",), "envelope_q_grid": (0.3,)})
+        with mock.patch.object(sampler, "_curvature_slack", lambda dens: 0.0):
+            reports, ok = run_all({"suites": ("envelope",), "q_grid": (0.3,)})
         assert [r.passed for r in reports] == [True, False]
 
     def test_reports_the_sampler_constant(self):
         # M = grid sup + D h^2/8, with the slack summed here by a scalar loop
         # over the per-k gamma_coeff instead of the sampler's float gamma row
-        reports, ok = run_all({"suites": ("envelope",), "envelope_q_grid": (0.45,)})
+        reports, ok = run_all({"suites": ("envelope",), "q_grid": (0.45,)})
         assert ok
         L = support(0.45).radius
         dens = fCN(0.3 * L, 0.5, 0.45)
         slack = ref.curvature_loop(lambda n: gamma_coeff(n, dens.y, dens.rho, dens.q),
                                    1.0 / (2.0 * 10000 ** 2))
-        want = sampler._grid_sup(dens, 10001) + slack
+        want = sampler._grid_sup(dens) + slack
         assert reports[1].params["M"] == pytest.approx(want, rel=1e-15)
