@@ -8,10 +8,10 @@ Six families share one vocabulary::
                     + (1-q) r^2 (x^2 + y^2) q^{2k}                   (k >= 0)
     den_k(x)      = (1 + b q^k)^2 - (1-q) b x^2 q^k                  (k >= 0)
 
-    fN  = sqrt(1-q) (q;q)_inf sqrt(s2) prod fac_k / (2 pi)
+    fU  = sqrt((1-q) s2) / (2 pi)
+    fN  = fU * (q;q)_inf prod fac_k
     fCN = fN * (r^2;q)_inf / prod w_k
     fR  = fN * (b^2;q)_inf / ((b;q)_inf (bq;q)_inf prod den_k)
-    fU  = sqrt((1-q) s2) / (2 pi)
     fT  = sqrt(1-q) / (pi sqrt(s2))
     fK  = (1-r^2) sqrt(1-q) sqrt(s2) / (2 pi D(x,y)),
           D = (1-r^2)^2 - r (1-q)(1+r^2) x y + (1-q) r^2 (x^2 + y^2)
@@ -19,6 +19,12 @@ Six families share one vocabulary::
 The k = 0 numerator factor fac_0 = s2 is merged with the 1/sqrt(s2)
 prefactor, so every product starts at a factor bounded away from zero and the
 boundary value 0 needs no special casing.
+
+fN, fCN and fR each name the density they multiply in ``_LINKS``, with a
+link that gives that ratio as (constant, log product).  ``density_eval`` of
+the three is fU times the links up to fU; a merged ``density_ratio`` (fCN/fN,
+fR/fN, fN/fU, fCN/fU, fR/fU: a density over one above it) is the product of
+the links between the two, and ``pm_ratio`` is the fcn link.
 
 All three products run through one loop, ``_log_qproduct``: it steps
 p = q^k by repeated multiplication, adds log factor(p) in log space and
@@ -44,15 +50,16 @@ factor alike.
 
 A point that is not a real number, an int past the float range or a NaN
 is a ParameterError (``_as_array``).  Outside S(q), +-inf included,
-``density_eval`` gives 0; the merged ratios (``pm_ratio`` and the product
-forms of ``density_ratio``) have no value there and raise ParameterError.
-The endpoints +-L belong to S(q), and the merged ratios are finite there.
+``density_eval`` gives 0; the merged ratios have no value there and raise
+ParameterError.  The endpoints +-L belong to S(q), and the merged ratios are
+finite there.
 
 fN and fCN admit q = 1 closed forms (standard normal, N(rho y, 1 - rho^2));
-the remaining families reject q = 1.  The six constructors and ``pm_ratio``
-check their arguments in one place, ``_density``: ``qcore.check_params``
-for q, rho, beta, a finite y and trunc_eps in (0, 1), plus the one rule of
-this module, a conditioning point y in S(q) when q < 1.
+the remaining families, and the merged fCN/fN, reject q = 1.  The six
+constructors and ``pm_ratio`` check their arguments in one place,
+``_density``: ``qcore.check_params`` for q, rho, beta, a finite y and
+trunc_eps in (0, 1), plus the one rule of this module, a conditioning point
+y in S(q) when q < 1.
 """
 
 import math
@@ -130,9 +137,9 @@ def fK(y, rho, q, trunc_eps=1e-14):
 
 def _as_array(x, name="x"):
     """(x is a scalar, x as a 1-d float array); a point that is not a real
-    number (a string, a complex number, a bool), an int past the float range
-    or a NaN is a ParameterError naming it."""
-    xa = np.asarray(x)
+    number (a string, a complex number, a bool, also inside a list or tuple),
+    an int past the float range or a NaN is a ParameterError naming it."""
+    xa = np.asarray(x, dtype=object if isinstance(x, (list, tuple)) else None)
     if xa.dtype.kind not in "iufO" or xa.dtype.kind == "O" and not all(
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in xa.flat):
         raise ParameterError("%s must be real numbers, got %r" % (name, x))
@@ -230,6 +237,41 @@ def _log_den_sum(x2s, beta, q, eps):
     )
 
 
+#: tag -> (parent tag, link): the density is its parent times the ratio that
+#: link(d, x, eps) returns as (constant, log product)
+_LINKS = {
+    "fn": ("fu", lambda d, x, eps: (
+        q_pochhammer_inf(d.q, d.q, eps), _log_fac_sum((1.0 - d.q) * x * x, d.q, eps))),
+    "fcn": ("fn", lambda d, x, eps, y=None: (
+        q_pochhammer_inf(d.rho * d.rho, d.q, eps),
+        -_log_w_sum(x, d.y if y is None else y, d.rho, d.q, eps))),
+    "fr": ("fn", lambda d, x, eps: (
+        q_pochhammer_inf(d.beta * d.beta, d.q, eps)
+        / (q_pochhammer_inf(d.beta, d.q, eps) * q_pochhammer_inf(d.beta * d.q, d.q, eps)),
+        -_log_den_sum((1.0 - d.q) * x * x, d.beta, d.q, eps))),
+}
+
+
+def _ancestors(tag):
+    """The tags above tag in ``_LINKS``, nearest first."""
+    while tag in _LINKS:
+        tag = _LINKS[tag][0]
+        yield tag
+
+
+def _chain_ratio(d, top, x, eps, tag=None):
+    """d / top at x as (constant, log product), top being d.tag or one of its
+    ancestors: the links from top down to d.tag, constants multiplied and log
+    products summed in that order."""
+    tag = d.tag if tag is None else tag
+    if tag == top:
+        return 1.0, 0.0
+    parent, link = _LINKS[tag]
+    const, logs = _chain_ratio(d, top, x, eps, parent)
+    c, log_product = link(d, x, eps)
+    return const * c, logs + log_product
+
+
 def _kesten_denom(x, y, rho, q):
     omq = 1.0 - q
     D = (
@@ -269,50 +311,24 @@ def density_eval(d, x):
         return _ret(scalar, out)
     xi = xa[inside]
     s2 = 4.0 - (1.0 - q) * xi * xi
-    x2s = (1.0 - q) * xi * xi
 
-    if d.tag == "fu":
-        out[inside] = np.sqrt((1.0 - q) * s2) / TWO_PI
-    elif d.tag == "ft":
+    if d.tag == "ft":
         out[inside] = math.sqrt(1.0 - q) / (math.pi * np.sqrt(s2))
     elif d.tag == "fk":
         D = _kesten_denom(xi, d.y, d.rho, q)
         out[inside] = (
             (1.0 - d.rho * d.rho) * math.sqrt(1.0 - q) * np.sqrt(s2) / (TWO_PI * D)
         )
-    elif d.tag == "fn":
-        logc = math.log(math.sqrt(1.0 - q) * q_pochhammer_inf(q, q, eps) / TWO_PI)
-        out[inside] = np.exp(logc + 0.5 * np.log(s2) + _log_fac_sum(x2s, q, eps))
-    elif d.tag == "fcn":
-        const = (
-            math.sqrt(1.0 - q)
-            * q_pochhammer_inf((d.rho * d.rho, q), q, eps)
-            / TWO_PI
-        )
-        logs = 0.5 * np.log(s2) + _log_fac_sum(x2s, q, eps)
-        logs -= _log_w_sum(xi, d.y, d.rho, q, eps)
-        out[inside] = const * np.exp(logs)
-    elif d.tag == "fr":
-        b = d.beta
-        const = (
-            math.sqrt(1.0 - q)
-            * q_pochhammer_inf((b * b, q), q, eps)
-            / (
-                q_pochhammer_inf(b, q, eps)
-                * q_pochhammer_inf(b * q, q, eps)
-                * TWO_PI
-            )
-        )
-        logs = 0.5 * np.log(s2) + _log_fac_sum(x2s, q, eps)
-        logs -= _log_den_sum(x2s, b, q, eps)
-        out[inside] = const * np.exp(logs)
+    elif d.tag == "fu" or d.tag in _LINKS:
+        const, logs = _chain_ratio(d, "fu", xi, eps)
+        out[inside] = np.sqrt((1.0 - q) * s2) / TWO_PI * (const * np.exp(logs))
     else:
         raise ParameterError("unknown density tag %r" % (d.tag,))
     return _ret(scalar, out)
 
 
 def pm_ratio(x, y, rho, q, eps=1e-14):
-    """fCN(x|y,rho,q) / fN(x|q) = (rho^2;q)_inf / prod_k w_k(x, y).
+    """fCN(x|y,rho,q) / fN(x|q) = (rho^2;q)_inf / prod_k w_k(x, y), the fcn link.
 
     Symmetric in (x, y); broadcasts, so either argument may be an array.
     A NaN point, or a point outside S(q), raises ParameterError: the ratio
@@ -320,59 +336,28 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
     """
     check_params("pm_ratio", {"eps": eps}, ("eps",))
     d = _density("fcn", eps, rho=rho, q=q)
-    rho, q, eps = d.rho, d.q, d.trunc_eps
-    x_scalar, xa = _support_points(x, q)
-    y_scalar, ya = _support_points(y, q, "y")
-    const = q_pochhammer_inf(rho * rho, q, eps)
-    out = const * np.exp(-_log_w_sum(xa, ya, rho, q, eps))
-    return _ret(x_scalar and y_scalar, out)
-
-
-def _fr_over_fn(x, beta, q, eps):
-    scalar, xa = _support_points(x, q)
-    const = q_pochhammer_inf(beta * beta, q, eps) / (
-        q_pochhammer_inf(beta, q, eps) * q_pochhammer_inf(beta * q, q, eps)
-    )
-    x2s = (1.0 - q) * xa * xa
-    out = const * np.exp(-_log_den_sum(x2s, beta, q, eps))
-    return _ret(scalar, out)
-
-
-def _fn_over_fu(x, q, eps):
-    scalar, xa = _support_points(x, q)
-    x2s = (1.0 - q) * xa * xa
-    out = q_pochhammer_inf(q, q, eps) * np.exp(_log_fac_sum(x2s, q, eps))
-    return _ret(scalar, out)
-
-
-def _fcn_over_fu(x, y, rho, q, eps):
-    scalar, xa = _support_points(x, q)
-    x2s = (1.0 - q) * xa * xa
-    logs = _log_fac_sum(x2s, q, eps) - _log_w_sum(xa, y, rho, q, eps)
-    out = q_pochhammer_inf((rho * rho, q), q, eps) * np.exp(logs)
-    return _ret(scalar, out)
+    x_scalar, xa = _support_points(x, d.q)
+    y_scalar, ya = _support_points(y, d.q, "y")
+    const, logs = _LINKS["fcn"][1](d, xa, d.trunc_eps, ya)
+    return _ret(x_scalar and y_scalar, const * np.exp(logs))
 
 
 def density_ratio(num, den, x):
-    """num(x) / den(x), using a merged product form where one exists.
+    """num(x) / den(x), in the merged product form when den lies above num in
+    the ``_LINKS`` chain: fCN/fN, fR/fN, fN/fU, fCN/fU and fR/fU.
 
-    Merged pairs (same q required): fCN/fN, fR/fN, fN/fU, fCN/fU.  These stay
-    finite on all of S(q) including the endpoints, and raise ParameterError
-    outside it.  Other combinations fall back to the plain quotient and
-    require den(x) > 0.
+    A merged ratio is the product of the links between the two (same q, below
+    1, required); it stays finite on all of S(q), the endpoints included, and
+    raises ParameterError outside it.  Every other pair is the plain quotient
+    and requires den(x) > 0.
     """
     if num.q != den.q:
         raise ParameterError("density ratio requires matching q")
-    q, eps = num.q, min(num.trunc_eps, den.trunc_eps)
-    pair = (num.tag, den.tag)
-    if pair == ("fcn", "fn"):
-        return pm_ratio(x, num.y, num.rho, q, eps)
-    if pair == ("fr", "fn"):
-        return _fr_over_fn(x, num.beta, q, eps)
-    if pair == ("fn", "fu"):
-        return _fn_over_fu(x, q, eps)
-    if pair == ("fcn", "fu"):
-        return _fcn_over_fu(x, num.y, num.rho, q, eps)
+    if den.tag in _ancestors(num.tag):
+        check_params("density_ratio", {"q": num.q}, ("q",))
+        scalar, xa = _support_points(x, num.q)
+        const, logs = _chain_ratio(num, den.tag, xa, min(num.trunc_eps, den.trunc_eps))
+        return _ret(scalar, const * np.exp(logs))
     scalar, xa = _as_array(x)
     dv = density_eval(den, xa)
     if np.any(dv == 0.0):

@@ -92,6 +92,7 @@ from .polyfam import (
 )
 from .densities import (
     density_eval,
+    density_ratio,
     fCN,
     fK,
     fN,
@@ -99,7 +100,6 @@ from .densities import (
     fU,
     pm_ratio,
     _as_array,
-    _fn_over_fu,
 )
 from .connect import _gamma_terms, beta_coeff, gamma_coeff
 
@@ -517,7 +517,7 @@ def _i1(q):
     # fN/fU = sum_k (-1)^k q^{k(k+1)/2} U_{2k}(x sqrt(1-q)/2), the n_over_u kernel
     xs = _grid(q)
     rhs = _sum_series(_terms(_KERNELS["n_over_u"], {"q": q}, xs))[0]
-    return _mixed(_fn_over_fu(xs, q, _EPS), rhs)
+    return _mixed(density_ratio(fN(q, _EPS), fU(q, _EPS), xs), rhs)
 
 
 def _i2(q):
@@ -537,7 +537,7 @@ def _i4(q):
     # u_over_n kernel, on the grid and at x = 0
     xs = np.append(_grid(q), 0.0)
     rhs = _sum_series(_terms(_KERNELS["u_over_n"], {"q": q}, xs))[0]
-    res_grid = _mixed(1.0 / _fn_over_fu(xs[:-1], q, _EPS), rhs[:-1])
+    res_grid = _mixed(1.0 / density_ratio(fN(q, _EPS), fU(q, _EPS), xs[:-1]), rhs[:-1])
 
     # x = 0: fU/fN = 1/((q;q)_inf (-q;q)_inf^2)
     qinf = q_pochhammer_inf(q, q, _EPS)
@@ -645,7 +645,7 @@ def _i7_cube(q):
     The left side is fN/fU at the theta = pi/3 point x = 1/sqrt(1-q), where
     (1-q) x^2 = 1 turns fac_k into 1 + q^k + q^{2k}.
     """
-    lhs = _fn_over_fu(1.0 / math.sqrt(1.0 - q), q, _EPS)
+    lhs = density_ratio(fN(q, _EPS), fU(q, _EPS), 1.0 / math.sqrt(1.0 - q))
     return _mixed(lhs, q_pochhammer_inf(q ** 3, q ** 3, _EPS))
 
 

@@ -8,7 +8,8 @@ tag: :func:`ClassicalHermite` is ``QHermite(1)`` and :func:`Kesten` is
 ``KestenHat(y, rho, 0)``.  The engine computes
 p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} with family-specific coefficient
 functions.  Evaluation is duck-typed over the point, so the same code path
-serves floats, exact rationals and numpy arrays.
+serves floats, exact rationals and numpy arrays; ``eval_all`` and ``eval``
+refuse a str, bool or complex point and a NaN or infinite float.
 
 Exact coefficients come from ``_coordinates``, the connection-coefficient
 recurrence on coordinate vectors over a source family, which
@@ -267,21 +268,28 @@ def _recurrence(fam, x):
 
 
 def eval_all(fam, n_max, x):
-    """[p_0(x), ..., p_{n_max}(x)], n_max an int >= 0; x a float, Fraction or ndarray."""
+    """[p_0(x), ..., p_{n_max}(x)], n_max an int >= 0; x a float, int, Fraction or ndarray.
+
+    A str, bool or complex x, or a NaN or infinite float, is a ParameterError;
+    ints and Fractions of any size stay exact, and an array passes as it is
+    (``densities._as_array`` checks the float layers' points).
+    """
     check_degree(n_max)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ParameterError("polynomial point x must be finite, got %r" % (x,))
+    if isinstance(x, (str, bytes, bool, complex)):
+        raise ParameterError("polynomial point x must be a real number, got %r" % (x,))
     return list(islice(_recurrence(fam, x), n_max + 1))
 
 
 def eval(fam, n, x):
     """p_n(x) for the given family.
 
-    A degree n that is not an int >= 0, or a NaN or infinite float x, is a
-    ParameterError, and a float value that overflowed (inf or NaN at a finite
-    x) a NonConvergenceError.
+    A degree n that is not an int >= 0, or a point x that ``eval_all``
+    refuses, is a ParameterError, and a float value that overflowed (inf or
+    NaN at a finite x) a NonConvergenceError.
     """
     check_degree(n, "polynomial degree")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ParameterError("polynomial point x must be finite, got %r" % (x,))
     value = eval_all(fam, n, x)[n]
     if isinstance(value, float) and not math.isfinite(value):
         raise NonConvergenceError("%s p_%d(%r) overflowed" % (fam.label(), n, x))

@@ -161,14 +161,13 @@ def ks_statistic(samples, dens):
     The CDF is tabulated on _KS_GRID_N theta nodes (x = -L cos theta) by
     cumulative trapezoid, which keeps the edge square roots analytic.  Samples
     outside S(q), infinite ones too, sit where the CDF is exactly 0 or 1; a
-    NaN sample has no place and raises ParameterError.
+    sample that ``densities._as_array`` refuses (a NaN, a bool, a value that
+    is not a real number) raises ParameterError.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = densities._as_array(samples, "samples")[1].ravel()
     n = samples.size
     if n == 0:
         raise ParameterError("ks_statistic needs at least one sample")
-    if np.isnan(samples).any():
-        raise ParameterError("ks_statistic got a NaN sample")
     L = support(dens.q).radius
     theta = np.linspace(0.0, math.pi, _KS_GRID_N)
     x = -L * np.cos(theta)

@@ -13,6 +13,7 @@ Gram matrix G[n, m] = integral of a_n b_m dens per (family pair, q), against
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,16 +259,20 @@ def run_all(config=None):
     config keys: ``suites`` (default all), ``q_grid`` (the q values of every
     suite; default each suite's own) and ``tol`` (the tolerance of every suite
     but chapman, 1e-6, and envelope, the sampler's 1e-9 slack).  Any other
-    key, an unknown suite, suites given as one string or a tol that is not
-    positive and finite is a ParameterError before any check runs.
+    key, an unknown suite, suites or q_grid that is not a sequence (None, a
+    number or one string) or a tol that is not positive and finite is a
+    ParameterError before any check runs.
     """
     cfg = dict(config or {})
     unknown = sorted(set(cfg) - {"suites", "q_grid", "tol"})
     if unknown:
         raise ParameterError("unknown run_all config key %r" % (unknown[0],))
+    for key, what in (("suites", "suite names"), ("q_grid", "q values")):
+        if key in cfg:
+            if isinstance(cfg[key], str) or not isinstance(cfg[key], Iterable):
+                raise ParameterError("%s must be a sequence of %s, got %r" % (key, what, cfg[key]))
+            cfg[key] = tuple(cfg[key])
     suites = cfg.get("suites", tuple(_SUITES))
-    if isinstance(suites, str):
-        raise ParameterError("suites must be a sequence of suite names, got %r" % (suites,))
     unknown = [name for name in suites if name not in _SUITES]
     if unknown:
         raise ParameterError("unknown suite %r; expected one of %s"

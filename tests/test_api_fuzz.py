@@ -15,7 +15,8 @@ two ways:
 No other exception may escape, and a RuntimeWarning is an error.  "Finite"
 means a real number, not a bool, whose magnitude fits a float, so 10**400 is
 outside every domain.  A point x is finite or +-inf (a NaN, a string, a
-complex number or 10**400 is refused); only scalar points are drawn here.
+complex number or 10**400 is refused), and a polynomial point is an exact
+number of any size or a finite float; only scalar points are drawn here.
 Integer counts are not slots here: ``check_degree`` and the CLI fuzz test
 cover them.
 """
@@ -43,8 +44,9 @@ from qortho.densities import (
 from qortho.expand import (
     ExpansionResult, ExpansionSpec, expansion_coeff, expansion_eval, identity_suite,
 )
+from qortho.polyfam import eval_all
 from qortho.qcore import VerificationReport
-from qortho.sampler import SampleResult, sample
+from qortho.sampler import SampleResult, ks_statistic, sample
 from qortho.verify import IntegralResult, check_chapman, check_projection, integrate, run_all
 
 LISTED = [math.nan, math.inf, -math.inf, 2.5, True, -1, 0, 1, 10 ** 400, np.int64(3),
@@ -66,6 +68,8 @@ DOMAINS = {
     "(0, 1)": lambda v: 0 < v < 1,
     "positive": lambda v: 0 < v and _fits(v),
     "point": lambda v: _fits(v) or v in (math.inf, -math.inf),
+    # a polynomial point: an int or Fraction of any size stays exact
+    "exact point": lambda v: not isinstance(v, float) or math.isfinite(v),
 }
 
 F2, F3 = F(1, 2), F(1, 3)
@@ -89,6 +93,8 @@ SLOTS = [
     ("ASC", "y", "finite", lambda v: eval(ASC(v, F2, F3), 2, F(1, 10)), Real),
     ("ASC", "rho", "(-1, 1)", lambda v: eval(ASC(F(1, 10), v, F3), 2, F(1, 10)), Real),
     ("KestenHat", "q", "(-1, 1)", lambda v: eval(KestenHat(F3, F2, v), 2, F(1, 10)), Real),
+    ("eval", "x", "exact point", lambda v: eval(QHermite(F2), 2, v), Real),
+    ("eval_all", "x", "exact point", lambda v: eval_all(QHermite(F2), 2, v), list),
     ("connection", "y", "finite",
      lambda v: connection("asc-from-h", 3, y=v, rho=F2, q=F3), ConnectionMatrix),
     ("connection", "gamma", "(-1, 1)",
@@ -128,6 +134,7 @@ SLOTS = [
     ("check_chapman", "tol", "positive", lambda v: check_chapman(0.1, 0.2, 0.5, 0.5, 0.5, v),
      VerificationReport),
     ("sample", "envelope", "positive", lambda v: sample(fN(0.5), 0, envelope=v), SampleResult),
+    ("ks_statistic", "samples", "point", lambda v: ks_statistic([v], fN(0.5)), float),
 ]
 
 

@@ -304,8 +304,9 @@ MERGED = [
     (fR(-0.3, 0.5), fN(0.5)),
     (fN(0.5), fU(0.5)),
     (fCN(0.3, 0.4, 0.5), fU(0.5)),
+    (fR(-0.3, 0.5), fU(0.5)),
 ]
-MERGED_IDS = ["fcn/fn", "fr/fn", "fn/fu", "fcn/fu"]
+MERGED_IDS = ["fcn/fn", "fr/fn", "fn/fu", "fcn/fu", "fr/fu"]
 
 
 class TestDensityRatio:
@@ -318,6 +319,7 @@ class TestDensityRatio:
             (fR(beta, q), fN(q)),
             (fN(q), fU(q)),
             (fCN(y, rho, q), fU(q)),
+            (fR(beta, q), fU(q)),
         ]
         for num, den in pairs:
             direct = density_eval(num, xs) / density_eval(den, xs)
@@ -343,6 +345,21 @@ class TestDensityRatio:
             with pytest.raises(ParameterError, match="outside S"):
                 density_ratio(num, den, x)
 
+    def test_fr_over_fu_is_the_chain_at_the_edges(self):
+        # fR/fU is fR/fN times fN/fU, merged, so it has a value at +-L too
+        q = 0.5
+        L = support(q).radius
+        x = np.array([-L, L])
+        got = density_ratio(fR(0.3, q), fU(q), x)
+        want = density_ratio(fR(0.3, q), fN(q), x) * density_ratio(fN(q), fU(q), x)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_merged_ratio_needs_q_below_one(self):
+        # fCN and fN both exist at q = 1, but their product form does not
+        with pytest.raises(ParameterError, match="^density_ratio needs -1 < q < 1, got q=1.0$"):
+            density_ratio(fCN(0.3, 0.4, 1.0), fN(1.0), 0.0)
+
     def test_mixed_q_rejected(self):
         with pytest.raises(ParameterError):
             density_ratio(fN(0.5), fU(0.4), 0.0)
@@ -352,8 +369,9 @@ class TestDensityRatio:
         (fR(0.35, 0.5), fN(0.5)),
         (fN(0.5), fU(0.5)),
         (fCN(0.3, 0.4, 0.5), fU(0.5)),
+        (fR(0.35, 0.5), fU(0.5)),
         (fK(0.3, 0.4, 0.5), fU(0.5)),
-    ], ids=["fcn/fn", "fr/fn", "fn/fu", "fcn/fu", "fk/fu"])
+    ], ids=["fcn/fn", "fr/fn", "fn/fu", "fcn/fu", "fr/fu", "fk/fu"])
     def test_nan_point_rejected(self, num, den):
         with pytest.raises(ParameterError, match="NaN"):
             density_ratio(num, den, np.array([0.0, math.nan]))
@@ -380,7 +398,7 @@ class TestNormalization:
 # float.hex literals captured from the reference implementation, so every
 # comparison is bit for bit.  Points are fractions of the support radius L:
 # the edges, the inside and one point outside S(q); rho = 0 and beta = 0 are
-# covered, and the ratio pairs are the four merged product forms plus one
+# covered, and the ratio pairs are four of the merged product forms plus one
 # plain quotient (fK/fU, inside S(q) where fU > 0).
 
 GOLDEN_QS = (-0.8, -0.1, 0.0, 0.3, 0.7, 0.9)
@@ -420,36 +438,36 @@ def golden_pm(rho, q):
 
 
 GOLDEN_DENSITY = {
-    ('fn', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc047p-3', '0x1.e1580d807fe95p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82bp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
-    ('fn', -0.1): ['0x0.0p+0', '0x1.3877864781708p-3', '0x1.278d16eb8c63cp-2', '0x1.3354c730af061p-2', '0x1.2f56832e222cep-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fn', 0.0): ['0x0.0p+0', '0x1.df391d7c729d5p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c884p-2', '0x1.2ed138b7b6ba7p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fn', 0.3): ['0x0.0p+0', '0x1.097e8706dc1ccp-5', '0x1.c1fba97149066p-3', '0x1.6a15bfb07876dp-2', '0x1.1d37ad2eaa3c9p-2', '0x1.03ee2107e2360p-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fn', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631055p-4', '0x1.87bd3fdef250dp-2', '0x1.5e1d543eb86d3p-3', '0x1.3344ed4e5519dp-10', '0x0.0p+0', '0x0.0p+0'],
-    ('fn', 0.9): ['0x0.0p+0', '0x1.805a7da979f42p-41', '0x1.c155b1c194bfdp-10', '0x1.9343e54f3906fp-2', '0x1.a62a3e33ed015p-6', '0x1.4ecd88d6e9f9ap-30', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn', -0.8): ['0x0.0p+0', '0x1.c5b13e848117ap-6', '0x1.dd03c7459b511p-2', '0x1.875921220863ep-6', '0x1.2e7790d96f850p-1', '0x1.ba457021f634bp-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn', -0.1): ['0x0.0p+0', '0x1.443f0131a82a5p-5', '0x1.1eb3feec353f2p-3', '0x1.7aef3d6377a92p-2', '0x1.06a6468cdf4fbp-1', '0x1.6510c710e8b35p-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn', 0.0): ['0x0.0p+0', '0x1.c72a30707c722p-6', '0x1.fbeab54c6f35dp-4', '0x1.82e22b1690c61p-2', '0x1.0312a4ab7fa6ap-1', '0x1.261be1d200e49p-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn', 0.3): ['0x0.0p+0', '0x1.35977bec8382ep-8', '0x1.2ed3565c2f1ddp-4', '0x1.83f041376c137p-2', '0x1.e8ad6d126c779p-2', '0x1.e0148d9ac1997p-5', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn', 0.7): ['0x0.0p+0', '0x1.e0fb6afaf2cdfp-20', '0x1.bfcab3190365ep-8', '0x1.4d8e0ac413f0cp-2', '0x1.7e4a0f24aa053p-2', '0x1.536bc00fdf459p-10', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn', 0.9): ['0x0.0p+0', '0x1.5899ebd4cbbadp-59', '0x1.6d245650a539dp-20', '0x1.66bb412ebc8ebp-3', '0x1.5249751f9fc88p-3', '0x1.2ddc5921294ebp-29', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn-rho0', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc046p-3', '0x1.e1580d807fe96p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82cp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn-rho0', -0.1): ['0x0.0p+0', '0x1.3877864781708p-3', '0x1.278d16eb8c63cp-2', '0x1.3354c730af063p-2', '0x1.2f56832e222cep-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn-rho0', 0.0): ['0x0.0p+0', '0x1.df391d7c729d3p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn-rho0', 0.3): ['0x0.0p+0', '0x1.097e8706dc1cfp-5', '0x1.c1fba97149067p-3', '0x1.6a15bfb07876cp-2', '0x1.1d37ad2eaa3c8p-2', '0x1.03ee2107e235ep-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn-rho0', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631056p-4', '0x1.87bd3fdef250bp-2', '0x1.5e1d543eb86d7p-3', '0x1.3344ed4e5519cp-10', '0x0.0p+0', '0x0.0p+0'],
-    ('fcn-rho0', 0.9): ['0x0.0p+0', '0x1.805a7da979f48p-41', '0x1.c155b1c194bf5p-10', '0x1.9343e54f39069p-2', '0x1.a62a3e33ed00ep-6', '0x1.4ecd88d6e9f99p-30', '0x0.0p+0', '0x0.0p+0'],
-    ('fr', -0.8): ['0x0.0p+0', '0x1.5c03ef132f787p-3', '0x1.15a7f6a246262p-1', '0x1.b3e1a855d1a14p-6', '0x1.58339c1a9b89ep-2', '0x1.8c56d04cfa8e3p-2', '0x0.0p+0', '0x0.0p+0'],
-    ('fr', -0.1): ['0x0.0p+0', '0x1.b2b5d88fa5793p-5', '0x1.c0bfdf2731acep-3', '0x1.1db13bda4b93dp-1', '0x1.3d3ef1447c9f9p-2', '0x1.50e728e3a9a96p-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fr', 0.0): ['0x0.0p+0', '0x1.1b83e1dc4da77p-5', '0x1.902e094211b80p-3', '0x1.28514c0e5fc1ap-1', '0x1.2f69be9a56e74p-2', '0x1.d74db6ee980d3p-5', '0x0.0p+0', '0x0.0p+0'],
-    ('fr', 0.3): ['0x0.0p+0', '0x1.2d25dab337f25p-8', '0x1.e3ac118f3c9b0p-4', '0x1.39959e197a16ap-1', '0x1.df3ad56a72288p-3', '0x1.78dd65cfef5c9p-7', '0x0.0p+0', '0x0.0p+0'],
-    ('fr', 0.7): ['0x0.0p+0', '0x1.903a0d7988b35p-21', '0x1.7ab4614fbc76ep-7', '0x1.452ca8548d5a3p-1', '0x1.1821a641bb078p-4', '0x1.acccb94c91de7p-17', '0x0.0p+0', '0x0.0p+0'],
-    ('fr', 0.9): ['0x0.0p+0', '0x1.100b5412f154ep-64', '0x1.8840d5d2c129ap-19', '0x1.4994e7da63e00p-1', '0x1.94689150ad324p-11', '0x1.a03bb3b910221p-51', '0x0.0p+0', '0x0.0p+0'],
-    ('fr-beta0', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc046p-3', '0x1.e1580d807fe96p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82cp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
-    ('fr-beta0', -0.1): ['0x0.0p+0', '0x1.3877864781708p-3', '0x1.278d16eb8c63cp-2', '0x1.3354c730af063p-2', '0x1.2f56832e222cep-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fr-beta0', 0.0): ['0x0.0p+0', '0x1.df391d7c729d3p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
-    ('fr-beta0', 0.3): ['0x0.0p+0', '0x1.097e8706dc1cfp-5', '0x1.c1fba97149067p-3', '0x1.6a15bfb07876cp-2', '0x1.1d37ad2eaa3c8p-2', '0x1.03ee2107e235ep-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fr-beta0', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631056p-4', '0x1.87bd3fdef250bp-2', '0x1.5e1d543eb86d7p-3', '0x1.3344ed4e5519cp-10', '0x0.0p+0', '0x0.0p+0'],
-    ('fr-beta0', 0.9): ['0x0.0p+0', '0x1.805a7da979f48p-41', '0x1.c155b1c194bf5p-10', '0x1.9343e54f39069p-2', '0x1.a62a3e33ed00ep-6', '0x1.4ecd88d6e9f99p-30', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc045p-3', '0x1.e1580d807fe96p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82bp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', -0.1): ['0x0.0p+0', '0x1.3877864781707p-3', '0x1.278d16eb8c63dp-2', '0x1.3354c730af062p-2', '0x1.2f56832e222cdp-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.0): ['0x0.0p+0', '0x1.df391d7c729d2p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.3): ['0x0.0p+0', '0x1.097e8706dc1cep-5', '0x1.c1fba97149066p-3', '0x1.6a15bfb07876cp-2', '0x1.1d37ad2eaa3c7p-2', '0x1.03ee2107e235dp-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631054p-4', '0x1.87bd3fdef250ep-2', '0x1.5e1d543eb86d5p-3', '0x1.3344ed4e5519dp-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fn', 0.9): ['0x0.0p+0', '0x1.805a7da979f43p-41', '0x1.c155b1c194bf4p-10', '0x1.9343e54f39067p-2', '0x1.a62a3e33ed010p-6', '0x1.4ecd88d6e9f99p-30', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', -0.8): ['0x0.0p+0', '0x1.c5b13e848117ap-6', '0x1.dd03c7459b511p-2', '0x1.875921220863ep-6', '0x1.2e7790d96f84fp-1', '0x1.ba457021f634bp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', -0.1): ['0x0.0p+0', '0x1.443f0131a82a5p-5', '0x1.1eb3feec353f3p-3', '0x1.7aef3d6377a93p-2', '0x1.06a6468cdf4fap-1', '0x1.6510c710e8b35p-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.0): ['0x0.0p+0', '0x1.c72a30707c720p-6', '0x1.fbeab54c6f35cp-4', '0x1.82e22b1690c61p-2', '0x1.0312a4ab7fa6ap-1', '0x1.261be1d200e49p-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.3): ['0x0.0p+0', '0x1.35977bec8382dp-8', '0x1.2ed3565c2f1dep-4', '0x1.83f041376c138p-2', '0x1.e8ad6d126c779p-2', '0x1.e0148d9ac1995p-5', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.7): ['0x0.0p+0', '0x1.e0fb6afaf2cdap-20', '0x1.bfcab3190365bp-8', '0x1.4d8e0ac413f10p-2', '0x1.7e4a0f24aa04fp-2', '0x1.536bc00fdf459p-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn', 0.9): ['0x0.0p+0', '0x1.5899ebd4cbbaap-59', '0x1.6d245650a539bp-20', '0x1.66bb412ebc8e1p-3', '0x1.5249751f9fc76p-3', '0x1.2ddc5921294eap-29', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc045p-3', '0x1.e1580d807fe96p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82bp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', -0.1): ['0x0.0p+0', '0x1.3877864781707p-3', '0x1.278d16eb8c63dp-2', '0x1.3354c730af062p-2', '0x1.2f56832e222cdp-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.0): ['0x0.0p+0', '0x1.df391d7c729d2p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.3): ['0x0.0p+0', '0x1.097e8706dc1cep-5', '0x1.c1fba97149066p-3', '0x1.6a15bfb07876cp-2', '0x1.1d37ad2eaa3c7p-2', '0x1.03ee2107e235dp-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631054p-4', '0x1.87bd3fdef250ep-2', '0x1.5e1d543eb86d5p-3', '0x1.3344ed4e5519dp-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fcn-rho0', 0.9): ['0x0.0p+0', '0x1.805a7da979f43p-41', '0x1.c155b1c194bf4p-10', '0x1.9343e54f39067p-2', '0x1.a62a3e33ed010p-6', '0x1.4ecd88d6e9f99p-30', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', -0.8): ['0x0.0p+0', '0x1.5c03ef132f788p-3', '0x1.15a7f6a246263p-1', '0x1.b3e1a855d1a16p-6', '0x1.58339c1a9b8a0p-2', '0x1.8c56d04cfa8e3p-2', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', -0.1): ['0x0.0p+0', '0x1.b2b5d88fa5792p-5', '0x1.c0bfdf2731ad0p-3', '0x1.1db13bda4b93ep-1', '0x1.3d3ef1447c9f9p-2', '0x1.50e728e3a9a97p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.0): ['0x0.0p+0', '0x1.1b83e1dc4da78p-5', '0x1.902e094211b81p-3', '0x1.28514c0e5fc1ap-1', '0x1.2f69be9a56e74p-2', '0x1.d74db6ee980d3p-5', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.3): ['0x0.0p+0', '0x1.2d25dab337f26p-8', '0x1.e3ac118f3c9b1p-4', '0x1.39959e197a169p-1', '0x1.df3ad56a72287p-3', '0x1.78dd65cfef5c9p-7', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.7): ['0x0.0p+0', '0x1.903a0d7988b38p-21', '0x1.7ab4614fbc76bp-7', '0x1.452ca8548d5a4p-1', '0x1.1821a641bb074p-4', '0x1.acccb94c91de9p-17', '0x0.0p+0', '0x0.0p+0'],
+    ('fr', 0.9): ['0x0.0p+0', '0x1.100b5412f154cp-64', '0x1.8840d5d2c1299p-19', '0x1.4994e7da63df6p-1', '0x1.94689150ad328p-11', '0x1.a03bb3b910221p-51', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', -0.8): ['0x0.0p+0', '0x1.78b02a7cdc045p-3', '0x1.e1580d807fe96p-2', '0x1.accf8f54089b1p-8', '0x1.800122f6db82bp-3', '0x1.05e99b6e15c76p-1', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', -0.1): ['0x0.0p+0', '0x1.3877864781707p-3', '0x1.278d16eb8c63dp-2', '0x1.3354c730af062p-2', '0x1.2f56832e222cdp-2', '0x1.abff4eb2cb11ap-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.0): ['0x0.0p+0', '0x1.df391d7c729d2p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.3): ['0x0.0p+0', '0x1.097e8706dc1cep-5', '0x1.c1fba97149066p-3', '0x1.6a15bfb07876cp-2', '0x1.1d37ad2eaa3c7p-2', '0x1.03ee2107e235dp-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.7): ['0x0.0p+0', '0x1.0d40a35b2b282p-13', '0x1.3a72b91631054p-4', '0x1.87bd3fdef250ep-2', '0x1.5e1d543eb86d5p-3', '0x1.3344ed4e5519dp-10', '0x0.0p+0', '0x0.0p+0'],
+    ('fr-beta0', 0.9): ['0x0.0p+0', '0x1.805a7da979f43p-41', '0x1.c155b1c194bf4p-10', '0x1.9343e54f39067p-2', '0x1.a62a3e33ed010p-6', '0x1.4ecd88d6e9f99p-30', '0x0.0p+0', '0x0.0p+0'],
     ('fu', -0.8): ['0x0.0p+0', '0x1.4178fe7229f77p-3', '0x1.7829034a85da8p-2', '0x1.b54e916f96415p-2', '0x1.9645a1f5afd23p-2', '0x1.ccbb3e0793360p-3', '0x0.0p+0', '0x0.0p+0'],
     ('fu', -0.1): ['0x0.0p+0', '0x1.f69d0a02be0c5p-4', '0x1.260ed67938a0fp-2', '0x1.55dbc8ea9c871p-2', '0x1.3d98f16e15a5cp-2', '0x1.682b99c6ab086p-3', '0x0.0p+0', '0x0.0p+0'],
     ('fu', 0.0): ['0x0.0p+0', '0x1.df391d7c729d2p-4', '0x1.185f8e3b46858p-2', '0x1.45f306dc9c883p-2', '0x1.2ed138b7b6ba6p-2', '0x1.5768af10c1dfbp-3', '0x0.0p+0', '0x0.0p+0'],

@@ -423,25 +423,25 @@ GOLDEN_EVAL = [
         ('0x1.21a1851ff630ap+1', '0x1.fa6acbfecad37p-6', '0x1.6b33a09ac0a28p-54', 19),
     ]),
     ('u_over_n', {'q': 0.45}, None, [
-        ('-0x1.36abda1871f76p+1', '0x1.a578b4b5adbf0p-4', '0x1.7b27efdd86357p-39', 73),
-        ('-0x1.1426fac0654dbp+0', '0x1.bb196bf4890e1p-3', '0x1.66bd655b85321p-35', 73),
+        ('-0x1.36abda1871f76p+1', '0x1.a578b4b5adbf1p-4', '0x1.7b27efdd86357p-39', 73),
+        ('-0x1.1426fac0654dbp+0', '0x1.bb196bf4890e2p-3', '0x1.66bd655b85321p-35', 73),
         ('0x0.0p+0', '0x1.e376028419a92p-3', '0x1.122194de9f725p-34', 73),
-        ('0x1.9e3a782097f47p-1', '0x1.cd313fa2cef90p-3', '0x1.b2835bb32227ap-35', 73),
-        ('0x1.1426fac0654dbp+1', '0x1.22139b1c0f4dcp-3', '0x1.fcffdc1ed3ec6p-38', 73),
+        ('0x1.9e3a782097f47p-1', '0x1.cd313fa2cef91p-3', '0x1.b2835bb32227ap-35', 73),
+        ('0x1.1426fac0654dbp+1', '0x1.22139b1c0f4ddp-3', '0x1.fcffdc1ed3ec6p-38', 73),
     ]),
     ('u_over_n', {'q': -0.3}, None, [
-        ('-0x1.9425f94d50144p+0', '0x1.43fcdb8aecff8p-3', '0x1.865358ae969a2p-37', 45),
+        ('-0x1.9425f94d50144p+0', '0x1.43fcdb8aecff6p-3', '0x1.865358ae969a2p-37', 45),
         ('-0x1.673e32ef63a04p-1', '0x1.549cf7027e6dbp-2', '0x1.c95a0b4a69cd0p-37', 45),
         ('0x0.0p+0', '0x1.73a3b0454cd96p-2', '0x1.737d98e0aed10p-37', 45),
-        ('0x1.0d6ea6338ab82p-1', '0x1.62857a80a8566p-2', '0x1.a8148ceebd90ap-37', 45),
-        ('0x1.673e32ef63a04p+0', '0x1.bdf7a0532813dp-3', '0x1.e72f60dc27488p-37', 45),
+        ('0x1.0d6ea6338ab82p-1', '0x1.62857a80a8565p-2', '0x1.a8148ceebd90ap-37', 45),
+        ('0x1.673e32ef63a04p+0', '0x1.bdf7a05328140p-3', '0x1.e72f60dc27488p-37', 45),
     ]),
     ('cn_over_n', {'y': 0.7, 'rho': 0.45, 'q': 0.3}, None, [
-        ('-0x1.136173b180556p+1', '0x1.b0115ddb405eep-7', '0x1.572cd63f6d4a6p-37', 33),
-        ('-0x1.e990cdad55ed2p-1', '0x1.557f78725be7dp-3', '0x1.064ada57cb434p-34', 33),
-        ('0x0.0p+0', '0x1.83312ba71542fp-2', '0x1.5b81241d08eccp-34', 33),
-        ('0x1.6f2c9a420071dp-1', '0x1.a83ce2cf17103p-2', '0x1.29d715ef47a1ep-34', 33),
-        ('0x1.e990cdad55ed2p+0', '0x1.a34a9e67025f9p-4', '0x1.4cc6041f9ea4cp-36', 33),
+        ('-0x1.136173b180556p+1', '0x1.b0115ddb405edp-7', '0x1.572cd63f6d4a6p-37', 33),
+        ('-0x1.e990cdad55ed2p-1', '0x1.557f78725be7cp-3', '0x1.064ada57cb434p-34', 33),
+        ('0x0.0p+0', '0x1.83312ba71542ep-2', '0x1.5b81241d08eccp-34', 33),
+        ('0x1.6f2c9a420071dp-1', '0x1.a83ce2cf17102p-2', '0x1.29d715ef47a1ep-34', 33),
+        ('0x1.e990cdad55ed2p+0', '0x1.a34a9e67025f7p-4', '0x1.4cc6041f9ea4cp-36', 33),
     ]),
     ('cn_over_n', {'y': 0.7, 'rho': 0.45, 'q': 1.0}, None, [
         ('-0x1.599999999999ap+1', '0x1.8826a3deb829ep-10', '0x1.6303361df2b16p-39', 29),
@@ -452,9 +452,9 @@ GOLDEN_EVAL = [
     ]),
     ('n_over_cn', {'y': -0.6, 'rho': 0.4, 'q': 0.35}, None, [
         ('-0x1.1dc6a9cda880ap+1', '0x1.0bcaf87bc44a9p-5', '0x1.1a86e9af6a37ap-52', 11),
-        ('-0x1.fc0bd88a0f1d8p-1', '0x1.097416dd44322p-2', '0x1.5715c0ae5072fp-49', 11),
+        ('-0x1.fc0bd88a0f1d8p-1', '0x1.097416dd44323p-2', '0x1.5715c0ae5072fp-49', 11),
         ('0x0.0p+0', '0x1.6e85b15644609p-2', '0x1.8aa77b340bda8p-49', 11),
-        ('0x1.7d08e2678b562p-1', '0x1.331b5485c9d04p-2', '0x1.e8fd1c2f365b2p-50', 11),
+        ('0x1.7d08e2678b562p-1', '0x1.331b5485c9d05p-2', '0x1.e8fd1c2f365b2p-50', 11),
         ('0x1.fc0bd88a0f1d8p+0', '0x1.1ccb2597ba2f0p-4', '0x1.e4930fa2c7b45p-53', 11),
     ]),
     ('n_over_cn', {'y': 0.3, 'rho': 0.5, 'q': 1.0}, None, [
@@ -465,10 +465,10 @@ GOLDEN_EVAL = [
         ('0x1.3333333333334p+1', '0x1.6ee977ce56802p-6', '0x1.9e42520a488d5p-38', 44),
     ]),
     ('r_over_n', {'beta': 0.35, 'q': 0.5}, None, [
-        ('-0x1.45d5b5c3f4f6bp+1', '0x1.c2e476941d11dp-5', '0x1.bae0e6795afc3p-41', 57),
-        ('-0x1.21a1851ff630ap+0', '0x1.c4d1210c04700p-3', '0x1.3c725caae4145p-36', 57),
+        ('-0x1.45d5b5c3f4f6bp+1', '0x1.c2e476941d120p-5', '0x1.bae0e6795afc3p-41', 57),
+        ('-0x1.21a1851ff630ap+0', '0x1.c4d1210c046fdp-3', '0x1.3c725caae4145p-36', 57),
         ('0x0.0p+0', '0x1.0ca2460f6b8cap-2', '0x1.01eab80971a25p-35', 57),
-        ('0x1.b27247aff148ep-1', '0x1.e9bd17b3c7002p-3', '0x1.8a9d8ef1bfafap-36', 57),
+        ('0x1.b27247aff148ep-1', '0x1.e9bd17b3c7001p-3', '0x1.8a9d8ef1bfafap-36', 57),
         ('0x1.21a1851ff630ap+1', '0x1.9218a6bcc4c6fp-4', '0x1.59347dcf19ee7p-39', 57),
     ]),
     ('n_over_r', {'gamma': 0.3, 'q': 0.4}, None, [
@@ -476,7 +476,7 @@ GOLDEN_EVAL = [
         ('-0x1.08654a2d4f6dbp+0', '0x1.002472a965805p-2', '0x1.b42c5d603b0c3p-59', 17),
         ('0x0.0p+0', '0x1.72b0c724c329cp-2', '0x1.f473a74848a50p-59', 17),
         ('0x1.8c97ef43f7247p-1', '0x1.2eb23a29b2857p-2', '0x1.d08b177cc16e0p-59', 17),
-        ('0x1.08654a2d4f6dbp+1', '0x1.c5dd4757ba211p-5', '0x1.c611e5b17fc02p-60', 17),
+        ('0x1.08654a2d4f6dbp+1', '0x1.c5dd4757ba20fp-5', '0x1.c611e5b17fc02p-60', 17),
     ]),
     ('cn_over_k', {'y': 0.4, 'rho': 0.45, 'q': 0.3}, None, [
         ('-0x1.136173b180556p+1', '0x1.14ad929775a2dp-6', '0x1.4581df1051d47p-39', 16),
@@ -507,11 +507,11 @@ GOLDEN_EVAL = [
         ('0x1.999999999999ap+0', '0x1.22732c225bb8fp-2', '0x1.db0ecbb0f778dp-36', 38),
     ]),
     ('cn_over_n', {'y': 0.7, 'rho': 0.45, 'q': 0.3}, 6, [
-        ('-0x1.136173b180556p+1', '0x1.ade281c7f1bbdp-7', '0x1.2d56d8a8f688bp-9', 7),
-        ('-0x1.e990cdad55ed2p-1', '0x1.548caf6d722b6p-3', '0x1.cca23002cac4bp-7', 7),
-        ('0x0.0p+0', '0x1.83c9b1f62681fp-2', '0x1.312409fc60791p-6', 7),
-        ('0x1.6f2c9a420071dp-1', '0x1.a7657ef8b69e5p-2', '0x1.0587eebdcd17dp-6', 7),
-        ('0x1.e990cdad55ed2p+0', '0x1.a0b344cb57414p-4', '0x1.2434a53fc9b2bp-8', 7),
+        ('-0x1.136173b180556p+1', '0x1.ade281c7f1bbcp-7', '0x1.2d56d8a8f688bp-9', 7),
+        ('-0x1.e990cdad55ed2p-1', '0x1.548caf6d722b5p-3', '0x1.cca23002cac4bp-7', 7),
+        ('0x0.0p+0', '0x1.83c9b1f62681ep-2', '0x1.312409fc60791p-6', 7),
+        ('0x1.6f2c9a420071dp-1', '0x1.a7657ef8b69e3p-2', '0x1.0587eebdcd17dp-6', 7),
+        ('0x1.e990cdad55ed2p+0', '0x1.a0b344cb57412p-4', '0x1.2434a53fc9b2bp-8', 7),
     ]),
 ]
 

@@ -181,8 +181,23 @@ class TestRecurrences:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
     def test_eval_refuses_a_non_finite_float_point(self, x):
-        with pytest.raises(ParameterError, match="must be finite"):
-            fam_eval(QHermite(0.5), 3, x)
+        # eval_all returned a row of nan for these
+        for run in (fam_eval, eval_all):
+            with pytest.raises(ParameterError, match="^polynomial point x must be finite, got "):
+                run(QHermite(0.5), 3, x)
+
+    @pytest.mark.parametrize("x", ["x", 0.5j, np.complex128(0.5), True])
+    def test_eval_refuses_a_point_that_is_not_real(self, x):
+        # a str raised a raw TypeError, a complex point gave a complex value
+        for run in (fam_eval, eval_all):
+            with pytest.raises(ParameterError,
+                               match="^polynomial point x must be a real number, got "):
+                run(QHermite(0.5), 3, x)
+
+    def test_exact_points_of_any_size_stay_exact(self):
+        big = 10 ** 400
+        assert fam_eval(QHermite(Fraction(1, 2)), 2, big) == big * big - 1
+        assert eval_all(QHermite(Fraction(1, 2)), 2, Fraction(big, 3))[1] == Fraction(big, 3)
 
     @pytest.mark.parametrize("n", [-1, 2.5, True])
     def test_degree_must_be_a_non_negative_int(self, n):

@@ -288,6 +288,13 @@ class TestKsStatistic:
         with pytest.raises(ParameterError, match="NaN"):
             ks_statistic([math.nan, 0.1], fN(0.5))
 
+    @pytest.mark.parametrize("bad", ["x", 0.5j, 10 ** 400, True])
+    def test_sample_that_is_not_a_float_rejected(self, bad):
+        # a str, complex or huge int escaped as a raw ValueError, TypeError or
+        # OverflowError, and a bool counted as the sample 1.0
+        with pytest.raises(ParameterError, match="samples"):
+            ks_statistic([0.1, bad], fN(0.5))
+
     def test_samples_off_the_support(self):
         # the CDF is exactly 0 below S(q) and 1 above it, infinities included
         assert ks_statistic([-math.inf, math.inf], fN(0.5)) == 0.5

@@ -1,6 +1,7 @@
 """Tests for the quadrature backend and the verification checks."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,27 @@ class TestRunAll:
             with pytest.raises(ParameterError, match="^" + err):
                 run_all(dict(config, q_grid=(0.3,)))
         check.assert_not_called()
+
+    @pytest.mark.parametrize("config,err", [
+        # each raised a raw TypeError
+        ({"q_grid": 0.3}, "q_grid must be a sequence of q values, got 0.3"),
+        ({"q_grid": None}, "q_grid must be a sequence of q values, got None"),
+        ({"q_grid": "0.3"}, "q_grid must be a sequence of q values, got '0.3'"),
+        ({"suites": None}, "suites must be a sequence of suite names, got None"),
+        ({"suites": 3, "q_grid": (0.3,)}, "suites must be a sequence of suite names, got 3"),
+    ])
+    def test_config_that_is_not_a_sequence_is_refused(self, config, err):
+        with mock.patch.object(verify, "check_normalization") as check:
+            with pytest.raises(ParameterError, match="^" + re.escape(err) + "$"):
+                run_all(config)
+        check.assert_not_called()
+
+    def test_q_grid_may_be_any_iterable(self):
+        # a generator serves every suite, not only the first
+        reports, ok = run_all({"suites": ("normalization", "chapman"),
+                               "q_grid": (q for q in (0.3,))})
+        assert ok
+        assert {r.check_id.split(":")[0] for r in reports} == {"normalization", "chapman"}
 
     def test_one_tol_sets_every_suite_but_chapman_and_envelope(self):
         reports, ok = run_all({"q_grid": (0.3,), "tol": 1e-9})
