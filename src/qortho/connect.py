@@ -20,23 +20,24 @@ and gamma = 0, ``mehler`` is ``h-from-asc`` at q = 1.  The matrix keeps the
 caller's id and parameters.  Every other pair names the parameters it needs,
 which :func:`connection` checks with ``qcore.check_params`` (q = 1 only where
 both families allow it, so it refuses what the oracle's ``polyfam.validate``
-refuses), a ``rows(Y, *values)`` rule, and optionally the family of its y-row,
-the values Y_m = B_m(y) or H_m(y|q) that every row reads.  :func:`connection`
-builds that y-row once per call and calls ``rows`` once; the rule builds the
-q-series factors its entries read, also once per call (the q-Pascal table and
-the prefix rows of :mod:`qortho.qcore`), and returns ``entries(n)``, which
-yields the (k, value) entries of row n.  One row loop then drops the zero
-entries; a float entry that overflows (or a float power past the float
-range) ends it with the pair and row named.
+refuses), and a ``rows(*values)`` rule, which :func:`connection` calls once.
+The rule builds the factors its entries read, also once per call (the
+q-Pascal table, the prefix rows of :mod:`qortho.qcore`, the lazy y-row
+B_m(y) or H_m(y|q) of ``asc-from-h`` and ``h-from-asc``), and returns
+``entries(n)``, which yields the (k, value) entries of row n.  One row loop
+then drops the zero entries; a float entry that overflows (or a float power
+past the float range) ends it with the pair and row named.
 
 The ASC pairs ``uhat-from-asc`` and ``kesten-from-asc`` are one scaled sum
-each, (1-q)^{(n-k)/2} times the entry as a (rational, half) pair, which
-:func:`d_hat_entry` and :func:`c_hat_entry` divide by (1-q)^{(n-k)//2}.
-Column 0 is the paper's density-ratio rule c_n ||a_n||^2 = gamma_{n,0}:
-:func:`gamma_coeff` (fCN/fU) is column 0 of ``uhat-from-asc``, and
-:func:`beta_coeff` (fCN/fK) column 0 of ``kesten-from-asc`` over the Kesten
-norm's factor 1 - rho^2.  These take the H_m(y|q) row and the q-binomial
-table as optional ``H`` and ``B``, so a caller looping over k builds them once.
+each, (1-q)^{(n-k)/2} times the entry as a (rational, half) pair.  One rule,
+``_asc_rule(y, rho, q)``, gives both sums and is the one place that builds
+the H_m(y|q) row and the q-binomial table they read; each reader builds it
+once per call.  Column 0 is the paper's density-ratio rule c_n ||a_n||^2 =
+gamma_{n,0}: ``_gamma_rule`` (fCN/fU, ``expand``'s cn_over_u) is column 0 of
+``uhat-from-asc``, and ``_beta_rule`` (fCN/fK, cn_over_k) column 0 of
+``kesten-from-asc`` over the Kesten norm's factor 1 - rho^2.
+:func:`d_hat_entry`, :func:`c_hat_entry`, :func:`gamma_coeff` and
+:func:`beta_coeff` read one value each, their arguments checked by name.
 A float consumer that sums the gamma_n reads them instead from
 ``_gamma_terms``, which computes them in numpy (imported only there), a row of
 doubling length at a time: the sampler's envelope and identity i7.
@@ -45,7 +46,8 @@ doubling length at a time: the sampler's envelope and identity i7.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 from .qcore import (
     Alias,
@@ -64,7 +66,7 @@ from .qcore import (
     check_params,
     resolve,
 )
-from .polyfam import BigB, QHermite, _abc, _coordinates, eval_all, validate
+from .polyfam import BigB, QHermite, _abc, _coordinates, _recurrence, validate
 
 
 @dataclass(frozen=True)
@@ -84,27 +86,6 @@ class ConnectionMatrix:
                 if v != 0:
                     width = max(width, n - k)
         return width
-
-
-def _tables(q, y, m, H, B):
-    """H_0(y|q)..H_m(y|q) and the q-binomial table at q, unless supplied."""
-    if H is None:
-        H = eval_all(QHermite(q), m, y)
-    if B is None:
-        B = q_binomial_table(q)
-    return H, B
-
-
-def _scaled_sum(k, n, rho, q, H, coeff, first=0):
-    """sum over j >= first and m = n-k-2j >= 0 of coeff(j, m) rho^m (1-q)^{m/2}
-    H_m(y|q) as (rational, half): every term has the half-power parity of n-k,
-    so the value is r for even n-k and r sqrt(1-q) for odd."""
-    omq = 1 - q
-    total = 0 * q
-    for j in range(first, (n - k) // 2 + 1):
-        m = n - k - 2 * j
-        total = total + coeff(j, m) * rho ** m * omq ** (m // 2) * H[m]
-    return total, (n - k) % 2
 
 
 def _gamma_terms(y, rho, q, cap):
@@ -143,49 +124,63 @@ def _gamma_terms(y, rho, q, cap):
     raise TruncationError("gamma row did not settle within %d terms" % (cap + 1))
 
 
-def _d_scaled(k, n, rho, q, H, B):
-    """(1-q)^{(n-k)/2} D_{k,n}, D_{k,n} the uhat-from-asc entry, as (rational, half)."""
-    return _scaled_sum(k, n, rho, q, H, lambda j, m: (
-        (-1) ** j * q ** (j * (j + 1) // 2) * B(n - j, n - k - j) * B(n - k - j, m)))
+def _asc_rule(y, rho, q):
+    """The two scaled ASC sums at (y, rho, q) as (d, c), each (rational, half):
+    d(k, n) = (1-q)^{(n-k)/2} D_{k,n}, D the uhat-from-asc entry, and
+    c(k, n) = (1-q)^{(n-k)/2} C_{k,n}, C the kesten-from-asc entry, n >= 1.
+    Both read one lazy H_m(y|q) row and one q-binomial table, built here."""
+    H = _Row(_recurrence(QHermite(q), y))
+    B = q_binomial_table(q)
+    omq = 1 - q
+
+    def scaled(k, n, coeff, first=0):
+        # sum over j >= first and m = n-k-2j >= 0 of coeff(j, m) rho^m (1-q)^{m/2}
+        # H_m(y|q): every term has the half-power parity of n-k, so the value is
+        # r for even n-k and r sqrt(1-q) for odd
+        total = 0 * q
+        for j in range(first, (n - k) // 2 + 1):
+            m = n - k - 2 * j
+            total = total + coeff(j, m) * rho ** m * omq ** (m // 2) * H[m]
+        return total, (n - k) % 2
+
+    def d(k, n):
+        return scaled(k, n, lambda j, m: (
+            (-1) ** j * q ** (j * (j + 1) // 2) * B(n - j, n - k - j) * B(n - k - j, m)))
+
+    def c(k, n):
+        # In column 0 the j = 0 term has the factor [n-1 choose n]_q = 0; it is
+        # left out, so that an H_n(y|q) past the float range does not make it 0 * inf.
+        r2qk = rho * rho * q ** k
+        # n-k >= 2j makes n-k + j(j-3)/2 >= j(j+1)/2 >= 0, so plain powers suffice
+        return scaled(k, n, lambda j, m: (
+            (-1) ** j * q ** (n - k + j * (j - 3) // 2) * B(n - 1 - j, m)
+            * (B(j + k, k) - r2qk * B(j + k - 1, k))), first=1 if k == 0 else 0)
+
+    return d, c
 
 
-def _c_scaled(k, n, rho, q, H, B):
-    """(1-q)^{(n-k)/2} C_{k,n}, C_{k,n} the kesten-from-asc entry, n >= 1, as
-    (rational, half).  In column 0 the j = 0 term has the factor
-    [n-1 choose n]_q = 0; it is left out, so that an H_n(y|q) past the float
-    range does not make it 0 * inf."""
-    r2qk = rho * rho * q ** k
-    # n-k >= 2j makes n-k + j(j-3)/2 >= j(j+1)/2 >= 0, so plain powers suffice
-    return _scaled_sum(k, n, rho, q, H, lambda j, m: (
-        (-1) ** j * q ** (n - k + j * (j - 3) // 2) * B(n - 1 - j, m)
-        * (B(j + k, k) - r2qk * B(j + k - 1, k))), first=1 if k == 0 else 0)
+def _hat_rule(i, y, rho, q):
+    """entry(k, n) of uhat-from-asc (i = 0) or kesten-from-asc (i = 1): the
+    scaled sum over (1-q)^{(n-k)//2}, inf once that float power underflows to
+    0 (large n-k, q near 1); 0 off the triangle, and C_{0,0} = 1."""
+    scaled = _asc_rule(y, rho, q)[i]
+
+    def entry(k, n):
+        if k > n:
+            return 0 * q
+        if i and n == 0:
+            return 1 + 0 * q
+        r, _ = scaled(k, n)
+        den = (1 - q) ** ((n - k) // 2)
+        return div(r, den) if den else math.inf
+
+    return entry
 
 
-def _entry(scaled, k, n, y, rho, q, H, B):
-    """Entry (k, n) of a scaled sum: r / (1-q)^{(n-k)//2}, inf once a float
-    power underflows to 0 (large n-k, q near 1)."""
-    if not 0 <= k <= n:
-        return 0 * q
-    H, B = _tables(q, y, n - k, H, B)
-    r, _ = scaled(k, n, rho, q, H, B)
-    den = (1 - q) ** ((n - k) // 2)
-    return div(r, den) if den else math.inf
-
-
-def d_hat_entry(k, n, y, rho, q, H=None, B=None):
-    """Coefficient of P_k in (1-q)^{-n/2} U_n(x sqrt(1-q)/2) over the ASC family.
-
-    H may supply precomputed H_m(y|q) values, m <= n-k, and B the table
-    ``qcore.q_binomial_table(q)``.
-    """
-    return _entry(_d_scaled, k, n, y, rho, q, H, B)
-
-
-def c_hat_entry(k, n, y, rho, q, H=None, B=None):
-    """Coefficient of P_k in KestenHat_n over the ASC family; H, B as in d_hat_entry."""
-    if n == 0 == k:
-        return 1 + 0 * q
-    return _entry(_c_scaled, k, n, y, rho, q, H, B)
+def _hat_rows(i, y, rho, q):
+    # the rows rule of uhat-from-asc (i = 0) or kesten-from-asc (i = 1)
+    entry = _hat_rule(i, y, rho, q)
+    return lambda n: ((k, entry(k, n)) for k in range(n + 1))
 
 
 def _from_parts(parts, q):
@@ -202,33 +197,79 @@ def _from_parts(parts, q):
     return float(r) * math.sqrt(1.0 - float(q))
 
 
-def gamma_coeff(k, y, rho, q, H=None, B=None):
+def _gamma_rule(y, rho, q):
+    """gamma(k), the :func:`gamma_coeff` rule with its arguments unchecked."""
+    d = _asc_rule(y, rho, q)[0]
+    return lambda k: _from_parts(d(0, k), q)
+
+
+def _beta_rule(y, rho, q):
+    """beta(k), the :func:`beta_coeff` rule with its arguments unchecked."""
+    c = _asc_rule(y, rho, q)[1]
+
+    def beta(k):
+        if k == 0:
+            return 1 + 0 * q
+        r, half = c(0, k)
+        return _from_parts((div(r, 1 - rho * rho), half), q)
+
+    return beta
+
+
+def _checked(name, rule, y, rho, q, **index):
+    """rule(y, rho, q)(*index) once each index passes ``check_degree`` under its
+    name and y, rho, q pass ``check_params``, q in (-1, 1) as for the ASC
+    pairs; a float value past the float range is a NonConvergenceError."""
+    for key, v in index.items():
+        check_degree(v, key)
+    check_params(name, {"y": y, "rho": rho, "q": q}, ("y", "rho", "q"))
+    try:
+        v = rule(y, rho, q)(*index.values())
+        if not isinstance(v, float) or math.isfinite(v):
+            return v
+    except OverflowError:  # an exact sum too large for float()
+        pass
+    raise NonConvergenceError("%s(%s) overflowed" % (name, ", ".join(map(str, index.values()))))
+
+
+def d_hat_entry(k, n, y, rho, q):
+    """Coefficient of P_k in (1-q)^{-n/2} U_n(x sqrt(1-q)/2) over the ASC family."""
+    return _checked("d_hat_entry", partial(_hat_rule, 0), y, rho, q, k=k, n=n)
+
+
+def c_hat_entry(k, n, y, rho, q):
+    """Coefficient of P_k in KestenHat_n over the ASC family."""
+    return _checked("c_hat_entry", partial(_hat_rule, 1), y, rho, q, k=k, n=n)
+
+
+def gamma_coeff(k, y, rho, q):
     """CN-over-U coefficient gamma_k = (1-q)^{k/2} D_{0,k}: column 0 of uhat-from-asc."""
-    return _from_parts(_d_scaled(0, k, rho, q, *_tables(q, y, k, H, B)), q)
+    return _checked("gamma_coeff", _gamma_rule, y, rho, q, k=k)
 
 
-def beta_coeff(k, y, rho, q, H=None, B=None):
+def beta_coeff(k, y, rho, q):
     """CN-over-K coefficient beta_k = (1-q)^{k/2} C_{0,k} / (1-rho^2) for k >= 1,
     column 0 of kesten-from-asc over the Kesten norm's factor; beta_0 = 1."""
-    if k == 0:
-        return 1 + 0 * q
-    r, half = _c_scaled(0, k, rho, q, *_tables(q, y, k, H, B))
-    return _from_parts((div(r, 1 - rho * rho), half), q)
+    return _checked("beta_coeff", _beta_rule, y, rho, q, k=k)
 
 
 # -- the pair table -----------------------------------------------------------
-# Each rows(Y, *values) takes the pair's parameter values in table order and
-# the y-row Y (None without one), builds the factors its entries read once, and
-# returns entries(n), which yields the (k, value) entries of row n.
+# Each rows(*values) takes the pair's parameter values in table order, builds
+# the factors its entries read once, and returns entries(n), which yields the
+# (k, value) entries of row n.
 
 
-def _binomial(Y, y, rho, q):
-    # [n k]_q rho^{n-k} Y_{n-k}: B_m(y) for asc-from-h, H_m(y) for h-from-asc
-    B = q_binomial_table(q)
-    return lambda n: ((k, B(n, k) * rho ** (n - k) * Y[n - k]) for k in range(n + 1))
+def _binomial(family):
+    # [n k]_q rho^{n-k} Y_{n-k}: Y_m = B_m(y) for asc-from-h, H_m(y|q) for h-from-asc
+    def rows(y, rho, q):
+        B = q_binomial_table(q)
+        Y = _Row(_recurrence(family(q), y))
+        return lambda n: ((k, B(n, k) * rho ** (n - k) * Y[n - k]) for k in range(n + 1))
+
+    return rows
 
 
-def _uhat_from_h(Y, q):
+def _uhat_from_h(q):
     B = q_binomial_table(q)
     c = div(1, 1 - q)
 
@@ -239,7 +280,7 @@ def _uhat_from_h(Y, q):
     return entries
 
 
-def _h_from_uhat(Y, q):
+def _h_from_uhat(q):
     B = q_binomial_table(q)
     c = div(1, 1 - q)
 
@@ -252,7 +293,7 @@ def _h_from_uhat(Y, q):
     return entries
 
 
-def _rogers(Y, beta, gamma, q):
+def _rogers(beta, gamma, q):
     fact = _Row(_factorials(q))  # [i]_q!
     gam = _Row(_pochhammers(gamma, q))  # (gamma;q)_i
     bq = _Row(_pochhammers(beta * q, q))  # (beta q;q)_i
@@ -268,15 +309,7 @@ def _rogers(Y, beta, gamma, q):
     return entries
 
 
-def _from_asc(entry):
-    def rows(Y, y, rho, q):
-        B = q_binomial_table(q)
-        return lambda n: ((k, entry(k, n, y, rho, q, Y, B)) for k in range(n + 1))
-
-    return rows
-
-
-def _t_from_u(Y):
+def _t_from_u():
     half = Fraction(1, 2)
 
     def entries(n):
@@ -287,7 +320,7 @@ def _t_from_u(Y):
     return entries
 
 
-def _u_from_t(Y):
+def _u_from_t():
     return lambda n: ((k, 1 if k == 0 else 2) for k in range(n % 2, n + 1, 2))
 
 
@@ -296,23 +329,18 @@ class _Pair:
     params: tuple  # required parameter names, in the order rows takes them
     rows: Callable
     unit_q: bool = False  # q = 1 is in the domain of both families
-    y_row: Optional[Callable] = None  # params -> family of the y-row at params["y"]
-
-
-def _h_row(p):
-    return QHermite(p["q"])
 
 
 _PAIRS = {
-    "asc-from-h": _Pair(("y", "rho", "q"), _binomial, True, lambda p: BigB(p["q"])),
-    "h-from-asc": _Pair(("y", "rho", "q"), _binomial, True, _h_row),
+    "asc-from-h": _Pair(("y", "rho", "q"), _binomial(BigB), True),
+    "h-from-asc": _Pair(("y", "rho", "q"), _binomial(QHermite), True),
     "uhat-from-h": _Pair(("q",), _uhat_from_h),
     "h-from-uhat": _Pair(("q",), _h_from_uhat),
     "rogers-from-rogers": _Pair(("beta", "gamma", "q"), _rogers, True),
     "rogers-from-h": Alias("rogers-from-rogers", {"beta": 0}),
     "h-from-rogers": Alias("rogers-from-rogers", {"gamma": 0}),
-    "uhat-from-asc": _Pair(("y", "rho", "q"), _from_asc(d_hat_entry), y_row=_h_row),
-    "kesten-from-asc": _Pair(("y", "rho", "q"), _from_asc(c_hat_entry), y_row=_h_row),
+    "uhat-from-asc": _Pair(("y", "rho", "q"), partial(_hat_rows, 0)),
+    "kesten-from-asc": _Pair(("y", "rho", "q"), partial(_hat_rows, 1)),
     "t-from-u": _Pair((), _t_from_u),
     "u-from-t": _Pair((), _u_from_t),
     "mehler": Alias("h-from-asc", {"q": 1}),
@@ -333,10 +361,7 @@ def connection(pair, n_max, **params):
     check_degree(n_max)
     spec, p = resolve(_PAIRS, pair, params)
     values = check_params("pair %r" % (pair,), p, spec.params, spec.unit_q)
-    Y = None
-    if spec.y_row is not None:
-        Y = eval_all(spec.y_row(p), n_max, p["y"])
-    entries = spec.rows(Y, *values)
+    entries = spec.rows(*values)
     rows = {}
     for n in range(n_max + 1):
         try:

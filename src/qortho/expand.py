@@ -14,8 +14,8 @@ say everything about that expansion:
   ParameterError.
 - ``coeff(p)``: the coefficient rule, exact on rational parameters.  It
   builds what its coefficients read once per call (prefix rows of
-  q-factorials and q-Pochhammer symbols, the q-binomial table, the H_m(y|q)
-  row of cn_over_k and cn_over_u) and returns c(n), the coefficient c_n.
+  q-factorials and q-Pochhammer symbols; for cn_over_k and cn_over_u, one
+  ``connect._asc_rule``) and returns c(n), the coefficient c_n.
   With ``even`` set, c_n = 0 for odd n and c is called with k = n/2 to give
   c_{2k}.
 - ``base`` / ``target``: the density constructors, ``(p, trunc_eps)``.
@@ -101,7 +101,7 @@ from .densities import (
     pm_ratio,
     _as_array,
 )
-from .connect import _gamma_terms, beta_coeff, gamma_coeff
+from .connect import _beta_rule, _gamma_rule, _gamma_terms
 
 
 #: Hard truncation cap for adaptive evaluation.
@@ -209,17 +209,6 @@ def _c_n_over_cn(p):
     fact = _Row(map(_finite, _factorials(q)))
     r2 = _Row(map(_finite, _pochhammers(rho * rho, q)))
     return lambda n: div(rho ** n, r2[n] * fact[n])
-
-
-def _c_from_parts(coeff):
-    # beta_coeff / gamma_coeff reading one H_m(y|q) row and q-binomial table per call
-    def rule(p):
-        y, rho, q = p["y"], p["rho"], p["q"]
-        H = _Row(_recurrence(QHermite(q), y))
-        B = q_binomial_table(q)
-        return lambda n: coeff(n, y, rho, q, H=H, B=B)
-
-    return rule
 
 
 # -- bound rules ------------------------------------------------------------
@@ -365,7 +354,7 @@ _KERNELS = {
     ),
     "cn_over_k": _Kernel(
         coeff_params=("y", "rho", "q"), params=("y", "rho", "q"),
-        coeff=_c_from_parts(beta_coeff),
+        coeff=lambda p: _beta_rule(p["y"], p["rho"], p["q"]),
         base=lambda p, eps: fK(p["y"], p["rho"], p["q"], eps), target=_fCN,
         family=lambda p, x: (  # Kesten; a float q = 0 keeps its recurrence in floats
             KestenHat(p["y"] * math.sqrt(1.0 - p["q"]), p["rho"], 0.0),
@@ -375,7 +364,7 @@ _KERNELS = {
     ),
     "cn_over_u": _Kernel(
         coeff_params=("y", "rho", "q"), params=("y", "rho", "q"),
-        coeff=_c_from_parts(gamma_coeff),
+        coeff=lambda p: _gamma_rule(p["y"], p["rho"], p["q"]),
         base=_fU, target=_fCN,
         family=_chebu_half,
         bound=_chebu_bound,

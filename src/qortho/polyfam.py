@@ -270,14 +270,15 @@ def _recurrence(fam, x):
 def eval_all(fam, n_max, x):
     """[p_0(x), ..., p_{n_max}(x)], n_max an int >= 0; x a float, int, Fraction or ndarray.
 
-    A str, bool or complex x, or a NaN or infinite float, is a ParameterError;
-    ints and Fractions of any size stay exact, and an array passes as it is
-    (``densities._as_array`` checks the float layers' points).
+    A str, bool or complex x, anything of a bool dtype (a numpy bool), or a
+    NaN or infinite float, is a ParameterError; ints and Fractions of any
+    size stay exact, and an array passes as it is (``densities._as_array``
+    checks the float layers' points).
     """
     check_degree(n_max)
     if isinstance(x, float) and not math.isfinite(x):
         raise ParameterError("polynomial point x must be finite, got %r" % (x,))
-    if isinstance(x, (str, bytes, bool, complex)):
+    if isinstance(x, (str, bytes, bool, complex)) or getattr(x, "dtype", None) == bool:
         raise ParameterError("polynomial point x must be a real number, got %r" % (x,))
     return list(islice(_recurrence(fam, x), n_max + 1))
 
@@ -287,10 +288,14 @@ def eval(fam, n, x):
 
     A degree n that is not an int >= 0, or a point x that ``eval_all``
     refuses, is a ParameterError, and a float value that overflowed (inf or
-    NaN at a finite x) a NonConvergenceError.
+    NaN at a finite x, or an int x too large to meet a float row) a
+    NonConvergenceError.
     """
     check_degree(n, "polynomial degree")
-    value = eval_all(fam, n, x)[n]
+    try:
+        value = eval_all(fam, n, x)[n]
+    except OverflowError as exc:  # an int x too large for float() met a float row
+        raise NonConvergenceError(str(exc)) from exc
     if isinstance(value, float) and not math.isfinite(value):
         raise NonConvergenceError("%s p_%d(%r) overflowed" % (fam.label(), n, x))
     return value

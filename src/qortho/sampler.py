@@ -159,7 +159,10 @@ def ks_statistic(samples, dens):
     """Kolmogorov-Smirnov distance between samples and dens.
 
     The CDF is tabulated on _KS_GRID_N theta nodes (x = -L cos theta) by
-    cumulative trapezoid, which keeps the edge square roots analytic.  Samples
+    cumulative trapezoid, which keeps the edge square roots analytic.  The
+    integrand dens * L sin theta is evaluated inside S(q) and takes its limit
+    at theta = 0 and pi: 1/pi for fT, whose CDF in theta is theta/pi (its
+    poles meet the zeros of sin theta), and 0 for every other density.  Samples
     outside S(q), infinite ones too, sit where the CDF is exactly 0 or 1; a
     sample that ``densities._as_array`` refuses (a NaN, a bool, a value that
     is not a real number) raises ParameterError.
@@ -171,7 +174,8 @@ def ks_statistic(samples, dens):
     L = support(dens.q).radius
     theta = np.linspace(0.0, math.pi, _KS_GRID_N)
     x = -L * np.cos(theta)
-    pdf = densities.density_eval(dens, x) * L * np.sin(theta)
+    pdf = np.full(_KS_GRID_N, 1.0 / math.pi if dens.tag == "ft" else 0.0)
+    pdf[1:-1] = densities.density_eval(dens, x[1:-1]) * L * np.sin(theta[1:-1])
     dtheta = theta[1] - theta[0]
     F = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dtheta)])
     F /= F[-1]

@@ -5,11 +5,18 @@ target/fU ratio in prefix segments: every batch draws its proposals and
 uniforms, evaluates the ratio on all of them, checks the envelope on all of
 them and keeps the accepted ones.  The segmented sampler must return the
 same samples bit for bit, having evaluated at most as many proposals.
+
+``ks_statistic`` is ``qortho.sampler.ks_statistic`` as it was before its CDF
+table took the integrand's limit at theta = 0 and pi: it evaluated the
+density at every node, the poles of fT too.  Every density other than fT
+must give the same distance bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from qortho.densities import density_ratio, fU
+from qortho.densities import density_eval, density_ratio, fU
 from qortho.qcore import support
 from qortho.sampler import _SLACK, EnvelopeViolationError, SampleResult
 
@@ -36,3 +43,17 @@ def sample(dens, n, M, seed=0, batch=65536):
     samples = np.concatenate(chunks)[:n] if chunks else np.empty(0)
     rate = n_acc / n_prop if n_prop else 0.0
     return SampleResult(samples, rate, n_prop, M, seed)
+
+
+def ks_statistic(samples, dens, grid_n=513):
+    """KS distance of the float samples to dens, the density read at every node."""
+    L = support(dens.q).radius
+    theta = np.linspace(0.0, math.pi, grid_n)
+    x = -L * np.cos(theta)
+    pdf = density_eval(dens, x) * L * np.sin(theta)
+    F = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (theta[1] - theta[0]))])
+    F /= F[-1]
+    s = np.sort(np.asarray(samples, dtype=float))
+    Fs = np.interp(s, x, F)
+    i = np.arange(1, s.size + 1)
+    return float(max(np.max(Fs - (i - 1) / s.size), np.max(i / s.size - Fs)))

@@ -38,6 +38,7 @@ from qortho import (
     SupportInterval, connection, eval, q_binomial, q_bracket, q_factorial, q_pochhammer,
     q_pochhammer_inf, support, truncation_order,
 )
+from qortho.connect import beta_coeff, c_hat_entry, d_hat_entry, gamma_coeff
 from qortho.densities import (
     DensityId, density_eval, density_ratio, fCN, fK, fN, fR, fU, normalize_check, pm_ratio,
 )
@@ -49,8 +50,8 @@ from qortho.qcore import VerificationReport
 from qortho.sampler import SampleResult, ks_statistic, sample
 from qortho.verify import IntegralResult, check_chapman, check_projection, integrate, run_all
 
-LISTED = [math.nan, math.inf, -math.inf, 2.5, True, -1, 0, 1, 10 ** 400, np.int64(3),
-          np.float64(0.5), "x", 0.5j, F(1, 3), F(-5, 4)]
+LISTED = [math.nan, math.inf, -math.inf, 2.5, True, np.True_, -1, 0, 1, 10 ** 400,
+          np.int64(3), np.float64(0.5), "x", 0.5j, F(1, 3), F(-5, 4)]
 
 
 def _fits(v):
@@ -95,10 +96,24 @@ SLOTS = [
     ("KestenHat", "q", "(-1, 1)", lambda v: eval(KestenHat(F3, F2, v), 2, F(1, 10)), Real),
     ("eval", "x", "exact point", lambda v: eval(QHermite(F2), 2, v), Real),
     ("eval_all", "x", "exact point", lambda v: eval_all(QHermite(F2), 2, v), list),
+    # a float row: an int point too large to meet it has overflowed
+    ("eval@float_q", "x", "exact point", lambda v: eval(QHermite(0.5), 2, v), Real),
     ("connection", "y", "finite",
      lambda v: connection("asc-from-h", 3, y=v, rho=F2, q=F3), ConnectionMatrix),
     ("connection", "gamma", "(-1, 1)",
      lambda v: connection("rogers-from-rogers", 3, q=F2, beta=F3, gamma=v), ConnectionMatrix),
+    ("d_hat_entry", "y", "finite", lambda v: d_hat_entry(1, 3, v, F2, F3), Real),
+    ("d_hat_entry", "rho", "(-1, 1)", lambda v: d_hat_entry(1, 3, F3, v, F3), Real),
+    ("d_hat_entry", "q", "(-1, 1)", lambda v: d_hat_entry(1, 3, F3, F2, v), Real),
+    ("c_hat_entry", "y", "finite", lambda v: c_hat_entry(1, 3, v, F2, F3), Real),
+    ("c_hat_entry", "rho", "(-1, 1)", lambda v: c_hat_entry(1, 3, F3, v, F3), Real),
+    ("c_hat_entry", "q", "(-1, 1)", lambda v: c_hat_entry(1, 3, F3, F2, v), Real),
+    ("gamma_coeff", "y", "finite", lambda v: gamma_coeff(3, v, F2, F3), Real),
+    ("gamma_coeff", "rho", "(-1, 1)", lambda v: gamma_coeff(3, F3, v, F3), Real),
+    ("gamma_coeff", "q", "(-1, 1)", lambda v: gamma_coeff(3, F3, F2, v), Real),
+    ("beta_coeff", "y", "finite", lambda v: beta_coeff(3, v, F2, F3), Real),
+    ("beta_coeff", "rho", "(-1, 1)", lambda v: beta_coeff(3, F3, v, F3), Real),
+    ("beta_coeff", "q", "(-1, 1)", lambda v: beta_coeff(3, F3, F2, v), Real),
     ("fN", "q", "(-1, 1]", fN, DensityId),
     ("fN", "trunc_eps", "(0, 1)", lambda v: fN(0.5, trunc_eps=v), DensityId),
     ("fCN", "y", "finite", lambda v: fCN(v, 0.5, 0.5), DensityId),

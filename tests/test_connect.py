@@ -5,6 +5,7 @@ evaluation at the polynomial x."""
 
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -20,6 +21,7 @@ from poly_reference import Poly
 
 from qortho.qcore import (
     IrrationalParameterError,
+    NonConvergenceError,
     ParameterError,
     TruncationError,
     q_binomial_table,
@@ -45,6 +47,7 @@ from qortho.polyfam import (
 from qortho.connect import (
     PAIRS,
     _from_parts,
+    _gamma_rule,
     _gamma_terms,
     beta_coeff,
     c_hat_entry,
@@ -201,6 +204,10 @@ class TestHatEntries:
         for n in range(6):
             assert d_hat_entry(n, n, Y, RHO, Q) == 1
 
+    def test_off_the_triangle_is_zero(self):
+        assert d_hat_entry(4, 3, Y, RHO, Q) == 0
+        assert c_hat_entry(1, 0, Y, RHO, Q) == 0
+
     def test_beta_matches_kesten_column(self):
         # beta_k = Chat_{0,k} (1-q)^{k/2} / (1-rho^2) for k >= 1; both sides
         # rational after the parity split, so compare exactly.
@@ -225,6 +232,57 @@ class TestHatEntries:
         assert v == pytest.approx(math.sqrt(0.5) * 0.3 * 0.4, rel=1e-15)
 
 
+class TestArgumentRule:
+    """The four public ASC functions check their arguments by name."""
+
+    CALLS = {
+        "d_hat_entry": lambda y, rho, q: d_hat_entry(1, 3, y, rho, q),
+        "c_hat_entry": lambda y, rho, q: c_hat_entry(1, 3, y, rho, q),
+        "gamma_coeff": lambda y, rho, q: gamma_coeff(3, y, rho, q),
+        "beta_coeff": lambda y, rho, q: beta_coeff(3, y, rho, q),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("y,rho,q,err", [
+        # rho = 2 returned -0.81, NaN nan, "x" and True raised raw errors
+        (0.1, 2.0, 0.5, "needs |rho| < 1, got 2.0"),
+        (0.1, math.nan, 0.5, "needs |rho| < 1, got nan"),
+        (0.1, "x", 0.5, "needs a real rho, got 'x'"),
+        (0.1, True, 0.5, "needs a real rho, got True"),
+        # q = 1 returned -0.0 or inf; both ASC pairs refuse it
+        (0.1, 0.5, 1, "needs -1 < q < 1, got q=1"),
+        (math.inf, 0.5, 0.5, "needs a finite y, got inf"),
+        (10 ** 400, F(1, 2), F(1, 2), "needs a finite y, got 1000"),
+    ])
+    def test_parameters(self, name, y, rho, q, err):
+        with pytest.raises(ParameterError, match="^%s %s" % (name, re.escape(err))):
+            self.CALLS[name](y, rho, q)
+
+    @pytest.mark.parametrize("call,err", [
+        # gamma_coeff(-1, ...) blamed "n_max"
+        (lambda: gamma_coeff(-1, 0.1, 0.5, 0.5), "k must be an integer >= 0, got -1"),
+        (lambda: beta_coeff(2.0, 0.1, 0.5, 0.5), "k must be an integer >= 0, got 2.0"),
+        (lambda: d_hat_entry(1, -3, 0.1, 0.5, 0.5), "n must be an integer >= 0, got -3"),
+        (lambda: c_hat_entry(True, 3, 0.1, 0.5, 0.5), "k must be an integer >= 0, got True"),
+    ])
+    def test_indices(self, call, err):
+        with pytest.raises(ParameterError, match="^%s$" % re.escape(err)):
+            call()
+
+    @pytest.mark.parametrize("call,err", [
+        # gamma_coeff returned inf
+        (lambda: gamma_coeff(3, 1e300, 0.5, 0.5), "gamma_coeff(3) overflowed"),
+        (lambda: beta_coeff(4, 1e300, 0.5, 0.5), "beta_coeff(4) overflowed"),
+        (lambda: d_hat_entry(0, 3, 1e300, 0.5, 0.5), "d_hat_entry(0, 3) overflowed"),
+        (lambda: c_hat_entry(1, 3, 1e300, 0.5, 0.5), "c_hat_entry(1, 3) overflowed"),
+        # an exact value too large for float(), times sqrt(1-q) on an odd index
+        (lambda: gamma_coeff(3, 10 ** 300, F(1, 2), F(1, 2)), "gamma_coeff(3) overflowed"),
+    ])
+    def test_float_past_the_float_range(self, call, err):
+        with pytest.raises(NonConvergenceError, match="^%s$" % re.escape(err)):
+            call()
+
+
 def _rational(bound=1, max_den=9):
     """Fractions n/d strictly inside (-bound, bound), 2 <= d <= max_den."""
     return st.integers(2, max_den).flatmap(
@@ -244,7 +302,7 @@ class TestColumnZeroReference:
         B = q_binomial_table(q)
         for k in range(61):
             want = _from_parts(ref.gamma_parts(k, y, rho, q, H, B), q)
-            got = gamma_coeff(k, y, rho, q, H, B)
+            got = gamma_coeff(k, y, rho, q)
             assert type(got) is type(want)
             assert got.hex() == want.hex(), k
 
@@ -255,13 +313,13 @@ class TestColumnZeroReference:
         B = q_binomial_table(q)
         for k in range(17):
             want = _from_parts(ref.beta_parts(k, y, rho, q, H, B), q)
-            got = beta_coeff(k, y, rho, q, H, B)
+            got = beta_coeff(k, y, rho, q)
             assert type(got) is type(want) and got == want, k
 
 
 class TestGammaRow:
     """The float gamma terms (``connect._gamma_terms``), computed a row at a
-    time, against the exact gamma_coeff, relative to the largest entry."""
+    time, against the exact gamma_coeff rule, relative to the largest entry."""
 
     @pytest.mark.parametrize("q", [F(4, 7), F(-2, 5), F(0)])
     @pytest.mark.parametrize("y,rho", [
@@ -269,9 +327,8 @@ class TestGammaRow:
     ])
     def test_matches_exact_gamma(self, q, y, rho):
         # indices 0-31 come from the first row, 32-60 from the second
-        H = eval_all(QHermite(q), 60, y)
-        B = q_binomial_table(q)
-        want = np.array([float(gamma_coeff(k, y, rho, q, H, B)) for k in range(61)])
+        gamma = _gamma_rule(y, rho, q)
+        want = np.array([float(gamma(k)) for k in range(61)])
         for K in (0, 1, 7, 31, 60):
             row = np.array(list(islice(_gamma_terms(y, rho, q, K), K + 1)))
             assert np.max(np.abs(row - want[:K + 1])) <= 1e-14 * np.max(np.abs(want[:K + 1]))
@@ -280,9 +337,8 @@ class TestGammaRow:
         # rows of 32, 32, 64 and then 22 entries: the later ones against the
         # exact gamma_coeff too; gamma_150 is past the cap
         y, rho, q = F(1, 2), F(9, 10), F(1, 2)
-        H = eval_all(QHermite(q), 149, y)
-        B = q_binomial_table(q)
-        want = np.array([float(gamma_coeff(k, y, rho, q, H, B)) for k in range(150)])
+        gamma = _gamma_rule(y, rho, q)
+        want = np.array([float(gamma(k)) for k in range(150)])
         terms = _gamma_terms(y, rho, q, 149)
         got = np.array([next(terms) for _ in range(150)])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -194,6 +194,19 @@ class TestRecurrences:
                                match="^polynomial point x must be a real number, got "):
                 run(QHermite(0.5), 3, x)
 
+    @pytest.mark.parametrize("x", [np.True_, np.False_, np.array([True, False])])
+    def test_eval_refuses_a_numpy_bool_point(self, x):
+        # np.True_ passed as the point 1, where a Python bool is refused
+        for run in (fam_eval, eval_all):
+            with pytest.raises(ParameterError,
+                               match="^polynomial point x must be a real number, got "):
+                run(QHermite(0.5), 2, x)
+
+    def test_int_point_past_a_float_row_is_nonconvergence(self):
+        # a raw OverflowError before; the message stays the one the CLI prints
+        with pytest.raises(NonConvergenceError, match="^int too large to convert to float$"):
+            fam_eval(QHermite(0.5), 2, 10 ** 400)
+
     def test_exact_points_of_any_size_stay_exact(self):
         big = 10 ** 400
         assert fam_eval(QHermite(Fraction(1, 2)), 2, big) == big * big - 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sampler_reference as ref
 from qortho.qcore import NonConvergenceError, ParameterError, support
-from qortho.densities import density_ratio, fCN, fN, fU
+from qortho.densities import density_ratio, fCN, fK, fN, fR, fT, fU
 from qortho.sampler import (
     EnvelopeViolationError,
     _grid_sup,
@@ -299,6 +299,25 @@ class TestKsStatistic:
         # the CDF is exactly 0 below S(q) and 1 above it, infinities included
         assert ks_statistic([-math.inf, math.inf], fN(0.5)) == 0.5
         assert ks_statistic([-7.0, 5.0], fN(0.5)) == 0.5
+
+    @pytest.mark.parametrize("q", [0.5, -0.3, 0.9])
+    def test_ft_against_the_arcsine_cdf(self, q):
+        # the CDF table evaluated fT at its poles, theta = 0 and pi, and raised
+        # BoundaryError; fT's CDF is the arcsine law 1/2 + arcsin(x/L)/pi
+        L = support(q).radius
+        s = np.sort(np.append(L * np.linspace(-0.99, 0.99, 9), [-2 * L, 2 * L]))
+        cdf = 0.5 + np.arcsin(np.clip(s / L, -1.0, 1.0)) / math.pi
+        i = np.arange(1, s.size + 1)
+        want = max(np.max(cdf - (i - 1) / s.size), np.max(i / s.size - cdf))
+        assert ks_statistic(s, fT(q)) == pytest.approx(want, abs=1e-5)
+
+    @pytest.mark.parametrize("dens", [
+        fU(0.5), fN(-0.7), fN(0.9), fCN(0.3, 0.5, 0.3), fK(0.2, 0.4, 0.0), fR(-0.6, 0.5),
+    ])
+    def test_other_densities_keep_their_bits(self, dens):
+        # their integrand is 0 at theta = 0 and pi, where the density is 0
+        s = np.random.default_rng(5).uniform(-1.1, 1.1, 50) * support(dens.q).radius
+        assert ks_statistic(s, dens).hex() == ref.ks_statistic(s, dens).hex()
 
     def test_wrong_density_is_detected(self):
         n = 20_000

@@ -33,10 +33,7 @@ from hypothesis import strategies as st
 import series_reference as ref
 from qortho import connect, expand, sampler
 from qortho.densities import density_eval, fCN, fN, fU
-from qortho.polyfam import QHermite, _recurrence
-from qortho.qcore import (
-    NonConvergenceError, TruncationError, _Row, _sum_series, q_binomial_table,
-)
+from qortho.qcore import NonConvergenceError, TruncationError, _sum_series
 
 
 def _bits(v):
@@ -171,10 +168,7 @@ class TestCurvatureSum:
         (Fraction(0), Fraction(1, 2), Fraction(-1, 3)),
     ])
     def test_fcn_matches_the_exact_loop(self, y, rho, q):
-        H = _Row(_recurrence(QHermite(q), y))
-        B = q_binomial_table(q)
-        want = ref.curvature_loop(lambda n: connect.gamma_coeff(n, y, rho, q, H=H, B=B),
-                                  self.H2_8)
+        want = ref.curvature_loop(connect._gamma_rule(y, rho, q), self.H2_8)
         got = sampler._curvature_slack(fCN(float(y), float(rho), float(q)))
         assert got == pytest.approx(want, rel=1e-13)
 
