@@ -162,15 +162,14 @@ def _asc_rule(y, rho, q):
 def _hat_rule(i, y, rho, q):
     """entry(k, n) of uhat-from-asc (i = 0) or kesten-from-asc (i = 1): the
     scaled sum over (1-q)^{(n-k)//2}, inf once that float power underflows to
-    0 (large n-k, q near 1); 0 off the triangle, and C_{0,0} = 1."""
-    scaled = _asc_rule(y, rho, q)[i]
+    0 (large n-k, q near 1); 0 off the triangle, and C_{0,0} = D_{0,0} = 1,
+    read from the d sum so that both have one type."""
+    d, c = _asc_rule(y, rho, q)
 
     def entry(k, n):
         if k > n:
             return 0 * q
-        if i and n == 0:
-            return 1 + 0 * q
-        r, _ = scaled(k, n)
+        r, _ = (c if i and n else d)(k, n)
         den = (1 - q) ** ((n - k) // 2)
         return div(r, den) if den else math.inf
 
@@ -204,12 +203,13 @@ def _gamma_rule(y, rho, q):
 
 
 def _beta_rule(y, rho, q):
-    """beta(k), the :func:`beta_coeff` rule with its arguments unchecked."""
-    c = _asc_rule(y, rho, q)[1]
+    """beta(k), the :func:`beta_coeff` rule with its arguments unchecked;
+    beta_0 = gamma_0 = 1, read from the d sum so that both have one type."""
+    d, c = _asc_rule(y, rho, q)
 
     def beta(k):
         if k == 0:
-            return 1 + 0 * q
+            return _from_parts(d(0, 0), q)
         r, half = c(0, k)
         return _from_parts((div(r, 1 - rho * rho), half), q)
 

@@ -2,36 +2,35 @@
 
 Six families share one vocabulary::
 
-    s2(x)   = 4 - (1-q) x^2
-    fac_k(x)      = (1 + q^k)^2 - (1-q) x^2 q^k                      (k >= 1)
+    s2(x)         = 4 - (1-q) x^2
+    fac_k(x)      = (1 + q^k)^2 - (1-q) x^2 q^k       (k >= 0; fac_0 = s2)
     w_k(x, y)     = (1 - r^2 q^{2k})^2 - (1-q) r q^k (1 + r^2 q^{2k}) x y
                     + (1-q) r^2 (x^2 + y^2) q^{2k}                   (k >= 0)
     den_k(x)      = (1 + b q^k)^2 - (1-q) b x^2 q^k                  (k >= 0)
 
     fU  = sqrt((1-q) s2) / (2 pi)
-    fN  = fU * (q;q)_inf prod fac_k
+    fN  = fU * (q;q)_inf prod_{k>=1} fac_k
     fCN = fN * (r^2;q)_inf / prod w_k
     fR  = fN * (b^2;q)_inf / ((b;q)_inf (bq;q)_inf prod den_k)
-    fT  = sqrt(1-q) / (pi sqrt(s2))
-    fK  = (1-r^2) sqrt(1-q) sqrt(s2) / (2 pi D(x,y)),
-          D = (1-r^2)^2 - r (1-q)(1+r^2) x y + (1-q) r^2 (x^2 + y^2)
+    fT  = fU * 2 / fac_0
+    fK  = fU * (1-r^2) / w_0
 
-The k = 0 numerator factor fac_0 = s2 is merged with the 1/sqrt(s2)
-prefactor, so every product starts at a factor bounded away from zero and the
-boundary value 0 needs no special casing.
+So the six form one chain rooted at fU: each other density names the density
+it multiplies in ``_LINKS`` (fN, fT and fK hang from fU, fCN and fR from fN),
+with a link that gives that ratio as (constant, log product).
+``density_eval`` is fU times the links from fU down.  ``density_ratio`` of
+any two is taken where their chains meet: the links below that tag on the
+numerator's side over those on the denominator's.  ``pm_ratio`` is the fcn
+link.  Only fac_0 vanishes on S(q), at +-L, the poles of fT; every other
+factor is bounded away from zero there, so every ratio without fT is finite
+on all of S(q), +-L included.
 
-fN, fCN and fR each name the density they multiply in ``_LINKS``, with a
-link that gives that ratio as (constant, log product).  ``density_eval`` of
-the three is fU times the links up to fU; a merged ``density_ratio`` (fCN/fN,
-fR/fN, fN/fU, fCN/fU, fR/fU: a density over one above it) is the product of
-the links between the two, and ``pm_ratio`` is the fcn link.
-
-All three products run through one loop, ``_log_qproduct``: it steps
-p = q^k by repeated multiplication, adds log factor(p) in log space and
-stops before the index K = truncation_order(a, q, eps), where a bounds
-|factor - 1| / |q|^k on S(q) (7 for fac_k, 19 |rho| for w_k, 7 |beta| for
-den_k), so the dropped tail changes the product by a relative eps at most.
-At least one factor is taken, which keeps the shape of x when a = 0.
+All products run through one loop, ``_log_qproduct``: it steps p = q^k by
+repeated multiplication, adds log factor(p) in log space and stops before
+the index K = truncation_order(a, q, eps), where a bounds |factor - 1| / |q|^k
+on S(q) (7 for fac_k, 19 |rho| for w_k, 7 |beta| for den_k), so the dropped
+tail changes the product by a relative eps at most.  At least one factor is
+taken, so a = 0 (the fT and fK links) takes fac_0 or w_0 alone.
 
 Every factor is affine in per-point features with scalar coefficients::
 
@@ -50,12 +49,11 @@ factor alike.
 
 A point that is not a real number, an int past the float range or a NaN
 is a ParameterError (``_as_array``).  Outside S(q), +-inf included,
-``density_eval`` gives 0; the merged ratios have no value there and raise
-ParameterError.  The endpoints +-L belong to S(q), and the merged ratios are
-finite there.
+``density_eval`` gives 0; a ratio has no value there and raises
+ParameterError.  fT at +-L raises BoundaryError, alone or in a ratio.
 
 fN and fCN admit q = 1 closed forms (standard normal, N(rho y, 1 - rho^2));
-the remaining families, and the merged fCN/fN, reject q = 1.  The six
+the remaining families, and every ratio, reject q = 1.  The six
 constructors and ``pm_ratio`` check their arguments in one place,
 ``_density``: ``qcore.check_params`` for q, rho, beta, a finite y and
 trunc_eps in (0, 1), plus the one rule of this module, a conditioning point
@@ -153,7 +151,7 @@ def _as_array(x, name="x"):
 
 
 def _support_points(x, q, name="x"):
-    """_as_array(x) for a merged ratio: a point outside S(q) is a ParameterError."""
+    """_as_array(x) for a ratio: a point outside S(q) is a ParameterError."""
     scalar, xa = _as_array(x, name)
     if (np.abs(xa) > _edge(q)).any():
         raise ParameterError("merged density ratio evaluated outside S(q)")
@@ -202,15 +200,17 @@ def _log_qproduct(coeffs, features, amplitude, q, eps, first=0):
     return out
 
 
-def _log_fac_sum(x2s, q, eps):
-    """sum_{k>=1} log fac_k with x2s = (1-q) x^2; |fac_k - 1| <= 7 |q|^k on S(q)."""
+def _log_fac_sum(x2s, q, eps, amplitude, first):
+    """sum_{first<=k} log fac_k with x2s = (1-q) x^2; |fac_k - 1| <= 7 |q|^k
+    on S(q), and amplitude 0 from first 0 takes fac_0 = s2 alone."""
     return _log_qproduct(
-        lambda p: ((1.0 + p) ** 2, -p), lambda: (x2s,), 7.0, q, eps, first=1
+        lambda p: ((1.0 + p) ** 2, -p), lambda: (x2s,), amplitude, q, eps, first
     )
 
 
-def _log_w_sum(x, y, rho, q, eps):
-    """sum_{k>=0} log w_k; |w_k - 1| <= 19 |rho| |q|^k for x, y in S(q)."""
+def _log_w_sum(x, y, rho, q, eps, amplitude):
+    """sum_{k>=0} log w_k; |w_k - 1| <= 19 |rho| |q|^k for x, y in S(q), and
+    amplitude 0 takes w_0 alone."""
     omq = 1.0 - q
 
     def coeffs(p):
@@ -222,7 +222,7 @@ def _log_w_sum(x, y, rho, q, eps):
         )
 
     return _log_qproduct(
-        coeffs, lambda: (x * y, x * x + y * y), 19.0 * abs(rho), q, eps
+        coeffs, lambda: (x * y, x * x + y * y), amplitude, q, eps
     )
 
 
@@ -241,54 +241,62 @@ def _log_den_sum(x2s, beta, q, eps):
 #: link(d, x, eps) returns as (constant, log product)
 _LINKS = {
     "fn": ("fu", lambda d, x, eps: (
-        q_pochhammer_inf(d.q, d.q, eps), _log_fac_sum((1.0 - d.q) * x * x, d.q, eps))),
+        q_pochhammer_inf(d.q, d.q, eps),
+        _log_fac_sum((1.0 - d.q) * x * x, d.q, eps, 7.0, 1))),
     "fcn": ("fn", lambda d, x, eps, y=None: (
         q_pochhammer_inf(d.rho * d.rho, d.q, eps),
-        -_log_w_sum(x, d.y if y is None else y, d.rho, d.q, eps))),
+        -_log_w_sum(x, d.y if y is None else y, d.rho, d.q, eps, 19.0 * abs(d.rho)))),
     "fr": ("fn", lambda d, x, eps: (
         q_pochhammer_inf(d.beta * d.beta, d.q, eps)
         / (q_pochhammer_inf(d.beta, d.q, eps) * q_pochhammer_inf(d.beta * d.q, d.q, eps)),
         -_log_den_sum((1.0 - d.q) * x * x, d.beta, d.q, eps))),
+    "ft": ("fu", lambda d, x, eps: (
+        2.0, -_log_fac_sum((1.0 - d.q) * x * x, d.q, eps, 0.0, 0))),
+    "fk": ("fu", lambda d, x, eps: (
+        1.0 - d.rho * d.rho, -_log_w_sum(x, d.y, d.rho, d.q, eps, 0.0))),
 }
 
 
-def _ancestors(tag):
-    """The tags above tag in ``_LINKS``, nearest first."""
-    while tag in _LINKS:
-        tag = _LINKS[tag][0]
-        yield tag
+def _chain(tag):
+    """tag and the tags above it in ``_LINKS``, nearest first, ending at fu."""
+    chain = [tag]
+    while chain[-1] in _LINKS:
+        chain.append(_LINKS[chain[-1]][0])
+    if chain[-1] != "fu":
+        raise ParameterError("unknown density tag %r" % (tag,))
+    return chain
 
 
-def _chain_ratio(d, top, x, eps, tag=None):
-    """d / top at x as (constant, log product), top being d.tag or one of its
-    ancestors: the links from top down to d.tag, constants multiplied and log
-    products summed in that order."""
-    tag = d.tag if tag is None else tag
-    if tag == top:
-        return 1.0, 0.0
-    parent, link = _LINKS[tag]
-    const, logs = _chain_ratio(d, top, x, eps, parent)
-    c, log_product = link(d, x, eps)
-    return const * c, logs + log_product
+def _chain_ratio(num, den, x, eps):
+    """num / den at x as (constant, log products), taken at the tag where
+    their chains meet: the lowest tag on both, or the one above it when both
+    densities have that tag (two densities of one tag differ in more than q),
+    fu for fU over fU.  num's links from there down are multiplied in and den's divided out,
+    constants and log products accumulated in that order."""
+    up, down = _chain(num.tag), _chain(den.tag)
+    top = next((t for t in up if t in down[num.tag == den.tag:]), "fu")
+    const, logs = 1.0, np.zeros(x.shape)
+    for tag in reversed(up[:up.index(top)]):
+        c, log_product = _LINKS[tag][1](num, x, eps)
+        const *= c
+        logs += log_product
+    for tag in reversed(down[:down.index(top)]):
+        c, log_product = _LINKS[tag][1](den, x, eps)
+        const /= c
+        logs -= log_product
+    return const, logs
 
 
-def _kesten_denom(x, y, rho, q):
-    omq = 1.0 - q
-    D = (
-        (1.0 - rho * rho) ** 2
-        - rho * omq * (1.0 + rho * rho) * (x * y)
-        + omq * rho * rho * (x * x + y * y)
-    )
-    if np.any(D <= 0.0):
-        raise ParameterError("Kesten denominator vanished; point outside S(q)?")
-    return D
+def _check_poles(ds, x, q):
+    """BoundaryError when an fT among ds is asked for at +-L, its poles."""
+    if any(d.tag == "ft" for d in ds) and (np.abs(x) == _edge(q)).any():
+        raise BoundaryError("fT has poles at the endpoints of S(q)")
 
 
 def density_eval(d, x):
     """Density value(s) at x; scalar in, scalar out; exact 0 outside/at the edge."""
     scalar, xa = _as_array(x)
     q = d.q
-    eps = d.trunc_eps
 
     if q == 1.0:
         # far out z^2 overflows to inf, and exp(-inf) = 0 is the density there
@@ -301,29 +309,15 @@ def density_eval(d, x):
                 return _ret(scalar, np.exp(-0.5 * z * z / var) / math.sqrt(TWO_PI * var))
         raise ParameterError("q = 1 closed form exists only for fN and fCN")
 
-    L = _edge(q)
-    absx = np.abs(xa)
-    if d.tag == "ft" and np.any(absx == L):
-        raise BoundaryError("fT has poles at the endpoints of S(q)")
-    inside = absx < L
+    _check_poles((d,), xa, q)
+    inside = np.abs(xa) < _edge(q)
     out = np.zeros_like(xa)
     if not np.any(inside):
         return _ret(scalar, out)
     xi = xa[inside]
     s2 = 4.0 - (1.0 - q) * xi * xi
-
-    if d.tag == "ft":
-        out[inside] = math.sqrt(1.0 - q) / (math.pi * np.sqrt(s2))
-    elif d.tag == "fk":
-        D = _kesten_denom(xi, d.y, d.rho, q)
-        out[inside] = (
-            (1.0 - d.rho * d.rho) * math.sqrt(1.0 - q) * np.sqrt(s2) / (TWO_PI * D)
-        )
-    elif d.tag == "fu" or d.tag in _LINKS:
-        const, logs = _chain_ratio(d, "fu", xi, eps)
-        out[inside] = np.sqrt((1.0 - q) * s2) / TWO_PI * (const * np.exp(logs))
-    else:
-        raise ParameterError("unknown density tag %r" % (d.tag,))
+    const, logs = _chain_ratio(d, DensityId("fu", q), xi, d.trunc_eps)
+    out[inside] = np.sqrt((1.0 - q) * s2) / TWO_PI * (const * np.exp(logs))
     return _ret(scalar, out)
 
 
@@ -343,26 +337,20 @@ def pm_ratio(x, y, rho, q, eps=1e-14):
 
 
 def density_ratio(num, den, x):
-    """num(x) / den(x), in the merged product form when den lies above num in
-    the ``_LINKS`` chain: fCN/fN, fR/fN, fN/fU, fCN/fU and fR/fU.
+    """num(x) / den(x) for two densities of one q below 1, in product form.
 
-    A merged ratio is the product of the links between the two (same q, below
-    1, required); it stays finite on all of S(q), the endpoints included, and
-    raises ParameterError outside it.  Every other pair is the plain quotient
-    and requires den(x) > 0.
+    The ratio is taken where the two ``_LINKS`` chains meet (``_chain_ratio``):
+    num's links below that tag over den's.  So it stays finite on all of
+    S(q), the endpoints included, except at the poles of fT at +-L, which
+    raise BoundaryError; a point outside S(q) raises ParameterError.
     """
     if num.q != den.q:
         raise ParameterError("density ratio requires matching q")
-    if den.tag in _ancestors(num.tag):
-        check_params("density_ratio", {"q": num.q}, ("q",))
-        scalar, xa = _support_points(x, num.q)
-        const, logs = _chain_ratio(num, den.tag, xa, min(num.trunc_eps, den.trunc_eps))
-        return _ret(scalar, const * np.exp(logs))
-    scalar, xa = _as_array(x)
-    dv = density_eval(den, xa)
-    if np.any(dv == 0.0):
-        raise ParameterError("ratio undefined where the denominator vanishes")
-    return _ret(scalar, density_eval(num, xa) / dv)
+    check_params("density_ratio", {"q": num.q}, ("q",))
+    scalar, xa = _support_points(x, num.q)
+    _check_poles((num, den), xa, num.q)
+    const, logs = _chain_ratio(num, den, xa, min(num.trunc_eps, den.trunc_eps))
+    return _ret(scalar, const * np.exp(logs))
 
 
 def normalize_check(d, tol=1e-8):

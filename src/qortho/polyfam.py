@@ -273,14 +273,18 @@ def eval_all(fam, n_max, x):
     A str, bool or complex x, anything of a bool dtype (a numpy bool), or a
     NaN or infinite float, is a ParameterError; ints and Fractions of any
     size stay exact, and an array passes as it is (``densities._as_array``
-    checks the float layers' points).
+    checks the float layers' points).  An int or Fraction x too large for
+    float() meeting a float row is a NonConvergenceError.
     """
     check_degree(n_max)
     if isinstance(x, float) and not math.isfinite(x):
         raise ParameterError("polynomial point x must be finite, got %r" % (x,))
     if isinstance(x, (str, bytes, bool, complex)) or getattr(x, "dtype", None) == bool:
         raise ParameterError("polynomial point x must be a real number, got %r" % (x,))
-    return list(islice(_recurrence(fam, x), n_max + 1))
+    try:
+        return list(islice(_recurrence(fam, x), n_max + 1))
+    except OverflowError as exc:  # an exact x too large for float() met a float row
+        raise NonConvergenceError(str(exc)) from exc
 
 
 def eval(fam, n, x):
@@ -292,10 +296,7 @@ def eval(fam, n, x):
     NonConvergenceError.
     """
     check_degree(n, "polynomial degree")
-    try:
-        value = eval_all(fam, n, x)[n]
-    except OverflowError as exc:  # an int x too large for float() met a float row
-        raise NonConvergenceError(str(exc)) from exc
+    value = eval_all(fam, n, x)[n]
     if isinstance(value, float) and not math.isfinite(value):
         raise NonConvergenceError("%s p_%d(%r) overflowed" % (fam.label(), n, x))
     return value

@@ -411,6 +411,7 @@ def truncation_order(amplitude, q, eps):
 def q_pochhammer_inf(a, q, eps=1e-14):
     """(a;q)_inf for |q| < 1, truncated so the relative error is below eps."""
     if isinstance(a, (tuple, list)):
+        check_params("infinite product", {"q": q, "eps": eps}, ("q", "eps"))
         out = 1.0
         for ai in a:
             out *= q_pochhammer_inf(ai, q, eps)

@@ -86,6 +86,9 @@ SLOTS = [
     ("q_pochhammer_inf", "amplitude", "finite", lambda v: q_pochhammer_inf(v, 0.5), float),
     ("q_pochhammer_inf", "q", "(-1, 1)", lambda v: q_pochhammer_inf(0.5, v), float),
     ("q_pochhammer_inf", "eps", "(0, 1)", lambda v: q_pochhammer_inf(0.5, 0.5, v), float),
+    # an empty sequence of symbols checks q and eps too
+    ("q_pochhammer_inf@()", "q", "(-1, 1)", lambda v: q_pochhammer_inf((), v), float),
+    ("q_pochhammer_inf@()", "eps", "(0, 1)", lambda v: q_pochhammer_inf((), 0.5, v), float),
     ("truncation_order", "amplitude", "finite", lambda v: truncation_order(v, 0.5, 1e-14), int),
     ("truncation_order", "eps", "(0, 1)", lambda v: truncation_order(1.0, 0.5, v), int),
     ("support", "q", "(-1, 1)", support, SupportInterval),
@@ -98,6 +101,7 @@ SLOTS = [
     ("eval_all", "x", "exact point", lambda v: eval_all(QHermite(F2), 2, v), list),
     # a float row: an int point too large to meet it has overflowed
     ("eval@float_q", "x", "exact point", lambda v: eval(QHermite(0.5), 2, v), Real),
+    ("eval_all@float_q", "x", "exact point", lambda v: eval_all(QHermite(0.5), 2, v), list),
     ("connection", "y", "finite",
      lambda v: connection("asc-from-h", 3, y=v, rho=F2, q=F3), ConnectionMatrix),
     ("connection", "gamma", "(-1, 1)",

@@ -85,6 +85,14 @@ class TestConnect:
         assert code == 0
         assert out.splitlines()[2:] == ["2,2,1", "2,1,2/15", "2,0,-21/400"]
 
+    @pytest.mark.parametrize("pair", ["kesten-from-asc", "uhat-from-asc"])
+    def test_zero_entry_is_one_exact_type(self, capsys, pair):
+        # kesten-from-asc printed the int 1 as [0, 0, 1] at an int q
+        code, out = run(capsys, "connect", "--pair", pair, "--n", "0", "--q", "0",
+                        "--y", "1/3", "--rho", "1/4", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"] == [[0, 0, "1"]]
+
 
 class TestDensity:
     def test_value(self, capsys):
@@ -104,6 +112,14 @@ class TestExpand:
         row = out.splitlines()[-1].split(",")
         assert float(row[1]) == pytest.approx(0.3284551948255895, abs=1e-12)
         assert float(row[2]) < 1e-9  # reported tail bound
+
+    @pytest.mark.parametrize("eid", ["cn_over_k", "cn_over_u"])
+    def test_first_coefficient_is_one_exact_type(self, capsys, eid):
+        # cn_over_k printed the int 1 as [0, 1] at an int q
+        code, out = run(capsys, "expand", "--id", eid, "--q", "0", "--y", "1/3",
+                        "--rho", "1/4", "--k-max", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0] == [0, "1"]
 
     @pytest.mark.parametrize("argv", [
         ["--id", "cn_over_u", "--q", "1/2", "--y", "1/3", "--rho", "1/2"],

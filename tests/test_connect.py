@@ -227,6 +227,19 @@ class TestHatEntries:
             else:
                 assert v == r
 
+    @pytest.mark.parametrize("y,rho,q", [
+        (F(1, 3), F(1, 4), 0), (0, 0, 0), (F(1, 3), F(1, 4), F(1, 4)),
+        (0.3, F(1, 4), 0), (F(1, 3), 0.25, F(1, 4)), (F(1, 3), F(1, 4), 0.25),
+    ])
+    def test_zero_entries_share_one_type(self, y, rho, q):
+        # C_{0,0} = D_{0,0} = beta_0 = gamma_0 = 1, exact exactly when y, rho
+        # and q are; an int q gave C_{0,0} and beta_0 as int 1
+        ones = (c_hat_entry(0, 0, y, rho, q), d_hat_entry(0, 0, y, rho, q),
+                beta_coeff(0, y, rho, q), gamma_coeff(0, y, rho, q))
+        exact = all(isinstance(v, (int, F)) for v in (y, rho, q))
+        assert [type(v) for v in ones] == [F if exact else float] * 4
+        assert ones == (1, 1, 1, 1)
+
     def test_gamma_k1(self):
         v = gamma_coeff(1, 0.4, 0.3, 0.5)
         assert v == pytest.approx(math.sqrt(0.5) * 0.3 * 0.4, rel=1e-15)

@@ -281,10 +281,10 @@ class TestProductKernelBits:
     def test_helpers_match_reference(self, case, rho, beta, eps):
         q, x, y = case
         x2s = (1.0 - q) * x * x
-        _same_bits(densities._log_fac_sum(x2s, q, eps), ref.log_fac_sum(x2s, q, eps))
+        _same_bits(densities._log_fac_sum(x2s, q, eps, 7.0, 1), ref.log_fac_sum(x2s, q, eps))
         _same_bits(densities._log_den_sum(x2s, beta, q, eps),
                    ref.log_den_sum(x2s, beta, q, eps))
-        _same_bits(densities._log_w_sum(x, y, rho, q, eps),
+        _same_bits(densities._log_w_sum(x, y, rho, q, eps, 19.0 * abs(rho)),
                    ref.log_w_sum(x, y, rho, q, eps))
 
     @given(case=product_points(), rho=st.floats(-0.95, 0.95))
@@ -305,8 +305,29 @@ MERGED = [
     (fN(0.5), fU(0.5)),
     (fCN(0.3, 0.4, 0.5), fU(0.5)),
     (fR(-0.3, 0.5), fU(0.5)),
+    # the kernel left sides whose denominator lies below the numerator
+    (fU(0.5), fN(0.5)),
+    (fN(0.5), fCN(0.3, 0.4, 0.5)),
+    (fN(0.5), fR(-0.3, 0.5)),
+    (fCN(0.3, 0.4, 0.5), fK(-0.2, 0.6, 0.5)),
 ]
-MERGED_IDS = ["fcn/fn", "fr/fn", "fn/fu", "fcn/fu", "fr/fu"]
+MERGED_IDS = ["fcn/fn", "fr/fn", "fn/fu", "fcn/fu", "fr/fu", "fu/fn", "fn/fcn", "fn/fr", "fcn/fk"]
+# pairs that meet above both tags, or above their one shared tag
+MEETING = [
+    (fU(0.5), fN(0.5)),
+    (fN(0.5), fCN(0.3, 0.4, 0.5)),
+    (fN(0.5), fR(-0.3, 0.5)),
+    (fCN(0.3, 0.4, 0.5), fK(-0.2, 0.6, 0.5)),
+    (fR(0.2, 0.5), fCN(-0.7, -0.5, 0.5)),
+    (fK(0.4, 0.3, 0.5), fN(0.5)),
+    (fT(0.5), fN(0.5)),
+    (fCN(0.1, 0.3, 0.5), fCN(0.5, 0.3, 0.5)),
+    (fCN(0.1, 0.3, 0.5), fCN(0.1, -0.6, 0.5)),
+    (fR(0.3, 0.5), fR(-0.6, 0.5)),
+    (fK(0.1, 0.3, 0.5), fK(0.5, 0.3, 0.5)),
+]
+MEETING_IDS = ["fu/fn", "fn/fcn", "fn/fr", "fcn/fk", "fr/fcn", "fk/fn", "ft/fn",
+               "fcn/fcn-y", "fcn/fcn-rho", "fr/fr", "fk/fk"]
 
 
 class TestDensityRatio:
@@ -355,6 +376,43 @@ class TestDensityRatio:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("num,den", MEETING, ids=MEETING_IDS)
+    def test_meeting_pairs_match_direct_quotients(self, num, den):
+        # one rule for every pair: the links below where the chains meet
+        L = support(0.5).radius
+        xs = L * np.linspace(-0.95, 0.95, 11)
+        direct = density_eval(num, xs) / density_eval(den, xs)
+        np.testing.assert_allclose(density_ratio(num, den, xs), direct, rtol=1e-13, atol=0.0)
+
+    def test_same_tag_pair_meets_above_its_tag(self):
+        got = density_ratio(fCN(0.1, 0.3, 0.5), fCN(0.5, 0.3, 0.5), 0.2)
+        assert got == pytest.approx(0.98854419616296, rel=1e-13)
+
+    def test_fu_over_fu_keeps_the_shape_of_x(self):
+        xs = np.array([[-1.0, 0.0, 2.5], [0.3, 1.0, -2.0]])
+        out = density_ratio(fU(0.5), fU(0.5), xs)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        assert np.all(out == 1.0)
+        assert density_ratio(fU(0.5), fU(0.5), 0.4) == 1.0
+
+    @pytest.mark.parametrize("num,den", [
+        (fT(0.5), fU(0.5)), (fU(0.5), fT(0.5)), (fT(0.5), fT(0.5)), (fCN(0.3, 0.4, 0.5), fT(0.5)),
+    ], ids=["ft/fu", "fu/ft", "ft/ft", "fcn/ft"])
+    def test_ft_pole_in_either_slot(self, num, den):
+        L = support(0.5).radius
+        assert np.all(np.isfinite(density_ratio(num, den, L * np.array([-0.99, 0.0, 0.99]))))
+        for x in (L, np.array([0.0, -L])):
+            with pytest.raises(BoundaryError):
+                density_ratio(num, den, x)
+
+    @pytest.mark.parametrize("num,den", [
+        (fN(1.0), fCN(0.3, 0.4, 1.0)), (fCN(0.3, 0.4, 1.0), fCN(0.1, 0.4, 1.0)),
+    ], ids=["fn/fcn", "fcn/fcn"])
+    def test_every_pair_refuses_unit_q(self, num, den):
+        # both have q = 1 closed forms, but no ratio has a product form there
+        with pytest.raises(ParameterError, match="^density_ratio needs -1 < q < 1, got q=1.0$"):
+            density_ratio(num, den, 0.2)
+
     def test_merged_ratio_needs_q_below_one(self):
         # fCN and fN both exist at q = 1, but their product form does not
         with pytest.raises(ParameterError, match="^density_ratio needs -1 < q < 1, got q=1.0$"):
@@ -398,8 +456,10 @@ class TestNormalization:
 # float.hex literals captured from the reference implementation, so every
 # comparison is bit for bit.  Points are fractions of the support radius L:
 # the edges, the inside and one point outside S(q); rho = 0 and beta = 0 are
-# covered, and the ratio pairs are four of the merged product forms plus one
-# plain quotient (fK/fU, inside S(q) where fU > 0).
+# covered, and the ratio pairs are four of the merged product forms plus
+# fK/fU, inside S(q), which was a plain quotient until fT and fK joined the
+# chain.  The fT and fK rows (at most 2 ulp each) were re-recorded then: fT
+# became fU times its fac_0 link and fK fU times its w_0 link.
 
 GOLDEN_QS = (-0.8, -0.1, 0.0, 0.3, 0.7, 0.9)
 EDGE_FRACS = (-1.0, -0.93, -0.51, 0.0, 0.37, 0.85, 1.0, 1.2)
@@ -474,18 +534,18 @@ GOLDEN_DENSITY = {
     ('fu', 0.3): ['0x0.0p+0', '0x1.90f26294b9bf9p-4', '0x1.d52779fb63ccap-3', '0x1.10b571eccff97p-2', '0x1.fab5d08739f8dp-3', '0x1.1f5107455d2acp-3', '0x0.0p+0', '0x0.0p+0'],
     ('fu', 0.7): ['0x0.0p+0', '0x1.067b36d374d9ap-4', '0x1.33222e87315a8p-3', '0x1.650f418f5dfd8p-3', '0x1.4bb83e5367606p-3', '0x1.782f852354286p-4', '0x0.0p+0', '0x0.0p+0'],
     ('fu', 0.9): ['0x0.0p+0', '0x1.2f165997bfcf5p-5', '0x1.62a5b1c40eff7p-4', '0x1.9c4c0200b604ep-4', '0x1.7f09736a6dbb5p-4', '0x1.b261b9fa22c5ep-5', '0x0.0p+0', '0x0.0p+0'],
-    ('ft', -0.8): ['0x1.297084577029ap-1', '0x1.fc64afa52dba7p-3', '0x1.b54e916f96415p-3', '0x1.d6b669b9f9c59p-3', '0x1.9f12c6df9dfe2p-2'],
-    ('ft', -0.1): ['0x1.d109d06a60a1ep-2', '0x1.8d6de877d305ep-3', '0x1.55dbc8ea9c871p-3', '0x1.6ff911cacb574p-3', '0x1.447a4e92b1256p-2'],
-    ('ft', 0.0): ['0x1.bb658b4519229p-2', '0x1.7aef1a657ec35p-3', '0x1.45f306dc9c883p-3', '0x1.5ed932152fe56p-3', '0x1.35609db77500cp-2'],
-    ('ft', 0.3): ['0x1.72f8e5ead09f1p-2', '0x1.3d09f728955f5p-3', '0x1.10b571eccff97p-3', '0x1.258a75108e05bp-3', '0x1.02d7fd533f2d4p-2'],
-    ('ft', 0.7): ['0x1.e5b779bad6567p-3', '0x1.9f19f50ca9884p-4', '0x1.650f418f5dfd8p-4', '0x1.8055cee666de0p-4', '0x1.52e7ed90d6321p-3'],
-    ('ft', 0.9): ['0x1.186dbd32c6b1fp-3', '0x1.df515ba71937dp-5', '0x1.9c4c0200b604ep-5', '0x1.bbcac3b67b84ap-5', '0x1.8755bc4dbe766p-4'],
-    ('fk', -0.8): ['0x0.0p+0', '0x1.5201861655f61p-3', '0x1.e95ae206be458p-2', '0x1.e15008b99bb6fp-2', '0x1.42ea9f39752cep-2', '0x1.c79c78753d55ap-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fk', -0.1): ['0x0.0p+0', '0x1.083b3d86b3b53p-3', '0x1.7e8be17fc87d5p-2', '0x1.7842679990e87p-2', '0x1.f8def131df58bp-3', '0x1.642aec5b0d23ep-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fk', 0.0): ['0x0.0p+0', '0x1.f7de992088814p-4', '0x1.6cbe627b173bbp-2', '0x1.66bfcf3336bfcp-2', '0x1.e1601fc70a2a8p-3', '0x1.5397b137f7828p-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fk', 0.3): ['0x0.0p+0', '0x1.a59146fb5df8ep-4', '0x1.312a9d7bf93f2p-2', '0x1.2c26b28572969p-2', '0x1.92bf646a2df83p-3', '0x1.1c1f9e5c1fdb6p-4', '0x0.0p+0', '0x0.0p+0'],
-    ('fk', 0.7): ['0x0.0p+0', '0x1.13fb0f70c20aep-4', '0x1.8f8e8379c08c6p-3', '0x1.88fd78758adebp-3', '0x1.07a903a25518cp-3', '0x1.740147872f7ddp-5', '0x0.0p+0', '0x0.0p+0'],
-    ('fk', 0.9): ['0x0.0p+0', '0x1.3eacd13ff2283p-5', '0x1.cd5e4ad3e53aap-4', '0x1.c5c930e569578p-4', '0x1.3072d6b08268cp-4', '0x1.ad8deb43bc8bbp-6', '0x0.0p+0', '0x0.0p+0'],
+    ('ft', -0.8): ['0x1.297084577029ap-1', '0x1.fc64afa52dba6p-3', '0x1.b54e916f96415p-3', '0x1.d6b669b9f9c59p-3', '0x1.9f12c6df9dfe2p-2'],
+    ('ft', -0.1): ['0x1.d109d06a60a1dp-2', '0x1.8d6de877d305ep-3', '0x1.55dbc8ea9c871p-3', '0x1.6ff911cacb574p-3', '0x1.447a4e92b1257p-2'],
+    ('ft', 0.0): ['0x1.bb658b4519228p-2', '0x1.7aef1a657ec35p-3', '0x1.45f306dc9c883p-3', '0x1.5ed932152fe57p-3', '0x1.35609db77500dp-2'],
+    ('ft', 0.3): ['0x1.72f8e5ead09f2p-2', '0x1.3d09f728955f4p-3', '0x1.10b571eccff97p-3', '0x1.258a75108e05cp-3', '0x1.02d7fd533f2d4p-2'],
+    ('ft', 0.7): ['0x1.e5b779bad6567p-3', '0x1.9f19f50ca9883p-4', '0x1.650f418f5dfd8p-4', '0x1.8055cee666ddfp-4', '0x1.52e7ed90d6322p-3'],
+    ('ft', 0.9): ['0x1.186dbd32c6b1fp-3', '0x1.df515ba71937bp-5', '0x1.9c4c0200b604ep-5', '0x1.bbcac3b67b84bp-5', '0x1.8755bc4dbe766p-4'],
+    ('fk', -0.8): ['0x0.0p+0', '0x1.5201861655f62p-3', '0x1.e95ae206be457p-2', '0x1.e15008b99bb71p-2', '0x1.42ea9f39752cep-2', '0x1.c79c78753d55bp-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', -0.1): ['0x0.0p+0', '0x1.083b3d86b3b53p-3', '0x1.7e8be17fc87d5p-2', '0x1.7842679990e87p-2', '0x1.f8def131df58bp-3', '0x1.642aec5b0d23fp-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.0): ['0x0.0p+0', '0x1.f7de992088815p-4', '0x1.6cbe627b173bap-2', '0x1.66bfcf3336bfdp-2', '0x1.e1601fc70a2a9p-3', '0x1.5397b137f7828p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.3): ['0x0.0p+0', '0x1.a59146fb5df8fp-4', '0x1.312a9d7bf93f2p-2', '0x1.2c26b2857296ap-2', '0x1.92bf646a2df83p-3', '0x1.1c1f9e5c1fdb5p-4', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.7): ['0x0.0p+0', '0x1.13fb0f70c20afp-4', '0x1.8f8e8379c08c4p-3', '0x1.88fd78758adecp-3', '0x1.07a903a25518cp-3', '0x1.740147872f7ddp-5', '0x0.0p+0', '0x0.0p+0'],
+    ('fk', 0.9): ['0x0.0p+0', '0x1.3eacd13ff2284p-5', '0x1.cd5e4ad3e53aap-4', '0x1.c5c930e569579p-4', '0x1.3072d6b08268cp-4', '0x1.ad8deb43bc8bap-6', '0x0.0p+0', '0x0.0p+0'],
 }
 GOLDEN_RATIO = {
     ('fcn', 'fn', -0.8): ['0x1.b21cecc064d04p-4', '0x1.345526aca3481p-3', '0x1.fb6524331093ep-1', '0x1.d3450714930a1p+1', '0x1.9348e4e39bef3p+1', '0x1.b049871c085a9p-2', '0x1.80db7692f83cdp-3'],
@@ -530,12 +590,12 @@ GOLDEN_RATIO = {
     ('fcn-rho0', 'fu', 0.3): ['0x1.d6f004ba5c0b5p-3', '0x1.5307b72bef6fap-2', '0x1.eb13f9e985e86p-1', '0x1.53e66f87f9e83p+0', '0x1.2031ebec22054p+0', '0x1.cf3287823c0b8p-2', '0x1.d6f004ba5c0b5p-3'],
     ('fcn-rho0', 'fu', 0.7): ['0x1.3dcfec9ee4179p-14', '0x1.069a9f189fb77p-9', '0x1.0618c9ee139bfp-1', '0x1.18dd3ac987725p+1', '0x1.0e322b9f77c73p+0', '0x1.a233e5d90c80cp-7', '0x1.3dcfec9ee4179p-14'],
     ('fcn-rho0', 'fu', 0.9): ['0x1.39e82df6475c5p-59', '0x1.44a408682a513p-36', '0x1.44597fe2fa948p-6', '0x1.f4c8c3ca2a867p+1', '0x1.1a26a6dc2bb03p-2', '0x1.8aa0b10555387p-26', '0x1.39e82df6475c5p-59'],
-    ('fk', 'fu', -0.8): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737cp-2'],
-    ('fk', 'fu', -0.1): ['0x1.0d2a834aa0d2cp+0', '0x1.4d0935f88a3d1p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737cp-2'],
-    ('fk', 'fu', 0.0): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d3p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5bp-1', '0x1.fa4f5ec09737dp-2'],
-    ('fk', 'fu', 0.3): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5dp-1', '0x1.fa4f5ec09737fp-2'],
-    ('fk', 'fu', 0.7): ['0x1.0d2a834aa0d2ap+0', '0x1.4d0935f88a3d3p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737dp-2'],
-    ('fk', 'fu', 0.9): ['0x1.0d2a834aa0d2ap+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a10p+0', '0x1.96f3bcb79de5dp-1', '0x1.fa4f5ec09737cp-2'],
+    ('fk', 'fu', -0.8): ['0x1.0d2a834aa0d2cp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737dp-2'],
+    ('fk', 'fu', -0.1): ['0x1.0d2a834aa0d2cp+0', '0x1.4d0935f88a3d1p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737dp-2'],
+    ('fk', 'fu', 0.0): ['0x1.0d2a834aa0d2cp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737dp-2'],
+    ('fk', 'fu', 0.3): ['0x1.0d2a834aa0d2cp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5dp-1', '0x1.fa4f5ec09737dp-2'],
+    ('fk', 'fu', 0.7): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737dp-2'],
+    ('fk', 'fu', 0.9): ['0x1.0d2a834aa0d2bp+0', '0x1.4d0935f88a3d2p+0', '0x1.19c2d14ee4a11p+0', '0x1.96f3bcb79de5cp-1', '0x1.fa4f5ec09737ap-2'],
 }
 GOLDEN_PM = {
     (-0.7, -0.8): ['0x1.692b58431eb9fp-5', '0x1.1d765a734d33fp-4', '0x1.0293f61525ef1p+0', '0x1.11625a4debe1bp+3', '0x1.21502a865a09dp+2', '0x1.7ce62f2662d17p-3', '0x1.0c32d14205042p-4'],
