@@ -40,8 +40,9 @@ c_n = gamma_{n,0} / ||a_n||^2, where a column 0 costs O(n) per coefficient.
 
 :func:`expansion_eval` reconstructs the target density pointwise with either
 a fixed truncation K or an adaptive one driven by the bound rule.  ``_terms``
-yields a kernel's nonzero terms (degrees 0, 2, 4, ... for an even kernel), so
-every sum here stops by one rule: two small bounds in a row.
+yields a kernel's nonzero terms (degrees 0, 2, 4, ... for an even kernel, and
+for cn_over_n and n_over_cn at y = 0, where their y row is 0 at odd degrees),
+so every sum here stops by one rule: two small bounds in a row.
 
 :func:`identity_suite` checks q-series identities, each side computed
 independently.  Where the series side is a registry expansion (n_over_u for
@@ -145,8 +146,14 @@ class _Kernel:
 
     @property
     def step(self):
-        """The degree step of the nonzero terms: 2 for an even kernel."""
+        """The degree step of the nonzero coefficients: 2 for an even kernel."""
         return 2 if self.even else 1
+
+    def stride(self, p):
+        """The degree step of the nonzero terms at p: the step, or 2 where the
+        y row is 0 at every odd degree, which its symmetric families (QHermite,
+        BigB) are at y = 0."""
+        return 2 if self.even or (self.y_row is not None and p["y"] == 0) else 1
 
 
 # -- coefficient rules ------------------------------------------------------
@@ -431,14 +438,13 @@ def _mixed(lhs, rhs):
 
 def _terms(kernel, p, x):
     """Generator of the nonzero terms (c_n a_n(x), bound of that term on S(q), at
-    q = 1 on x): n = 0, 1, 2, ..., or n = 0, 2, 4, ... for an even kernel."""
+    q = 1 on x): n = 0, 1, 2, ..., or n = 0, 2, 4, ... at a stride of 2."""
     A = _Row(_recurrence(*kernel.family(p, x)))
     Y = None if kernel.y_row is None else _Row(_recurrence(*kernel.y_row(p)))
     coeff = kernel.coeff(p)
     rule = kernel.bound(p, Y) if p["q"] < 1 else _cramer(*kernel.gauss(p, x))
-    for k in count():
-        n = kernel.step * k
-        c = float(coeff(k))
+    for n in count(0, kernel.stride(p)):
+        c = float(coeff(n // kernel.step))
         if Y is not None:
             c = c * Y[n]
         yield c * A[n], rule(n, abs(c))
@@ -468,7 +474,7 @@ def expansion_eval(spec, x, tol=1e-9):
     fixed = spec.K is not None
     if fixed:
         check_degree(spec.K, "K")
-    step = kernel.step
+    step = kernel.stride(p)
     # overflow in the rows or terms is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _terms(kernel, p, xa)
@@ -479,7 +485,7 @@ def expansion_eval(spec, x, tol=1e-9):
             acc, m = _sum_series(terms, tol, cap=K_CAP // step, message=msg)
         n_terms = step * (m - 1) + 1
         if fixed and m > spec.K // step:
-            n_terms = spec.K + 1  # an even kernel's zero term of odd degree K too
+            n_terms = spec.K + 1  # a zero term of odd degree K too
         # the tail: the next two nonzero bounds, under the same overflow rule
         tail_series, _ = _sum_series(((b, b) for _, b in islice(terms, 2)), -math.inf)
         value = base * acc

@@ -6,6 +6,12 @@ uniforms, evaluates the ratio on all of them, checks the envelope on all of
 them and keeps the accepted ones.  The segmented sampler must return the
 same samples bit for bit, having evaluated at most as many proposals.
 
+It is also the independent product path: its ratio is ``density_ratio``,
+the densities' infinite products at x, while the sampler sums the ratio's
+Chebyshev-U row by Clenshaw's recurrence at t = x/L.  The two ratios differ
+in their last bits, so matching samples also check that no accept decision
+rests on those bits.
+
 ``ks_statistic`` is ``qortho.sampler.ks_statistic`` as it was before its CDF
 table took the integrand's limit at theta = 0 and pi: it evaluated the
 density at every node, the poles of fT too.  Every density other than fT

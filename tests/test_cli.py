@@ -192,7 +192,7 @@ class TestSample:
                      "--seed", "7")
         lines = out.splitlines()
         assert lines[1] == ("# acceptance_rate=0.6274509803921569, "
-                            "envelope=1.6416327840812823, proposals=51")
+                            "envelope=1.6416327840812803, proposals=51")
         assert lines[3:5] == ["0,-0.29815624918796535", "1,0.6975228369671719"]
 
     def test_binary_out(self, capsys, tmp_path):
@@ -328,13 +328,15 @@ class TestExitCodes:
         assert proc.stderr == "qortho: expansion 'u_over_n' overflowed within 701 terms\n"
 
     def test_overflowing_coefficient(self, capsys):
-        # 171! is too large for a float, so rho^n / n! overflows at n = 171
+        # 171! is too large for a float, so rho^n / n! overflows from n = 171
+        # on; at y = 0 the stream holds only the even degrees, and n = 172 is
+        # the first term that overflows
         code = main(["expand", "--id", "mehler_classical", "--y", "0", "--rho", "0.9",
                      "--x", "0"])
         out, err = capsys.readouterr()
         assert code == 4
         assert out == ""
-        assert err == "qortho: expansion 'mehler_classical' overflowed within 172 terms\n"
+        assert err == "qortho: expansion 'mehler_classical' overflowed within 173 terms\n"
 
     @pytest.mark.parametrize("argv,passed_q", [
         # cn_over_n at q = 1: --q 0.5 put x = 3 outside S(0.5), exit 3

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -176,6 +177,33 @@ class TestEvaluation:
         assert 0.0 < bound(top + 4) < bound(top + 2)
         assert res.tail == pytest.approx(base * (bound(top + 2) + bound(top + 4)),
                                          rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eid,params,x,n_terms", [
+        ("mehler_classical", {"y": 0.0, "rho": 0.5}, 1.0, 33),
+        ("mehler_classical", {"y": 0.0, "rho": 0.5}, 0.0, 33),
+        ("cn_over_n", {"y": 0.0, "rho": 0.5, "q": 0.5}, 1.0, 41),
+        ("n_over_cn", {"y": 0.0, "rho": 0.5, "q": 0.5}, 1.0, 15),
+    ])
+    def test_weighted_kernel_at_y0_skips_its_zero_odd_terms(self, eid, params, x, n_terms):
+        # H_n(0|q) and B_n(0) are 0 at odd n, so those terms and their bounds
+        # are exactly 0.  They counted as small bounds: mehler_classical at
+        # x = 1 stopped at degree 30 (b_29 = 0) with tail 0 + b_32 = 2.9e-11,
+        # and cn_over_n at degree 38; n_terms rose by 2 when they went
+        kernel, p = expand._kernel(eid, params)
+        assert all(b > 0.0 for _, b in islice(expand._terms(kernel, p, np.array([x])), 30))
+        res = expansion_eval(ExpansionSpec(eid, params), x)
+        assert res.n_terms == n_terms and res.tail > 0.0
+        if eid == "mehler_classical":
+            # fCN(x|0, rho, 1) is N(0, 1 - rho^2), here at 40 digits
+            mp = pytest.importorskip("mpmath").mp
+            with mp.workdps(40):
+                var = 1 - mp.mpf(params["rho"]) ** 2
+                exact = mp.exp(-mp.mpf(x) ** 2 / (2 * var)) / mp.sqrt(2 * mp.pi * var)
+                assert abs(res.value - exact) <= res.tail
+        else:
+            # the tail bounds the truncation; 1e-14 relative is float rounding
+            tgt = density_eval(target_density(eid, params), x)
+            assert abs(res.value - tgt) <= res.tail + 1e-14 * tgt
 
     @pytest.mark.parametrize("K", [-1, 2.5, True])
     def test_fixed_k_must_be_a_non_negative_int(self, K):

@@ -10,11 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sampler_reference as ref
+from qortho import densities, sampler
 from qortho.qcore import NonConvergenceError, ParameterError, support
 from qortho.densities import density_ratio, fCN, fK, fN, fR, fT, fU
 from qortho.sampler import (
     EnvelopeViolationError,
     _grid_sup,
+    _ratio,
+    _row,
     envelope_constant,
     ks_statistic,
     sample,
@@ -71,7 +74,7 @@ class TestEnvelopeConstant:
         top = float(np.max(density_ratio(dens, fU(q), np.linspace(-L, L, 160_001))))
         M = envelope_constant(dens)
         assert top <= M <= (2.5 if rho > 0.9 else 1.05) * top
-        assert M > _grid_sup(dens)
+        assert M > _grid_sup(_row(dens))
         res = sample(dens, 10, seed=1, batch=256)
         assert res.samples.shape == (10,) and res.envelope == M
 
@@ -83,6 +86,122 @@ class TestEnvelopeConstant:
             envelope_constant(dens)
         with pytest.raises(NonConvergenceError):
             sample(dens, 10, batch=256)
+
+
+def _n_over_u(q, k_max=400):
+    """c_0, c_1, ... of fN/fU = sum_n c_n U_n(t): (-1)^k q^{k(k+1)/2} at n = 2k."""
+    c = np.zeros(2 * k_max + 1)
+    k = np.arange(k_max + 1)
+    c[::2] = (-1.0) ** k * q ** (k * (k + 1) / 2)
+    return c
+
+
+class TestClenshawRatio:
+    """The sampler's ratio, summed by Clenshaw's recurrence over one Chebyshev-U
+    row, against a second computation of the same ratio."""
+
+    @staticmethod
+    def _gap(dens):
+        """|Clenshaw - density_ratio| over the sup of density_ratio, which
+        multiplies the densities' infinite products, at 4 001 points of S(q)
+        with both ends; and the points' t = x/L."""
+        L = support(dens.q).radius
+        x = np.linspace(-L, L, 4001)
+        want = density_ratio(dens, fU(dens.q), x)
+        return np.abs(_ratio(_row(dens)[:-6], x / L) - want) / np.max(want), x / L
+
+    @pytest.mark.parametrize("q,ys,rhos", [
+        (q, (0.0, 0.5, -0.8), (0.5, -0.8)) for q in (-0.8, -0.3, 0.0, 0.5, 0.85)
+    ] + [(0.9, (0.0, 0.5, -0.5), (0.5, -0.8))])
+    def test_matches_the_products(self, q, ys, rhos):
+        L = support(q).radius
+        for dens in [fN(q)] + [fCN(y * L, rho, q) for y in ys for rho in rhos]:
+            assert np.max(self._gap(dens)[0]) <= 1e-13, dens
+
+    @pytest.mark.parametrize("y,rho", [(0.8, 0.8), (-0.8, 0.8), (0.8, -0.8)])
+    def test_the_gamma_row_at_the_ends_for_q_09(self, y, rho):
+        # the corners of the sample-batch workload's (q, y, rho) box: the float
+        # gamma row is accurate relative to its largest summand, not to itself,
+        # and at t = +-1, where |U_n| = n + 1, that reaches 1.6e-13 of the sup
+        # (the products match mpmath there to 1e-17); inside |t| <= 0.99 the
+        # two agree within 7.4e-14
+        q = 0.9
+        gap, t = self._gap(fCN(y * support(q).radius, rho, q))
+        assert np.max(gap[np.abs(t) <= 0.99]) <= 1e-13
+        assert np.max(gap) <= 2e-13
+
+    @pytest.mark.parametrize("dens", [
+        fN(-0.9), fCN(0.0, 0.5, -1 / 3), fCN(-0.9 * support(0.9).radius, 0.9, 0.9),
+    ])
+    def test_rounding_of_the_recurrence(self, dens):
+        # Clenshaw on the float row against the same row summed at 40 digits
+        # over U_n by its own recurrence: only the recurrence's rounding is
+        # left, within 1e-14 of the ratio's sup (the gamma row of the last one,
+        # 432 terms, is 1.7e-11 of the sup from the products at t = -1)
+        mp = pytest.importorskip("mpmath").mp
+        c = _row(dens)[:-6]
+        sup = _grid_sup(_row(dens))
+        t = np.array([-1.0, -0.999, -0.5, 0.0, 0.3, 0.9995, 1.0])
+        got = _ratio(c, t)
+        with mp.workdps(40):
+            for ti, gi in zip(t.tolist(), got.tolist()):
+                u_prev, u, total = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+                for cn in c:
+                    total += mp.mpf(cn) * u
+                    u_prev, u = u, 2 * mp.mpf(ti) * u - u_prev
+                assert abs(gi - total) <= 1e-14 * sup, ti
+
+    def test_no_product_is_evaluated(self, monkeypatch):
+        # the sampler reads the row only: neither density_ratio nor any
+        # infinite product of the densities runs in sample or envelope_constant
+        def products(*args, **kwargs):
+            raise AssertionError("an infinite product was evaluated")
+
+        targets = (fN(0.5), fCN(0.3, 0.5, 0.4), fN(-0.6))
+        monkeypatch.setattr(densities, "density_ratio", products)
+        monkeypatch.setattr(densities, "_log_qproduct", products)
+        for dens in targets:
+            M = envelope_constant(dens)
+            assert sample(dens, 200, seed=2, batch=4096).envelope == M
+        assert not hasattr(sampler, "density_ratio") and not hasattr(sampler, "fU")
+
+
+class TestAboveTheOldCap:
+    """fN at q > 0.92, where density_ratio needs more than 400 factors."""
+
+    @pytest.mark.parametrize("q,M", [(0.95, 5.5701), (0.99, 12.6013)])
+    def test_samples_follow_the_series_cdf(self, q, M):
+        # with t = x/L = cos(phi), fU r dx = (1/pi) sum_n c_n (cos n phi -
+        # cos (n+2) phi) dphi, so P(phi <= theta) = (2/pi) sum_n c_n
+        # (sin n theta / n - sin (n+2) theta / (n+2)) / 2, theta / 2 at n = 0
+        n = 4000
+        res = sample(fN(q), n, seed=1, batch=16384)
+        assert res.envelope == pytest.approx(M, abs=1e-4)
+        c = _n_over_u(q)
+        m = np.arange(1, c.size)
+        phi = np.sort(np.arccos(np.clip(res.samples / support(q).radius, -1.0, 1.0)))
+        F = c[0] * (phi - np.sin(2 * phi) / 2) / math.pi
+        F += (np.sin(np.outer(phi, m)) / m - np.sin(np.outer(phi, m + 2)) / (m + 2)) @ c[1:] / math.pi
+        i = np.arange(1, n + 1)
+        d = max(np.max(F - (i - 1) / n), np.max(i / n - F))
+        assert d < dkw_bound(n)
+
+    @pytest.mark.parametrize("q", [0.95, 0.99])
+    def test_envelope_dominates_the_series(self, q):
+        # the n_over_u series in its sine form, U_n(cos phi) = sin((n+1) phi) /
+        # sin phi (n + 1 at t = +-1), on 160 001 points: M above every value
+        # and within 5% of the largest
+        t = np.linspace(-1.0, 1.0, 160_001)
+        phi = np.arccos(t)
+        inner = np.abs(t) < 1.0
+        r = np.zeros_like(t)
+        for n, cn in enumerate(_n_over_u(q, 150)):
+            if cn:
+                u = np.full_like(t, n + 1.0)  # U_n(+-1) = (+-1)^n (n+1), n even
+                u[inner] = np.sin((n + 1) * phi[inner]) / np.sin(phi[inner])
+                r += cn * u
+        M = envelope_constant(fN(q))
+        assert np.max(r) <= M <= 1.05 * np.max(r)
 
 
 class TestProposalStream:

@@ -169,7 +169,7 @@ class TestCurvatureSum:
     ])
     def test_fcn_matches_the_exact_loop(self, y, rho, q):
         want = ref.curvature_loop(connect._gamma_rule(y, rho, q), self.H2_8)
-        got = sampler._curvature_slack(fCN(float(y), float(rho), float(q)))
+        got = sampler._curvature_slack(sampler._row(fCN(float(y), float(rho), float(q))))
         assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 4), Fraction(9, 10)])
@@ -178,7 +178,7 @@ class TestCurvatureSum:
         want = ref.curvature_loop(
             lambda n: 0 if n % 2 else (-1) ** (n // 2) * q ** (n // 2 * (n // 2 + 1) // 2),
             self.H2_8)
-        got = sampler._curvature_slack(fN(float(q)))
+        got = sampler._curvature_slack(sampler._row(fN(float(q))))
         assert got == pytest.approx(want, rel=1e-13)
 
 

@@ -285,13 +285,14 @@ class TestEnvelopeSuite:
         assert [r.passed for r in reports] == [True, False]
 
     def test_reports_the_sampler_constant(self):
-        # M = grid sup + D h^2/8, with the slack summed here by a scalar loop
-        # over the per-k gamma_coeff instead of the sampler's float gamma row
+        # M = grid sup + tail + D h^2/8, with the slack summed here by a scalar
+        # loop over the per-k gamma_coeff instead of the sampler's float gamma
+        # row; the tail, under 1e-16, is inside the tolerance
         reports, ok = run_all({"suites": ("envelope",), "q_grid": (0.45,)})
         assert ok
         L = support(0.45).radius
         dens = fCN(0.3 * L, 0.5, 0.45)
         slack = ref.curvature_loop(lambda n: gamma_coeff(n, dens.y, dens.rho, dens.q),
                                    1.0 / (2.0 * 10000 ** 2))
-        want = sampler._grid_sup(dens) + slack
+        want = sampler._grid_sup(sampler._row(dens)) + slack
         assert reports[1].params["M"] == pytest.approx(want, rel=1e-15)
